@@ -97,12 +97,15 @@ def _load_dataset(args) -> Dataset:
         return parse_dataset(handle.read(), ratio_precision=args.ratios)
 
 
-def _final_coefficients(args, dataset: Dataset):
+def _final_coefficients(args, dataset: Dataset, fit=None):
+    """Coefficients for the probability grid; reuses ``fit`` when given."""
     if getattr(args, "coef", "fitted") == "rounded":
         if args.data is not None:
             raise _UsageError("--coef rounded applies to the embedded dataset only")
         return REFERENCE_MODEL_COEFFICIENTS
-    return tuple(fit_final_model(dataset).beta)
+    if fit is None:
+        fit = fit_final_model(dataset)
+    return tuple(fit.beta)
 
 
 def _predict_sections(args, dataset: Dataset) -> list[Section]:
@@ -154,7 +157,7 @@ def _sections_for(args, dataset: Dataset) -> list[Section]:
         ]
         fit = fit_final_model(dataset)
         sections.append(final_model_section(fit, dataset.n))
-        beta = _final_coefficients(args, dataset)
+        beta = _final_coefficients(args, dataset, fit)
         table = table_from_coefficients(beta, dataset)
         sections.append(probability_section(table))
         drift = drift_section(table)

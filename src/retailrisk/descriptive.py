@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.stats import norm
 
 from .dataset import Dataset
+from .distributions import norm_ppf, norm_sf
 
 #: Column order of the descriptive-summary table.
 SUMMARY_COLUMNS = (
@@ -95,10 +96,13 @@ def _poly(coefficients, x: float) -> float:
     return sum(c * x**k for k, c in enumerate(coefficients))
 
 
+@lru_cache(maxsize=8)
 def _sw_weights(n: int) -> np.ndarray:
     # Expected normal order statistics via the Blom-type approximation, then
-    # Royston's corrections to the two extreme weights on each side.
-    m = norm.ppf((np.arange(1, n + 1) - 0.375) / (n + 0.25))
+    # Royston's corrections to the two extreme weights on each side. Cached
+    # because every column of a dataset has the same n; read-only because
+    # every caller shares the cached array.
+    m = norm_ppf((np.arange(1, n + 1) - 0.375) / (n + 0.25))
     ssm = float(m @ m)
     c = m / math.sqrt(ssm)
     rsn = 1.0 / math.sqrt(n)
@@ -106,6 +110,7 @@ def _sw_weights(n: int) -> np.ndarray:
     if n == 3:
         a[0], a[2] = -math.sqrt(0.5), math.sqrt(0.5)
         a[1] = 0.0
+        a.flags.writeable = False
         return a
     a_n = c[-1] + _poly(_C1, rsn)
     if n > 5:
@@ -117,6 +122,7 @@ def _sw_weights(n: int) -> np.ndarray:
         phi = (ssm - 2 * m[-1] ** 2) / (1 - 2 * a_n**2)
         a[1:-1] = m[1:-1] / math.sqrt(phi)
     a[0], a[-1] = -a_n, a_n
+    a.flags.writeable = False
     return a
 
 
@@ -151,7 +157,7 @@ def shapiro_wilk(series) -> tuple[float, float]:
         ln_n = math.log(n)
         mu = _poly(_LARGE_N_MU, ln_n)
         sigma = math.exp(_poly(_LARGE_N_LOG_SIGMA, ln_n))
-    p = float(norm.sf((y - mu) / sigma))
+    p = norm_sf((y - mu) / sigma)
     return w, p
 
 

@@ -10,14 +10,14 @@ exactly these designs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import norm
 
 from . import linalg
 from .dataset import DesignMatrix
+from .distributions import expit, norm_sf
 
 SEPARATION_NONE = "none"
 SEPARATION_QUASI = "quasi"
@@ -86,11 +86,12 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
 
     beta = np.zeros(p)
     ll = log_likelihood(beta, dm)
+    # prob and score always belong to the current beta.
+    prob = expit(dm.X @ beta)
+    score = dm.X.T @ (dm.y - prob)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        prob = expit(dm.X @ beta)
-        score = dm.X.T @ (dm.y - prob)
         try:
             delta = linalg.solve_spd(_fisher_information(dm.X, prob), score)
         except linalg.SingularMatrixError:
@@ -106,12 +107,12 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
             halvings += 1
         moved = float(np.max(np.abs(new - beta)))
         beta, ll = new, new_ll
-        new_score = dm.X.T @ (dm.y - expit(dm.X @ beta))
-        if moved <= tol and float(np.max(np.abs(new_score))) <= score_tol:
+        prob = expit(dm.X @ beta)
+        score = dm.X.T @ (dm.y - prob)
+        if moved <= tol and float(np.max(np.abs(score))) <= score_tol:
             converged = True
             break
 
-    prob = expit(dm.X @ beta)
     try:
         cov = linalg.inverse_spd(_fisher_information(dm.X, prob))
         se = np.sqrt(np.diag(cov))
@@ -120,7 +121,7 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
         se = np.full(p, np.nan)
     with np.errstate(invalid="ignore"):
         z = beta / se
-    p_values = 2.0 * norm.sf(np.abs(z))
+    p_values = 2.0 * norm_sf(np.abs(z))
     aic = 2.0 * p - 2.0 * ll
     fit = MleFit(
         labels=dm.labels,
@@ -164,7 +165,12 @@ def detect_separation(dm: DesignMatrix, fit: MleFit) -> str:
 
 
 def significance_code(p: float) -> str:
-    """Conventional significance stars; boundaries belong to the weaker code."""
+    """Conventional significance stars; boundaries belong to the weaker code.
+
+    A non-finite p-value (from a singular information matrix) reads ``NA``.
+    """
+    if not math.isfinite(p):
+        return "NA"
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p-value must be in [0, 1], got {p}")
     if p < 0.001:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 
 from .dataset import Dataset
@@ -76,6 +77,8 @@ def fmt_number(value: float, decimals: int) -> str:
 
 
 def fmt_p(value: float) -> str:
+    if not math.isfinite(value):
+        return "NA"
     if value < 0.001:
         return "<0.001"
     return fmt_number(value, ROUNDING["p_value"])

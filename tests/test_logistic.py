@@ -193,6 +193,7 @@ class TestSignificanceCode:
             (0.1, " "),
             (0.5, " "),
             (1.0, " "),
+            (math.nan, "NA"),  # singular information: no p-value
         ],
     )
     def test_codes(self, p, code):

@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 
@@ -218,3 +219,22 @@ class TestCli:
         status, out, _ = run(["export-data", "--data", str(path)])
         assert status == 0
         assert parse_dataset(out) == ds
+
+    def test_separated_screen_renders_na(self, tmp_path):
+        # Every failing row's ACSI lies above every surviving row's: the ACSI
+        # screen separates completely, its information matrix turns singular
+        # and its p-values are NaN.
+        rows = list(csv.DictReader(io.StringIO(dataset_to_csv(embedded_dataset()))))
+        for row in rows:
+            if row["fail"] == "1":
+                row["acsi"] = "90"
+        path = tmp_path / "separated.csv"
+        with path.open("w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        status, out, err = run(["fit", "--group", "external", "--data", str(path)])
+        assert status == 0
+        assert "| Slope (p-value) | NA |" in out
+        assert "| Slope signif. | NA |" in out
+        assert err == ""
