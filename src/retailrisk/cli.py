@@ -1,7 +1,8 @@
 """Command-line interface: one subcommand per analysis artifact.
 
-Exit codes: 0 on success, 1 on data/validation/file errors, 2 on usage
-errors. Reports go to stdout (or ``--out``) in markdown, CSV, or JSON.
+Exit codes: 0 on success, 1 on any :class:`RetailRiskError` (bad or
+degenerate data) and on file errors, 2 on usage errors. Reports go to stdout
+(or ``--out``) in markdown, CSV, or JSON.
 """
 
 from __future__ import annotations
@@ -10,13 +11,13 @@ import argparse
 import sys
 
 from .dataset import (
-    DataParseError,
     DataValidationError,
     Dataset,
     dataset_to_csv,
     embedded_dataset,
     parse_dataset,
 )
+from .errors import RetailRiskError
 from .pipeline import (
     REFERENCE_MODEL_COEFFICIENTS,
     fit_final_model,
@@ -203,7 +204,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     except _UsageError as exc:
         stderr.write(f"error: {exc}\n")
         return 2
-    except (DataParseError, DataValidationError) as exc:
+    except RetailRiskError as exc:
         stderr.write(f"error: {exc}\n")
         return 1
     except OSError as exc:

@@ -17,9 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
+
+from .errors import RetailRiskError
 
 CSV_HEADER = (
     "chain",
@@ -52,6 +56,11 @@ RAW_COLUMNS = (
 
 RATIO_COLUMNS = ("sga_over_rev", "cor_over_rev", "ebitda_over_rev", "ltd_over_rev")
 
+#: Raw column divided by revenue to form each ratio column.
+_RATIO_NUMERATORS = dict(
+    zip(RATIO_COLUMNS, ("sga", "cost_of_revenue", "ebitda", "long_term_debt"))
+)
+
 #: Names accepted by :func:`design_matrix` and :meth:`Dataset.column`.
 PREDICTOR_COLUMNS = ("year",) + RAW_COLUMNS + RATIO_COLUMNS
 
@@ -60,11 +69,11 @@ RATIO_PRECISIONS = ("full", "printed")
 YEAR_RANGE = (1990, 2100)
 
 
-class DataParseError(ValueError):
+class DataParseError(RetailRiskError):
     """Malformed CSV input (bad header, wrong arity, non-numeric field)."""
 
 
-class DataValidationError(ValueError):
+class DataValidationError(RetailRiskError):
     """Structurally valid input that violates a dataset invariant."""
 
 
@@ -96,10 +105,6 @@ class FirmYearRecord:
     pandemic: int
     acsi: float
 
-    @property
-    def ratios(self) -> DerivedRatios:
-        return derive_ratios(self)
-
 
 def derive_ratios(record: FirmYearRecord, precision: str = "full") -> DerivedRatios:
     """Revenue ratios for one record.
@@ -113,14 +118,9 @@ def derive_ratios(record: FirmYearRecord, precision: str = "full") -> DerivedRat
         )
     if precision not in RATIO_PRECISIONS:
         raise ValueError(f"unknown ratio precision {precision!r}; use one of {RATIO_PRECISIONS}")
-    values = (
-        record.sga / record.revenue,
-        record.cost_of_revenue / record.revenue,
-        record.ebitda / record.revenue,
-        record.long_term_debt / record.revenue,
-    )
+    values = [getattr(record, _RATIO_NUMERATORS[name]) / record.revenue for name in RATIO_COLUMNS]
     if precision == "printed":
-        values = tuple(round(v, 2) for v in values)
+        values = [round(v, 2) for v in values]
     return DerivedRatios(*values)
 
 
@@ -136,17 +136,18 @@ class Dataset:
     records: tuple[FirmYearRecord, ...]
     ratio_precision: str = "full"
     chains: tuple[str, ...] = field(init=False)
+    _by_chain: dict = field(init=False, repr=False, compare=False)
+    _columns: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _validate_records(self.records)
+        by_chain = _validate_records(self.records)
         if self.ratio_precision not in RATIO_PRECISIONS:
             raise ValueError(
                 f"unknown ratio precision {self.ratio_precision!r}; use one of {RATIO_PRECISIONS}"
             )
-        seen: dict[str, None] = {}
-        for rec in self.records:
-            seen.setdefault(rec.chain, None)
-        object.__setattr__(self, "chains", tuple(seen))
+        object.__setattr__(self, "chains", tuple(by_chain))
+        object.__setattr__(self, "_by_chain", {c: tuple(r) for c, r in by_chain.items()})
+        object.__setattr__(self, "_columns", {})
 
     @property
     def n(self) -> int:
@@ -156,31 +157,46 @@ class Dataset:
         return Dataset(self.records, ratio_precision=precision)
 
     def chain_records(self, chain: str) -> tuple[FirmYearRecord, ...]:
-        recs = tuple(r for r in self.records if r.chain == chain)
-        if not recs:
+        recs = self._by_chain.get(chain)
+        if recs is None:
             raise KeyError(f"unknown chain {chain!r}; known: {', '.join(self.chains)}")
         return recs
 
     def column(self, name: str) -> np.ndarray:
-        """Numeric column by name; ratio columns honor ``ratio_precision``."""
-        if name == "fail":
-            return np.array([float(r.fail) for r in self.records])
-        if name == "year":
-            return np.array([float(r.year) for r in self.records])
-        if name in RAW_COLUMNS:
-            return np.array([float(getattr(r, name)) for r in self.records])
+        """Numeric column by name; ratio columns honor ``ratio_precision``.
+
+        Each column is built once per dataset and returned as the same
+        read-only array on every call.
+        """
+        values = self._columns.get(name)
+        if values is None:
+            values = self._build_column(name)
+            values.flags.writeable = False
+            self._columns[name] = values
+        return values
+
+    def _build_column(self, name: str) -> np.ndarray:
         if name in RATIO_COLUMNS:
-            return np.array(
-                [getattr(derive_ratios(r, self.ratio_precision), name) for r in self.records]
-            )
+            # The same Python-float arithmetic as derive_ratios, so that
+            # each ratio is bit-identical to the per-record one.
+            numerator = _RATIO_NUMERATORS[name]
+            values = [getattr(r, numerator) / r.revenue for r in self.records]
+            if self.ratio_precision == "printed":
+                values = [round(v, 2) for v in values]
+            return np.array(values)
+        if name == "fail" or name in PREDICTOR_COLUMNS:
+            return np.fromiter(map(attrgetter(name), self.records), float, self.n)
         raise KeyError(
             f"unknown column {name!r}; known: fail, {', '.join(PREDICTOR_COLUMNS)}"
         )
 
 
-def _validate_records(records: tuple[FirmYearRecord, ...]) -> None:
+def _validate_records(records: tuple[FirmYearRecord, ...]) -> dict[str, list[FirmYearRecord]]:
+    """Check every invariant; returns the records grouped by chain, in
+    first-occurrence order."""
     if len(records) == 0:
         raise DataValidationError("empty dataset")
+    by_chain: dict[str, list[FirmYearRecord]] = {}
     for rec in records:
         where = f"{rec.chain} {rec.year}"
         if rec.fail not in (0, 1):
@@ -203,12 +219,10 @@ def _validate_records(records: tuple[FirmYearRecord, ...]) -> None:
             raise DataValidationError(f"{where}: acsi must be in [0, 100], got {rec.acsi}")
         for name in ("revenue", "cost_of_revenue", "sga", "ebitda", "stores",
                      "us_interest_rate", "us_inflation_rate", "long_term_debt", "acsi"):
-            if not np.isfinite(getattr(rec, name)):
+            if not math.isfinite(getattr(rec, name)):
                 raise DataValidationError(f"{where}: {name} is not finite")
-
-    by_chain: dict[str, list[FirmYearRecord]] = {}
-    for rec in records:
         by_chain.setdefault(rec.chain, []).append(rec)
+
     for chain, recs in by_chain.items():
         for prev, cur in zip(recs, recs[1:]):
             if cur.year != prev.year + 1:
@@ -223,22 +237,36 @@ def _validate_records(records: tuple[FirmYearRecord, ...]) -> None:
             raise DataValidationError(
                 f"{chain} {failures[0].year}: fail=1 must be the chain's final year"
             )
+    return by_chain
+
+
+_INTEGER_COLUMNS = ("year", "fail", "pandemic")
+_INTEGER_POSITIONS = tuple(CSV_HEADER.index(c) - 1 for c in _INTEGER_COLUMNS)
 
 
 def _parse_number(text: str, column: str, line_no: int) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataParseError(
             f"line {line_no}: non-numeric value {text!r} in column {column!r}"
         ) from None
-
-
-def _parse_int(text: str, column: str, line_no: int) -> int:
-    value = _parse_number(text, column, line_no)
-    if value != int(value):
+    if column in _INTEGER_COLUMNS and not value.is_integer():
         raise DataParseError(f"line {line_no}: column {column!r} must be an integer, got {text!r}")
-    return int(value)
+    return value
+
+
+def _parse_fields(row: list[str], line_no: int) -> list[float]:
+    """The numeric fields of a row (every column after the chain name)."""
+    try:
+        values = list(map(float, row[1:]))
+        if all(values[i].is_integer() for i in _INTEGER_POSITIONS):
+            return values
+    except ValueError:
+        pass
+    # Some field is bad: this loop raises for the first one in column order.
+    for column, text in zip(CSV_HEADER[1:], row[1:]):
+        _parse_number(text, column, line_no)
 
 
 def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
@@ -268,22 +296,9 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
         chain = row[0].strip()
         if not chain:
             raise DataParseError(f"line {line_no}: empty chain name")
+        year, fail, *amounts, pandemic, acsi = _parse_fields(row, line_no)
         records.append(
-            FirmYearRecord(
-                chain=chain,
-                year=_parse_int(row[1], "year", line_no),
-                fail=_parse_int(row[2], "fail", line_no),
-                revenue=_parse_number(row[3], "revenue", line_no),
-                cost_of_revenue=_parse_number(row[4], "cost_of_revenue", line_no),
-                sga=_parse_number(row[5], "sga", line_no),
-                ebitda=_parse_number(row[6], "ebitda", line_no),
-                stores=_parse_number(row[7], "stores", line_no),
-                us_interest_rate=_parse_number(row[8], "us_interest_rate", line_no),
-                us_inflation_rate=_parse_number(row[9], "us_inflation_rate", line_no),
-                long_term_debt=_parse_number(row[10], "long_term_debt", line_no),
-                pandemic=_parse_int(row[11], "pandemic", line_no),
-                acsi=_parse_number(row[12], "acsi", line_no),
-            )
+            FirmYearRecord(chain, int(year), int(fail), *amounts, int(pandemic), acsi)
         )
     return Dataset(tuple(records), ratio_precision=ratio_precision)
 

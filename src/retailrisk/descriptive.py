@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .distributions import norm_ppf, norm_sf
+from .errors import RetailRiskError
 
 #: Column order of the descriptive-summary table.
 SUMMARY_COLUMNS = (
@@ -56,7 +57,7 @@ CORRELATION_COLUMNS = (
 )
 
 
-class DegenerateDataError(ValueError):
+class DegenerateDataError(RetailRiskError):
     """Series too short or too degenerate (zero variance) for the statistic."""
 
 

@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .errors import RetailRiskError
+
 # A pivot this small relative to the largest diagonal entry is treated as zero.
 PIVOT_RTOL = 1e-12
 
@@ -20,7 +22,7 @@ PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(RetailRiskError):
     """Matrix is not positive definite (collinear design or separation)."""
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .dataset import DesignMatrix
 from .distributions import expit, norm_sf
+from .errors import RetailRiskError
 
 SEPARATION_NONE = "none"
 SEPARATION_QUASI = "quasi"
@@ -27,7 +28,7 @@ SEPARATION_COMPLETE = "complete"
 DIVERGENCE_BOUND = 15.0
 
 
-class DegenerateResponseError(ValueError):
+class DegenerateResponseError(RetailRiskError):
     """Response vector contains a single class; the MLE does not exist."""
 
 

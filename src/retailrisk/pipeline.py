@@ -10,7 +10,7 @@ grid with explicit markers for years outside a chain's observed window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .dataset import Dataset, FirmYearRecord, derive_ratios, design_matrix
 from .firth import FirthFit, fit_firth
@@ -112,18 +112,24 @@ def predict_probability(beta, record: FirmYearRecord, ratio_precision: str = "fu
     ``beta`` is (intercept, inflation, long-term debt/revenue,
     EBITDA/revenue); the record's ratios are derived at ``ratio_precision``.
     """
+    beta = _final_beta(beta)
+    ratios = derive_ratios(record, ratio_precision)
+    return _probability(
+        beta, record.us_inflation_rate, ratios.ltd_over_rev, ratios.ebitda_over_rev
+    )
+
+
+def _final_beta(beta) -> tuple[float, ...]:
     beta = tuple(float(b) for b in beta)
     if len(beta) != 1 + len(FINAL_MODEL_PREDICTORS):
         raise ValueError(
             f"expected {1 + len(FINAL_MODEL_PREDICTORS)} coefficients, got {len(beta)}"
         )
-    ratios = derive_ratios(record, ratio_precision)
-    eta = (
-        beta[0]
-        + beta[1] * record.us_inflation_rate
-        + beta[2] * ratios.ltd_over_rev
-        + beta[3] * ratios.ebitda_over_rev
-    )
+    return beta
+
+
+def _probability(beta: tuple[float, ...], inflation, ltd_over_rev, ebitda_over_rev) -> float:
+    eta = beta[0] + beta[1] * inflation + beta[2] * ltd_over_rev + beta[3] * ebitda_over_rev
     if eta >= 0:
         return 1.0 / (1.0 + math.exp(-eta))
     z = math.exp(eta)
@@ -162,9 +168,15 @@ class PredictionTable:
     years: tuple[int, ...]
     chains: tuple[str, ...]
     cells: tuple[tuple[PredictionCell, ...], ...]  # cells[year_index][chain_index]
+    _year_index: dict = field(init=False, repr=False, compare=False)
+    _chain_index: dict = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_year_index", {y: i for i, y in enumerate(self.years)})
+        object.__setattr__(self, "_chain_index", {c: i for i, c in enumerate(self.chains)})
 
     def cell(self, chain: str, year: int) -> PredictionCell:
-        return self.cells[self.years.index(year)][self.chains.index(chain)]
+        return self.cells[self._year_index[year]][self._chain_index[chain]]
 
 
 def probability_table(fit: FirthFit, dataset: Dataset) -> PredictionTable:
@@ -181,26 +193,30 @@ def probability_table(fit: FirthFit, dataset: Dataset) -> PredictionTable:
 
 def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     """Probability grid from explicit final-model coefficients."""
-    years = tuple(sorted({r.year for r in dataset.records}))
-    by_key = {(r.chain, r.year): r for r in dataset.records}
-    failure_year = {
-        chain: next((r.year for r in dataset.chain_records(chain) if r.fail == 1), None)
-        for chain in dataset.chains
-    }
+    beta = _final_beta(beta)
+    records = dataset.records
+    years = tuple(sorted({r.year for r in records}))
+    row_of = {(r.chain, r.year): i for i, r in enumerate(records)}
+    failure_year = dict.fromkeys(dataset.chains)
+    for r in records:
+        if r.fail == 1:
+            failure_year[r.chain] = r.year
+    inflation, ltd, ebitda = (dataset.column(name).tolist() for name in FINAL_MODEL_PREDICTORS)
+    ceased, not_available = PredictionCell(CELL_CEASED), PredictionCell(CELL_NOT_AVAILABLE)
 
     rows = []
     for year in years:
         row = []
         for chain in dataset.chains:
             failed = failure_year[chain]
-            record = by_key.get((chain, year))
-            if record is not None:
-                prob = predict_probability(beta, record, dataset.ratio_precision)
+            i = row_of.get((chain, year))
+            if i is not None:
+                prob = _probability(beta, inflation[i], ltd[i], ebitda[i])
                 row.append(PredictionCell(CELL_PROBABILITY, prob))
             elif failed is not None and year > failed:
-                row.append(PredictionCell(CELL_CEASED))
+                row.append(ceased)
             else:
-                row.append(PredictionCell(CELL_NOT_AVAILABLE))
+                row.append(not_available)
         rows.append(tuple(row))
     return PredictionTable(years=years, chains=tuple(dataset.chains), cells=tuple(rows))
 
@@ -209,9 +225,9 @@ def probability_drift(table: PredictionTable) -> list[tuple[str, int, float, flo
     """Per-cell (chain, year, computed, published, delta) against the
     published reference grid, for cells present in both."""
     out = []
-    for chain in table.chains:
-        for year in table.years:
-            cell = table.cell(chain, year)
+    for j, chain in enumerate(table.chains):
+        for year, row in zip(table.years, table.cells):
+            cell = row[j]
             reference = REFERENCE_FAILURE_PROBABILITIES.get((chain, year))
             if cell.kind == CELL_PROBABILITY and reference is not None:
                 out.append((chain, year, cell.probability, reference, cell.probability - reference))

@@ -3,6 +3,8 @@ import pytest
 
 from retailrisk.dataset import (
     CSV_HEADER,
+    PREDICTOR_COLUMNS,
+    RATIO_COLUMNS,
     DataParseError,
     DataValidationError,
     Dataset,
@@ -14,6 +16,7 @@ from retailrisk.dataset import (
     parse_dataset,
 )
 
+from _panel import panel_csv
 from _reference import PANDEMIC_ROWS, REVENUE_TOTAL
 
 HEADER = ",".join(CSV_HEADER)
@@ -183,6 +186,17 @@ class TestParseErrors:
         with pytest.raises(DataParseError, match="integer"):
             parse_dataset(text)
 
+    @pytest.mark.parametrize("year", ["nan", "inf", "-inf"])
+    def test_non_finite_year_is_a_parse_error(self, year):
+        text = HEADER + f"\nA,{year},0,100,70,20,5,10,2,1.5,30,0,75\n"
+        with pytest.raises(DataParseError, match="'year' must be an integer"):
+            parse_dataset(text)
+
+    def test_first_bad_field_in_column_order_is_reported(self):
+        text = HEADER + "\nA,2015,0.5,abc,70,20,5,10,2,1.5,30,0,75\n"
+        with pytest.raises(DataParseError, match="'fail' must be an integer"):
+            parse_dataset(text)
+
 
 class TestRoundTrip:
     def test_embedded_roundtrip_is_identical(self):
@@ -237,6 +251,53 @@ class TestDesignMatrix:
     def test_column_rejects_unknown_name(self):
         with pytest.raises(KeyError, match="unknown column"):
             embedded_dataset().column("net_income")
+
+
+def _datasets():
+    panel = panel_csv()
+    return [
+        pytest.param(embedded_dataset(), id="embedded-full"),
+        pytest.param(embedded_dataset("printed"), id="embedded-printed"),
+        pytest.param(parse_dataset(panel), id="panel-full"),
+        pytest.param(parse_dataset(panel, "printed"), id="panel-printed"),
+    ]
+
+
+class TestColumnarDataset:
+    """Cached columns and the chain index against per-record scans."""
+
+    @pytest.mark.parametrize("ds", _datasets())
+    def test_columns_equal_per_record_values(self, ds):
+        for name in ("fail", *PREDICTOR_COLUMNS):
+            if name in RATIO_COLUMNS:
+                expected = [getattr(derive_ratios(r, ds.ratio_precision), name)
+                            for r in ds.records]
+            else:
+                expected = [float(getattr(r, name)) for r in ds.records]
+            np.testing.assert_array_equal(ds.column(name), np.array(expected), err_msg=name)
+
+    @pytest.mark.parametrize("ds", _datasets())
+    def test_columns_are_cached_and_read_only(self, ds):
+        for name in ("fail", *PREDICTOR_COLUMNS):
+            values = ds.column(name)
+            assert not values.flags.writeable
+            assert ds.column(name) is values
+            with pytest.raises(ValueError, match="read-only"):
+                values[0] = 0.0
+
+    @pytest.mark.parametrize("ds", _datasets())
+    def test_chain_records_equal_linear_scan(self, ds):
+        assert ds.chains == tuple(dict.fromkeys(r.chain for r in ds.records))
+        for chain in ds.chains:
+            assert ds.chain_records(chain) == tuple(r for r in ds.records if r.chain == chain)
+        with pytest.raises(KeyError, match="unknown chain 'Woolworths'; known: "):
+            ds.chain_records("Woolworths")
+
+    def test_column_cache_is_per_dataset(self):
+        ds = embedded_dataset()
+        printed = ds.with_ratio_precision("printed")
+        assert printed.column("sga_over_rev") is not ds.column("sga_over_rev")
+        assert printed == embedded_dataset("printed")
 
 
 def test_dataset_rejects_unknown_precision():

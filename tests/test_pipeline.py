@@ -20,6 +20,8 @@ from retailrisk.pipeline import (
     table_from_coefficients,
 )
 
+from _panel import panel_csv
+
 
 def record_for(chain, year):
     ds = embedded_dataset()
@@ -203,6 +205,61 @@ class TestProbabilityTable:
         assert len(drift) == 32
         for chain, year, computed, published, delta in drift:
             assert delta == pytest.approx(computed - published, abs=1e-12)
+
+
+def _grids():
+    """(dataset, beta) pairs: fitted and published coefficients on the
+    embedded data in both ratio modes, fitted ones on a 220-chain panel."""
+    cases = []
+    for precision in ("full", "printed"):
+        ds = embedded_dataset(precision)
+        panel = parse_dataset(panel_csv(), precision)
+        cases += [
+            pytest.param(ds, tuple(fit_final_model(ds).beta), id=f"embedded-{precision}-fitted"),
+            pytest.param(ds, REFERENCE_MODEL_COEFFICIENTS, id=f"embedded-{precision}-rounded"),
+            pytest.param(panel, tuple(fit_final_model(panel).beta), id=f"panel-{precision}"),
+        ]
+    return cases
+
+
+class TestGridAgainstPerRecordPath:
+    @pytest.mark.parametrize("ds,beta", _grids())
+    def test_probabilities_are_bit_identical(self, ds, beta):
+        table = table_from_coefficients(beta, ds)
+        for r in ds.records:
+            cell = table.cell(r.chain, r.year)
+            assert cell.kind == CELL_PROBABILITY
+            assert cell.probability == predict_probability(beta, r, ds.ratio_precision)
+
+    @pytest.mark.parametrize("ds,beta", _grids())
+    def test_cell_equals_linear_scan(self, ds, beta):
+        table = table_from_coefficients(beta, ds)
+        assert table.chains == ds.chains
+        assert table.years == tuple(sorted({r.year for r in ds.records}))
+        for chain in table.chains:
+            for year in table.years:
+                expected = table.cells[table.years.index(year)][table.chains.index(chain)]
+                assert table.cell(chain, year) is expected
+
+    @pytest.mark.parametrize("ds,beta", _grids())
+    def test_marker_cells_follow_each_chain_window(self, ds, beta):
+        table = table_from_coefficients(beta, ds)
+        for chain in ds.chains:
+            recs = ds.chain_records(chain)
+            failed = recs[-1].year if recs[-1].fail == 1 else None
+            for year in table.years:
+                kind = table.cell(chain, year).kind
+                if recs[0].year <= year <= recs[-1].year:
+                    assert kind == CELL_PROBABILITY
+                elif failed is not None and year > failed:
+                    assert kind == CELL_CEASED
+                else:
+                    assert kind == CELL_NOT_AVAILABLE
+
+    def test_drift_is_chain_major(self):
+        ds = embedded_dataset()
+        drift = probability_drift(table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds))
+        assert [(c, y) for c, y, *_ in drift] == [(r.chain, r.year) for r in ds.records]
 
 
 class TestOddsRatio:

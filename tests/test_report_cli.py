@@ -1,9 +1,19 @@
 import csv
+import hashlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+from retailrisk import (
+    DataParseError,
+    DataValidationError,
+    DegenerateDataError,
+    DegenerateResponseError,
+    RetailRiskError,
+    SingularMatrixError,
+)
 from retailrisk.cli import run_command
 from retailrisk.dataset import dataset_to_csv, embedded_dataset, parse_dataset
 from retailrisk.pipeline import fit_final_model, probability_table
@@ -21,6 +31,18 @@ def run(argv):
     out, err = io.StringIO(), io.StringIO()
     status = run_command(argv, stdout=out, stderr=err)
     return status, out.getvalue(), err.getvalue()
+
+
+def write_variant(path, change):
+    """The embedded data as CSV at ``path``, each row updated by ``change(row)``."""
+    rows = list(csv.DictReader(io.StringIO(dataset_to_csv(embedded_dataset()))))
+    for row in rows:
+        row.update(change(row))
+    with path.open("w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+    return path
 
 
 class TestRender:
@@ -224,17 +246,70 @@ class TestCli:
         # Every failing row's ACSI lies above every surviving row's: the ACSI
         # screen separates completely, its information matrix turns singular
         # and its p-values are NaN.
-        rows = list(csv.DictReader(io.StringIO(dataset_to_csv(embedded_dataset()))))
-        for row in rows:
-            if row["fail"] == "1":
-                row["acsi"] = "90"
-        path = tmp_path / "separated.csv"
-        with path.open("w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]), lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
+        path = write_variant(tmp_path / "separated.csv",
+                             lambda row: {"acsi": "90"} if row["fail"] == "1" else {})
         status, out, err = run(["fit", "--group", "external", "--data", str(path)])
         assert status == 0
         assert "| Slope (p-value) | NA |" in out
         assert "| Slope signif. | NA |" in out
         assert err == ""
+
+
+#: Schema-valid inputs on which an analysis is undefined.
+DEGENERATE_INPUTS = {
+    "constant_inflation": lambda row: {"us_inflation_rate": "2"},
+    "no_failures": lambda row: {"fail": "0"},
+}
+
+
+class TestErrorContract:
+    """A schema-valid CSV gives a report or one ``error:`` line with exit
+    status 1, never a traceback."""
+
+    @pytest.mark.parametrize("cls", [DataParseError, DataValidationError, DegenerateDataError,
+                                     DegenerateResponseError, SingularMatrixError])
+    def test_error_classes_share_one_base(self, cls):
+        assert issubclass(cls, RetailRiskError)
+        assert issubclass(RetailRiskError, ValueError)
+
+    @pytest.mark.parametrize(
+        "variant,argv,message",
+        [
+            ("constant_inflation", ["describe"], "Shapiro-Wilk is undefined"),
+            ("constant_inflation", ["correlate"], "zero-variance"),
+            ("constant_inflation", ["fit-final"], "non-positive pivot"),
+            ("constant_inflation", ["predict"], "non-positive pivot"),
+            ("constant_inflation", ["predict", "--chain", "Rite Aid", "--year", "2015"],
+             "non-positive pivot"),
+            ("constant_inflation", ["report"], "Shapiro-Wilk is undefined"),
+            ("no_failures", ["correlate"], "zero-variance"),
+            ("no_failures", ["fit", "--group", "external"], "single class"),
+            ("no_failures", ["fit", "--group", "internal"], "single class"),
+            ("no_failures", ["fit", "--group", "ratios"], "single class"),
+            ("no_failures", ["report"], "zero-variance"),
+        ],
+    )
+    def test_degenerate_input_gives_one_error_line(self, tmp_path, variant, argv, message):
+        path = write_variant(tmp_path / f"{variant}.csv", DEGENERATE_INPUTS[variant])
+        status, out, err = run([*argv, "--data", str(path)])
+        assert status == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert message in err
+        assert "Traceback" not in err
+
+
+DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
+
+
+class TestGoldenReports:
+    """Every ``report`` mode on the embedded data renders the recorded bytes
+    (JSON on its ``sections`` only, as ``meta`` may grow)."""
+
+    @pytest.mark.parametrize("mode", sorted(DIGESTS))
+    def test_report_bytes(self, mode):
+        status, out, err = run(mode.split())
+        assert status == 0 and err == ""
+        if "--format json" in mode:
+            out = json.dumps(json.loads(out)["sections"], sort_keys=True, separators=(",", ":"))
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[mode]
