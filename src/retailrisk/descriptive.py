@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .distributions import norm_ppf, norm_sf
-from .errors import RetailRiskError
+from .errors import DegenerateDataError
 
 #: Column order of the descriptive-summary table.
 SUMMARY_COLUMNS = (
@@ -55,10 +55,6 @@ CORRELATION_COLUMNS = (
     "pandemic",
     "acsi",
 )
-
-
-class DegenerateDataError(RetailRiskError):
-    """Series too short or too degenerate (zero variance) for the statistic."""
 
 
 @dataclass(frozen=True)

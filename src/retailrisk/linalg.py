@@ -1,15 +1,25 @@
 """Dense linear algebra for the small SPD systems arising in logistic fitting.
 
-Everything here goes through a single unpivoted Cholesky factorization. The
-matrices are Fisher informations at most ~8x8, which are symmetric positive
+Everything here goes through one object, :class:`Cholesky`: it validates a
+matrix once (square, finite, symmetric) and computes its unpivoted Cholesky
+factor in scalar Python arithmetic, which for the 1x1 to 4x4 Fisher
+informations of this package is far cheaper than a numpy call per element.
+The factor then serves solves, the inverse, the log-determinant and the
+whitening ``L^-1 B`` that gives hat diagonals, so a Newton step that needs
+several of them factors its matrix once. The matrices are symmetric positive
 definite whenever the design has full rank and the fit is away from
 separation; a failed pivot is therefore itself a useful diagnostic and is
 reported as :class:`SingularMatrixError`.
+
+``cholesky``, ``solve_spd``, ``inverse_spd`` and ``log_det_spd`` are
+one-line wrappers over the factor.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import chain
+from operator import sub
 
 import numpy as np
 
@@ -26,75 +36,131 @@ class SingularMatrixError(RetailRiskError):
     """Matrix is not positive definite (collinear design or separation)."""
 
 
-def _as_spd_input(a) -> np.ndarray:
+def _validated_rows(a) -> list[list[float]]:
+    """The rows of a square, finite, symmetric matrix as Python floats."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    rows = a.tolist()
+    entries = list(chain.from_iterable(rows))
+    if not all(map(math.isfinite, entries)):
         raise ValueError("matrix has non-finite entries")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.T)) > SYMMETRY_RTOL * scale:
+    scale = max(1.0, max(map(abs, entries)))
+    transposed = chain.from_iterable(zip(*rows))
+    if max(map(abs, map(sub, entries, transposed))) > SYMMETRY_RTOL * scale:
         raise ValueError("matrix is not symmetric")
-    return a
+    return rows
+
+
+class Cholesky:
+    """Lower-triangular L with L @ L.T == a, for symmetric positive-definite a.
+
+    The factor is kept as nested lists of Python floats (row i holds its
+    i + 1 entries on and below the diagonal).
+    """
+
+    __slots__ = ("n", "_rows")
+
+    def __init__(self, a):
+        rows = _validated_rows(a)
+        n = len(rows)
+        max_diag = max(map(list.__getitem__, rows, range(n)))
+        if max_diag <= 0.0:
+            raise SingularMatrixError("matrix has no positive diagonal entry")
+        tol = PIVOT_RTOL * max_diag
+        lower: list[list[float]] = []
+        for i, a_i in enumerate(rows):
+            l_i: list[float] = []
+            for j, l_j in enumerate(lower):
+                dot = 0.0
+                for k in range(j):
+                    dot += l_i[k] * l_j[k]
+                l_i.append((a_i[j] - dot) / l_j[j])
+            dot = 0.0
+            for v in l_i:
+                dot += v * v
+            pivot = a_i[i] - dot
+            if pivot <= tol:
+                raise SingularMatrixError(f"non-positive pivot at row {i} (pivot={pivot:.3e})")
+            l_i.append(math.sqrt(pivot))
+            lower.append(l_i)
+        self.n = n
+        self._rows = lower
+
+    @property
+    def lower(self) -> np.ndarray:
+        """L as an n x n array, zeros above the diagonal."""
+        n = self.n
+        return np.array([row + [0.0] * (n - len(row)) for row in self._rows])
+
+    def solve(self, b) -> np.ndarray:
+        """x with a @ x == b; b may be a vector or a matrix of columns."""
+        b = np.asarray(b, dtype=float)
+        if b.shape[0] != self.n:
+            raise ValueError(f"dimension mismatch: {self.n}x{self.n} vs {b.shape}")
+        # The same substitutions serve a vector (rows are floats) and a
+        # matrix (rows are arrays).
+        rows = b.tolist() if b.ndim == 1 else list(b)
+        lower = self._rows
+        z = []
+        for l_i, b_i in zip(lower, rows):  # L z = b
+            dot = 0.0
+            for l_ik, z_k in zip(l_i, z):
+                dot += l_ik * z_k
+            z.append((b_i - dot) / l_i[-1])
+        x = [0.0] * self.n
+        for i in range(self.n - 1, -1, -1):  # L.T x = z
+            dot = 0.0
+            for k in range(i + 1, self.n):
+                dot += lower[k][i] * x[k]
+            x[i] = (z[i] - dot) / lower[i][i]
+        return np.array(x)
+
+    def _inverse_lower(self) -> np.ndarray:
+        """L^-1 (lower triangular), by forward substitution on the identity."""
+        n, lower = self.n, self._rows
+        inv = [[0.0] * n for _ in range(n)]
+        for j in range(n):
+            for i in range(j, n):
+                l_i = lower[i]
+                dot = 0.0
+                for k in range(j, i):
+                    dot += l_i[k] * inv[k][j]
+                inv[i][j] = ((1.0 if i == j else 0.0) - dot) / l_i[i]
+        return np.array(inv)
+
+    def inverse(self) -> np.ndarray:
+        """a^-1 = L^-T L^-1, exactly symmetric."""
+        inv_lower = self._inverse_lower()
+        return inv_lower.T @ inv_lower
+
+    def log_det(self) -> float:
+        """log(det(a)) = 2*sum(log(diag(L)))."""
+        total = 0.0
+        for row in self._rows:
+            total += math.log(row[-1])
+        return 2.0 * total
+
+    def whiten(self, b) -> np.ndarray:
+        """L^-1 @ b for a matrix b of columns (n rows)."""
+        return self._inverse_lower() @ b
 
 
 def cholesky(a) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a, for symmetric positive-definite a."""
-    a = _as_spd_input(a)
-    n = a.shape[0]
-    max_diag = float(np.max(np.diag(a)))
-    if max_diag <= 0.0:
-        raise SingularMatrixError("matrix has no positive diagonal entry")
-    lower = np.zeros_like(a)
-    for i in range(n):
-        for j in range(i + 1):
-            s = a[i, j] - lower[i, :j] @ lower[j, :j]
-            if i == j:
-                if s <= PIVOT_RTOL * max_diag:
-                    raise SingularMatrixError(
-                        f"non-positive pivot at row {i} (pivot={s:.3e})"
-                    )
-                lower[i, i] = math.sqrt(s)
-            else:
-                lower[i, j] = s / lower[j, j]
-    return lower
-
-
-def _forward_sub(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = lower.shape[0]
-    x = np.zeros_like(b)
-    for i in range(n):
-        x[i] = (b[i] - lower[i, :i] @ x[:i]) / lower[i, i]
-    return x
-
-
-def _back_sub(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Solves L.T x = b.
-    n = lower.shape[0]
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - lower[i + 1 :, i] @ x[i + 1 :]) / lower[i, i]
-    return x
+    return Cholesky(a).lower
 
 
 def solve_spd(a, b) -> np.ndarray:
     """Solve a @ x = b via Cholesky. b may be a vector or a matrix of columns."""
-    lower = cholesky(a)
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != lower.shape[0]:
-        raise ValueError(f"dimension mismatch: {lower.shape[0]}x{lower.shape[0]} vs {b.shape}")
-    return _back_sub(lower, _forward_sub(lower, b))
+    return Cholesky(a).solve(b)
 
 
 def inverse_spd(a) -> np.ndarray:
     """Inverse of a symmetric positive-definite matrix."""
-    a = _as_spd_input(a)
-    inv = solve_spd(a, np.eye(a.shape[0]))
-    # Solving against I leaves tiny asymmetry; the exact inverse is symmetric.
-    return (inv + inv.T) / 2.0
+    return Cholesky(a).inverse()
 
 
 def log_det_spd(a) -> float:
     """log(det(a)) for symmetric positive-definite a, as 2*sum(log(diag(L)))."""
-    lower = cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
+    return Cholesky(a).log_det()

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .dataset import DesignMatrix
 from .distributions import expit, norm_sf
-from .errors import RetailRiskError
+from .errors import DegenerateDataError, RetailRiskError
 
 SEPARATION_NONE = "none"
 SEPARATION_QUASI = "quasi"
@@ -62,6 +62,16 @@ def log_likelihood(beta, dm: DesignMatrix) -> float:
     return float(dm.y @ eta - np.sum(np.logaddexp(0.0, eta)))
 
 
+def check_fittable(dm: DesignMatrix, model: str) -> None:
+    """Refuse a design with fewer rows than coefficients or a single-class
+    response, on which ``model`` is undefined."""
+    if dm.n < dm.p:
+        raise DegenerateDataError(f"need n >= p to fit, got n={dm.n}, p={dm.p}")
+    ones = int(np.sum(dm.y))
+    if ones == 0 or ones == dm.n:
+        raise DegenerateResponseError(f"response contains a single class; {model} is undefined")
+
+
 def _fisher_information(X: np.ndarray, prob: np.ndarray) -> np.ndarray:
     w = prob * (1.0 - prob)
     return (X * w[:, None]).T @ X
@@ -76,15 +86,8 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
     singular information matrix on the way) is reported through
     ``converged=False`` plus the ``separation`` diagnosis, never silently.
     """
-    n, p = dm.n, dm.p
-    if n < p:
-        raise ValueError(f"need n >= p to fit, got n={n}, p={p}")
-    ones = int(np.sum(dm.y))
-    if ones == 0 or ones == n:
-        raise DegenerateResponseError(
-            "response contains a single class; logistic MLE is undefined"
-        )
-
+    check_fittable(dm, "logistic MLE")
+    p = dm.p
     beta = np.zeros(p)
     ll = log_likelihood(beta, dm)
     # prob and score always belong to the current beta.
@@ -94,7 +97,7 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            delta = linalg.solve_spd(_fisher_information(dm.X, prob), score)
+            delta = linalg.Cholesky(_fisher_information(dm.X, prob)).solve(score)
         except linalg.SingularMatrixError:
             # Weights collapsed: coefficients are running off to infinity.
             break
@@ -115,7 +118,7 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
             break
 
     try:
-        cov = linalg.inverse_spd(_fisher_information(dm.X, prob))
+        cov = linalg.Cholesky(_fisher_information(dm.X, prob)).inverse()
         se = np.sqrt(np.diag(cov))
     except linalg.SingularMatrixError:
         cov = np.full((p, p), np.nan)

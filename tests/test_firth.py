@@ -14,8 +14,9 @@ from retailrisk.firth import (
     lr_test,
     penalized_loglik,
 )
+from retailrisk.errors import DegenerateDataError
 from retailrisk.linalg import SingularMatrixError
-from retailrisk.logistic import SEPARATION_NONE, fit_logistic
+from retailrisk.logistic import SEPARATION_NONE, DegenerateResponseError, fit_logistic
 
 from _reference import (
     FINAL_CHISQ_TOL,
@@ -43,6 +44,26 @@ def toy_design(x, y):
 
 SEPARATED_X = np.array([-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0])
 SEPARATED_Y = (SEPARATED_X > 0).astype(float)
+
+
+def separated_panel(seed, n=32, noise=2):
+    """A seeded design in which the first slope separates the response
+    completely: failing rows in [1.5, 2.5], surviving rows in [0, 1]."""
+    rng = np.random.default_rng(seed)
+    y = np.zeros(n)
+    y[rng.choice(n, size=int(rng.integers(2, 6)), replace=False)] = 1.0
+    x = np.where(y == 1.0, 1.5, 0.0) + rng.random(n)
+    X = np.column_stack([np.ones(n), x, rng.standard_normal((n, noise))])
+    labels = ("intercept", "x") + tuple(f"z{k}" for k in range(noise))
+    return DesignMatrix(y=y, X=X, labels=labels)
+
+
+def explicit_hat(beta, dm):
+    """einsum(xw, inv(X'WX), xw) with an explicit LAPACK inverse."""
+    prob = expit(dm.X @ np.asarray(beta, dtype=float))
+    w = prob * (1.0 - prob)
+    xw = dm.X * np.sqrt(w)[:, None]
+    return np.einsum("ij,jk,ik->i", xw, np.linalg.inv(xw.T @ xw), xw)
 
 
 class TestPenalizedLoglik:
@@ -117,6 +138,24 @@ class TestFirthScore:
             assert np.all(h > 0) and np.all(h < 1)
             assert np.sum(h) == pytest.approx(dm.p, abs=1e-8)
 
+    def test_factor_hat_matches_explicit_inverse_on_final_design(self):
+        dm = final_design()
+        rng = np.random.default_rng(13)
+        betas = [fit_firth(dm).beta, np.zeros(dm.p)]
+        betas += [rng.normal(scale=0.4, size=dm.p) for _ in range(5)]
+        for beta in betas:
+            np.testing.assert_allclose(hat_diagonals(beta, dm), explicit_hat(beta, dm),
+                                       rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_factor_hat_matches_explicit_inverse_on_separated_panels(self, seed):
+        dm = separated_panel(seed)
+        assert fit_logistic(dm).separation != SEPARATION_NONE
+        fit = fit_firth(dm)
+        for beta in (fit.beta, fit.beta / 2.0, np.zeros(dm.p)):
+            np.testing.assert_allclose(hat_diagonals(beta, dm), explicit_hat(beta, dm),
+                                       rtol=0, atol=1e-12)
+
 
 class TestFitFirth:
     def test_reference_model(self):
@@ -181,6 +220,18 @@ class TestFitFirth:
         fit = fit_firth(dm)
         assert fit.converged
         assert np.all(np.isfinite(fit.beta))
+
+    @pytest.mark.parametrize("label", [0.0, 1.0])
+    def test_single_class_response_is_refused(self, label):
+        with pytest.raises(DegenerateResponseError, match="single class"):
+            fit_firth(toy_design(SEPARATED_X, np.full(len(SEPARATED_X), label)))
+
+    def test_fewer_rows_than_coefficients_is_refused(self):
+        dm = final_design()
+        two_rows = DesignMatrix(y=dm.y[-2:], X=dm.X[-2:], labels=dm.labels)
+        for fit in (fit_firth, fit_logistic):
+            with pytest.raises(DegenerateDataError, match=r"need n >= p to fit, got n=2, p=4"):
+                fit(two_rows)
 
     def test_constant_predictor_is_singular(self):
         rows = "\n".join(

@@ -180,3 +180,131 @@ def test_solve_and_inverse_agree():
     a = random_spd(rng, 5)
     b = rng.standard_normal(5)
     np.testing.assert_allclose(linalg.inverse_spd(a) @ b, linalg.solve_spd(a, b), atol=1e-8)
+
+
+class TestCholeskyFactor:
+    """The factor object behind every wrapper, against Cholesky-free oracles."""
+
+    SIZES = range(1, 9)
+
+    def test_lower_reconstructs_input(self):
+        rng = np.random.default_rng(37)
+        for size in self.SIZES:
+            a = random_spd(rng, size)
+            lower = linalg.Cholesky(a).lower
+            assert np.array_equal(lower, np.tril(lower))
+            np.testing.assert_allclose(lower @ lower.T, a, rtol=0, atol=1e-10 * np.max(a))
+
+    def test_solve_matches_gaussian_elimination(self):
+        rng = np.random.default_rng(41)
+        for size in self.SIZES:
+            a = random_spd(rng, size)
+            b = rng.standard_normal(size)
+            factor = linalg.Cholesky(a)
+            np.testing.assert_allclose(factor.solve(b), gauss_solve(a, b), rtol=0, atol=1e-10)
+            columns = rng.standard_normal((size, 3))
+            expected = np.column_stack([gauss_solve(a, col) for col in columns.T])
+            np.testing.assert_allclose(factor.solve(columns), expected, rtol=0, atol=1e-10)
+
+    def test_inverse_matches_oracles(self):
+        rng = np.random.default_rng(43)
+        for size in self.SIZES:
+            a = random_spd(rng, size)
+            inverse = linalg.Cholesky(a).inverse()
+            assert np.array_equal(inverse, inverse.T)
+            by_columns = np.column_stack([gauss_solve(a, e) for e in np.eye(size)])
+            np.testing.assert_allclose(inverse, by_columns, rtol=0, atol=1e-10)
+            if 2 <= size <= 5:  # the Laplace expansion grows as size!
+                np.testing.assert_allclose(inverse, adjugate_inverse(a), rtol=0, atol=1e-10)
+
+    def test_log_det_matches_oracles(self):
+        rng = np.random.default_rng(47)
+        for size in self.SIZES:
+            a = random_spd(rng, size)
+            log_det = linalg.Cholesky(a).log_det()
+            sign, expected = np.linalg.slogdet(a)
+            assert sign == 1.0
+            assert log_det == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            if size <= 5:
+                assert log_det == pytest.approx(math.log(laplace_det(a)), rel=1e-10)
+
+    def test_whiten_inverts_the_factor(self):
+        rng = np.random.default_rng(53)
+        for size in self.SIZES:
+            factor = linalg.Cholesky(random_spd(rng, size))
+            lower = factor.lower
+            b = rng.standard_normal((size, 32))
+            z = factor.whiten(b)
+            assert z.shape == b.shape
+            expected = np.column_stack([gauss_solve(lower, col) for col in b.T])
+            np.testing.assert_allclose(z, expected, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(lower @ z, b, rtol=0, atol=1e-10)
+
+    def test_whitened_gram_gives_quadratic_forms(self):
+        # colsum((L^-1 B)^2) = diag(B' a^-1 B), the identity behind hat diagonals.
+        rng = np.random.default_rng(59)
+        for size in self.SIZES:
+            a = random_spd(rng, size)
+            b = rng.standard_normal((size, 20))
+            z = linalg.Cholesky(a).whiten(b)
+            expected = np.einsum("ji,jk,ki->i", b, np.linalg.inv(a), b)
+            np.testing.assert_allclose(np.sum(z * z, axis=0), expected, rtol=1e-10, atol=0)
+
+    def test_wrappers_equal_factor_methods(self):
+        rng = np.random.default_rng(61)
+        a = random_spd(rng, 4)
+        b = rng.standard_normal(4)
+        factor = linalg.Cholesky(a)
+        assert np.array_equal(linalg.cholesky(a), factor.lower)
+        assert np.array_equal(linalg.solve_spd(a, b), factor.solve(b))
+        assert np.array_equal(linalg.inverse_spd(a), factor.inverse())
+        assert linalg.log_det_spd(a) == factor.log_det()
+
+    def test_accepts_nested_lists(self):
+        factor = linalg.Cholesky([[4.0, 2.0], [2.0, 3.0]])
+        np.testing.assert_allclose(factor.lower, [[2.0, 0.0], [1.0, math.sqrt(2.0)]],
+                                   rtol=0, atol=1e-15)
+        assert factor.n == 2
+
+
+#: Invalid inputs and the exact error each entry point has always raised;
+#: invalid shape, then non-finite entries, then asymmetry are checked first.
+INVALID_INPUTS = [
+    ([[1.0, 0.5], [0.0, 1.0]], ValueError, "matrix is not symmetric"),
+    ([[1e3, 2e-7], [0.0, 1e3]], ValueError, "matrix is not symmetric"),
+    ([[1.0, np.nan], [np.nan, 1.0]], ValueError, "matrix has non-finite entries"),
+    ([[np.inf, 0.0], [0.0, 1.0]], ValueError, "matrix has non-finite entries"),
+    ([[1.0, np.nan], [0.0, 1.0]], ValueError, "matrix has non-finite entries"),
+    (np.ones((2, 3)), ValueError, "expected a square matrix, got shape (2, 3)"),
+    (np.ones(3), ValueError, "expected a square matrix, got shape (3,)"),
+    (np.zeros((0, 0)), ValueError, "expected a square matrix, got shape (0, 0)"),
+    ([[1.0, 2.0], [2.0, 1.0]], SingularMatrixError,
+     "non-positive pivot at row 1 (pivot=-3.000e+00)"),
+    (np.ones((3, 3)), SingularMatrixError, "non-positive pivot at row 1 (pivot=0.000e+00)"),
+    ([[1.0, 0.0], [0.0, 1e-13]], SingularMatrixError,
+     "non-positive pivot at row 1 (pivot=1.000e-13)"),
+    (np.zeros((2, 2)), SingularMatrixError, "matrix has no positive diagonal entry"),
+    ([[-1.0, 0.0], [0.0, -2.0]], SingularMatrixError, "matrix has no positive diagonal entry"),
+]
+
+ENTRY_POINTS = {
+    "Cholesky": linalg.Cholesky,
+    "cholesky": linalg.cholesky,
+    "solve_spd": lambda a: linalg.solve_spd(a, np.ones(np.shape(a)[0])),
+    "inverse_spd": linalg.inverse_spd,
+    "log_det_spd": linalg.log_det_spd,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize("a,cls,message", INVALID_INPUTS)
+def test_invalid_input_errors(entry, a, cls, message):
+    with pytest.raises(cls) as info:
+        ENTRY_POINTS[entry](a)
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def test_asymmetry_within_tolerance_is_accepted():
+    lower = linalg.cholesky([[1.0, 1e-11], [0.0, 1.0]])
+    assert lower[1, 1] == pytest.approx(1.0, abs=1e-12)

@@ -33,9 +33,10 @@ def run(argv):
     return status, out.getvalue(), err.getvalue()
 
 
-def write_variant(path, change):
-    """The embedded data as CSV at ``path``, each row updated by ``change(row)``."""
-    rows = list(csv.DictReader(io.StringIO(dataset_to_csv(embedded_dataset()))))
+def write_variant(path, change=lambda row: {}, select=lambda rows: rows):
+    """The embedded data as CSV at ``path``, each row updated by ``change(row)``,
+    keeping the rows ``select(rows)`` returns."""
+    rows = select(list(csv.DictReader(io.StringIO(dataset_to_csv(embedded_dataset())))))
     for row in rows:
         row.update(change(row))
     with path.open("w", newline="", encoding="utf-8") as handle:
@@ -257,8 +258,10 @@ class TestCli:
 
 #: Schema-valid inputs on which an analysis is undefined.
 DEGENERATE_INPUTS = {
-    "constant_inflation": lambda row: {"us_inflation_rate": "2"},
-    "no_failures": lambda row: {"fail": "0"},
+    "constant_inflation": {"change": lambda row: {"us_inflation_rate": "2"}},
+    "no_failures": {"change": lambda row: {"fail": "0"}},
+    # The last two Sears Holdings rows: fewer rows than model coefficients.
+    "two_rows": {"select": lambda rows: [r for r in rows if r["chain"] == "Sears Holdings"][-2:]},
 }
 
 
@@ -287,10 +290,18 @@ class TestErrorContract:
             ("no_failures", ["fit", "--group", "internal"], "single class"),
             ("no_failures", ["fit", "--group", "ratios"], "single class"),
             ("no_failures", ["report"], "zero-variance"),
+            ("no_failures", ["fit-final"], "single class"),
+            ("no_failures", ["predict"], "single class"),
+            ("no_failures", ["predict", "--chain", "Rite Aid", "--year", "2015"], "single class"),
+            ("two_rows", ["fit-final"], "need n >= p to fit, got n=2, p=4"),
+            ("two_rows", ["predict"], "need n >= p to fit, got n=2, p=4"),
+            ("two_rows", ["predict", "--chain", "Sears Holdings", "--year", "2018"],
+             "need n >= p to fit"),
+            ("two_rows", ["describe"], "Shapiro-Wilk requires 3 <= n <= 5000, got 2"),
         ],
     )
     def test_degenerate_input_gives_one_error_line(self, tmp_path, variant, argv, message):
-        path = write_variant(tmp_path / f"{variant}.csv", DEGENERATE_INPUTS[variant])
+        path = write_variant(tmp_path / f"{variant}.csv", **DEGENERATE_INPUTS[variant])
         status, out, err = run([*argv, "--data", str(path)])
         assert status == 1
         assert out == ""
@@ -313,3 +324,29 @@ class TestGoldenReports:
         if "--format json" in mode:
             out = json.dumps(json.loads(out)["sections"], sort_keys=True, separators=(",", ":"))
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[mode]
+
+
+#: Cholesky factorizations in one default ``report`` on the embedded data (the
+#: kernel factored 179 matrices before each Newton step reused its factors).
+REPORT_FACTORIZATIONS = 162
+
+
+def test_default_report_factorization_count(monkeypatch):
+    """Pinned, so that a change that factors the same matrix twice fails."""
+    from retailrisk import linalg
+
+    count = 0
+    init = linalg.Cholesky.__init__
+
+    def counting_init(self, a):
+        nonlocal count
+        count += 1
+        init(self, a)
+
+    monkeypatch.setattr(linalg.Cholesky, "__init__", counting_init)
+    counts = []
+    for _ in range(2):
+        count = 0
+        assert run(["report"])[0] == 0
+        counts.append(count)
+    assert counts == [REPORT_FACTORIZATIONS] * 2
