@@ -11,14 +11,18 @@ long-term debt/revenue) are always recomputed from the raw columns, never
 read from a file. ``ratio_precision="printed"`` rounds them to two decimals,
 matching how such ratios are typically published, and exists so that results
 derived from rounded ratios can be reproduced exactly.
+
+A :class:`Dataset` holds its data as columns, parsed and validated straight
+from the CSV; per-row :class:`FirmYearRecord` objects are built only when
+asked for.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import attrgetter
 
 import numpy as np
@@ -124,124 +128,239 @@ def derive_ratios(record: FirmYearRecord, precision: str = "full") -> DerivedRat
     return DerivedRatios(*values)
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Validated, immutable collection of firm-year records.
+#: The numeric CSV columns, in file order; each is one row of a dataset's table.
+NUMERIC_COLUMNS = CSV_HEADER[1:]
+_ROW = {name: i for i, name in enumerate(NUMERIC_COLUMNS)}
+_NUMERIC_FIELDS = attrgetter(*NUMERIC_COLUMNS)
 
+
+def _make_record(chain: str, values: list[float]) -> FirmYearRecord:
+    year, fail, *amounts, pandemic, acsi = values
+    return FirmYearRecord(chain, int(year), int(fail), *amounts, int(pandemic), acsi)
+
+
+class Dataset:
+    """Validated, immutable chain-year table.
+
+    The data is held as columns: one read-only float row per numeric CSV
+    column plus the chain name of each row. ``FirmYearRecord`` objects are
+    built only when :attr:`records` or :meth:`chain_records` is first read.
     Chains appear in first-occurrence order; within a chain, years are
     strictly ascending and contiguous, and a ``fail=1`` record (if any) is
     unique and last.
     """
 
-    records: tuple[FirmYearRecord, ...]
-    ratio_precision: str = "full"
-    chains: tuple[str, ...] = field(init=False)
-    _by_chain: dict = field(init=False, repr=False, compare=False)
-    _columns: dict = field(init=False, repr=False, compare=False)
+    def __init__(self, records, ratio_precision: str = "full"):
+        records = tuple(records)
+        table = np.array(list(map(_NUMERIC_FIELDS, records)), dtype=float)
+        self._adopt(
+            tuple(r.chain for r in records),
+            table.reshape(len(records), len(NUMERIC_COLUMNS)).T,
+            ratio_precision,
+            records,
+        )
 
-    def __post_init__(self):
-        by_chain = _validate_records(self.records)
-        if self.ratio_precision not in RATIO_PRECISIONS:
+    @classmethod
+    def _from_table(cls, row_chains: tuple[str, ...], table: np.ndarray,
+                    ratio_precision: str) -> "Dataset":
+        """Validate a ``(len(NUMERIC_COLUMNS), n)`` table without records."""
+        dataset = cls.__new__(cls)
+        dataset._adopt(row_chains, table, ratio_precision, None)
+        return dataset
+
+    def _adopt(self, row_chains, table, ratio_precision, records):
+        self._row_chains = row_chains
+        self._table = np.ascontiguousarray(table)
+        self._table.flags.writeable = False
+        self._records = records
+        self._by_chain = None
+        self._chains = _validate(row_chains, self._table, self._record)
+        self._set_precision(ratio_precision)
+
+    def _set_precision(self, precision: str) -> None:
+        if precision not in RATIO_PRECISIONS:
             raise ValueError(
-                f"unknown ratio precision {self.ratio_precision!r}; use one of {RATIO_PRECISIONS}"
+                f"unknown ratio precision {precision!r}; use one of {RATIO_PRECISIONS}"
             )
-        object.__setattr__(self, "chains", tuple(by_chain))
-        object.__setattr__(self, "_by_chain", {c: tuple(r) for c, r in by_chain.items()})
-        object.__setattr__(self, "_columns", {})
+        self._ratio_precision = precision
+        self._columns = {}
+
+    @property
+    def ratio_precision(self) -> str:
+        return self._ratio_precision
+
+    @property
+    def chains(self) -> tuple[str, ...]:
+        return self._chains
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return len(self._row_chains)
+
+    @property
+    def records(self) -> tuple[FirmYearRecord, ...]:
+        """One record per row, built on first access and then cached."""
+        if self._records is None:
+            self._records = tuple(map(_make_record, self._row_chains, self._table.T.tolist()))
+        return self._records
+
+    def _record(self, i: int) -> FirmYearRecord:
+        if self._records is not None:
+            return self._records[i]
+        return _make_record(self._row_chains[i], self._table[:, i].tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (
+            self._ratio_precision == other._ratio_precision
+            and self._row_chains == other._row_chains
+            and np.array_equal(self._table, other._table)
+        )
+
+    def __hash__(self):
+        return hash((self._ratio_precision, self._row_chains))
+
+    def __repr__(self):
+        return f"Dataset(n={self.n}, chains={self._chains!r}, ratio_precision={self._ratio_precision!r})"
 
     def with_ratio_precision(self, precision: str) -> "Dataset":
-        return Dataset(self.records, ratio_precision=precision)
+        """The same validated table with ratio columns at ``precision``."""
+        other = copy.copy(self)
+        other._set_precision(precision)
+        return other
 
     def chain_records(self, chain: str) -> tuple[FirmYearRecord, ...]:
-        recs = self._by_chain.get(chain)
-        if recs is None:
-            raise KeyError(f"unknown chain {chain!r}; known: {', '.join(self.chains)}")
-        return recs
+        if chain not in self._chains:
+            raise KeyError(f"unknown chain {chain!r}; known: {', '.join(self._chains)}")
+        if self._by_chain is None:
+            by_chain = {c: [] for c in self._chains}
+            for record in self.records:
+                by_chain[record.chain].append(record)
+            self._by_chain = {c: tuple(recs) for c, recs in by_chain.items()}
+        return self._by_chain[chain]
 
-    def column(self, name: str) -> np.ndarray:
-        """Numeric column by name; ratio columns honor ``ratio_precision``.
+    def column(self, name: str):
+        """Column by name: a read-only float array for ``fail`` and every
+        predictor (ratio columns honor ``ratio_precision``), or the tuple of
+        chain names for ``chain``.
 
         Each column is built once per dataset and returned as the same
-        read-only array on every call.
+        object on every call.
         """
         values = self._columns.get(name)
         if values is None:
             values = self._build_column(name)
-            values.flags.writeable = False
             self._columns[name] = values
         return values
 
-    def _build_column(self, name: str) -> np.ndarray:
+    def _build_column(self, name: str):
+        if name == "chain":
+            return self._row_chains
         if name in RATIO_COLUMNS:
-            # The same Python-float arithmetic as derive_ratios, so that
-            # each ratio is bit-identical to the per-record one.
-            numerator = _RATIO_NUMERATORS[name]
-            values = [getattr(r, numerator) / r.revenue for r in self.records]
-            if self.ratio_precision == "printed":
-                values = [round(v, 2) for v in values]
-            return np.array(values)
-        if name == "fail" or name in PREDICTOR_COLUMNS:
-            return np.fromiter(map(attrgetter(name), self.records), float, self.n)
+            # IEEE division, as Python's float division on each record.
+            values = self._table[_ROW[_RATIO_NUMERATORS[name]]] / self._table[_ROW["revenue"]]
+            if self._ratio_precision == "printed":
+                # The builtin round, which np.round does not match bit for bit.
+                values = np.array([round(v, 2) for v in values.tolist()])
+            values.flags.writeable = False
+            return values
+        if name in _ROW:
+            return self._table[_ROW[name]]
         raise KeyError(
-            f"unknown column {name!r}; known: fail, {', '.join(PREDICTOR_COLUMNS)}"
+            f"unknown column {name!r}; known: chain, fail, {', '.join(PREDICTOR_COLUMNS)}"
         )
 
 
-def _validate_records(records: tuple[FirmYearRecord, ...]) -> dict[str, list[FirmYearRecord]]:
-    """Check every invariant; returns the records grouped by chain, in
-    first-occurrence order."""
-    if len(records) == 0:
-        raise DataValidationError("empty dataset")
-    by_chain: dict[str, list[FirmYearRecord]] = {}
-    for rec in records:
-        where = f"{rec.chain} {rec.year}"
-        if rec.fail not in (0, 1):
-            raise DataValidationError(f"{where}: fail must be 0 or 1, got {rec.fail}")
-        if rec.pandemic not in (0, 1):
-            raise DataValidationError(f"{where}: pandemic must be 0 or 1, got {rec.pandemic}")
-        if not YEAR_RANGE[0] <= rec.year <= YEAR_RANGE[1]:
-            raise DataValidationError(f"{where}: year outside plausible range {YEAR_RANGE}")
-        if rec.revenue <= 0:
-            raise DataValidationError(f"{where}: revenue must be > 0, got {rec.revenue}")
-        if rec.stores <= 0:
-            raise DataValidationError(f"{where}: stores must be > 0, got {rec.stores}")
-        if rec.cost_of_revenue < 0:
-            raise DataValidationError(f"{where}: cost_of_revenue must be >= 0")
-        if rec.sga < 0:
-            raise DataValidationError(f"{where}: sga must be >= 0")
-        if rec.long_term_debt < 0:
-            raise DataValidationError(f"{where}: long_term_debt must be >= 0")
-        if not 0 <= rec.acsi <= 100:
-            raise DataValidationError(f"{where}: acsi must be in [0, 100], got {rec.acsi}")
+#: Per-row rules, in the order they are reported: (column, test that flags
+#: the bad values, message after "chain year: " given the row's record).
+#: Each test flags NaN exactly as the comparison it negates would.
+_ROW_RULES = (
+    ("fail", lambda v: (v != 0) & (v != 1), lambda r: f"fail must be 0 or 1, got {r.fail}"),
+    ("pandemic", lambda v: (v != 0) & (v != 1),
+     lambda r: f"pandemic must be 0 or 1, got {r.pandemic}"),
+    ("year", lambda v: ~((YEAR_RANGE[0] <= v) & (v <= YEAR_RANGE[1])),
+     lambda r: f"year outside plausible range {YEAR_RANGE}"),
+    ("revenue", lambda v: v <= 0, lambda r: f"revenue must be > 0, got {r.revenue}"),
+    ("stores", lambda v: v <= 0, lambda r: f"stores must be > 0, got {r.stores}"),
+    ("cost_of_revenue", lambda v: v < 0, lambda r: "cost_of_revenue must be >= 0"),
+    ("sga", lambda v: v < 0, lambda r: "sga must be >= 0"),
+    ("long_term_debt", lambda v: v < 0, lambda r: "long_term_debt must be >= 0"),
+    ("acsi", lambda v: ~((0 <= v) & (v <= 100)),
+     lambda r: f"acsi must be in [0, 100], got {r.acsi}"),
+    *(
+        (name, lambda v: ~np.isfinite(v), lambda r, name=name: f"{name} is not finite")
         for name in ("revenue", "cost_of_revenue", "sga", "ebitda", "stores",
-                     "us_interest_rate", "us_inflation_rate", "long_term_debt", "acsi"):
-            if not math.isfinite(getattr(rec, name)):
-                raise DataValidationError(f"{where}: {name} is not finite")
-        by_chain.setdefault(rec.chain, []).append(rec)
+                     "us_interest_rate", "us_inflation_rate", "long_term_debt", "acsi")
+    ),
+)
 
-    for chain, recs in by_chain.items():
-        for prev, cur in zip(recs, recs[1:]):
-            if cur.year != prev.year + 1:
-                raise DataValidationError(
-                    f"{chain}: years must be strictly ascending and contiguous "
-                    f"({prev.year} followed by {cur.year})"
-                )
-        failures = [r for r in recs if r.fail == 1]
-        if len(failures) > 1:
-            raise DataValidationError(f"{chain}: more than one fail=1 record")
-        if failures and failures[0].year != recs[-1].year:
-            raise DataValidationError(
-                f"{chain} {failures[0].year}: fail=1 must be the chain's final year"
-            )
-    return by_chain
+
+def _first_violation(bad: np.ndarray) -> tuple[int, int] | None:
+    """For a (rules, items) matrix of flags: the first flagged item and the
+    first rule it breaks, as (rule, item); None when nothing is flagged."""
+    flagged = bad.any(axis=0)
+    if not flagged.any():
+        return None
+    item = int(flagged.argmax())
+    return int(bad[:, item].argmax()), item
+
+
+def _validate(row_chains: tuple[str, ...], table: np.ndarray, record_at) -> tuple[str, ...]:
+    """Check every invariant over the columns; returns the chains in
+    first-occurrence order.
+
+    Every row rule is checked on all rows before any chain rule, and the
+    first row in order that breaks one is reported with the first rule it
+    breaks; the chain rules then report the first chain, in first-occurrence
+    order, that breaks one. ``record_at(i)`` gives row ``i`` as a record,
+    whose fields the messages print.
+    """
+    n = len(row_chains)
+    if n == 0:
+        raise DataValidationError("empty dataset")
+    found = _first_violation(np.array([flag(table[_ROW[c]]) for c, flag, _ in _ROW_RULES]))
+    if found is not None:
+        rule, row = found
+        record = record_at(row)
+        raise DataValidationError(f"{record.chain} {record.year}: {_ROW_RULES[rule][2](record)}")
+
+    chains = tuple(dict.fromkeys(row_chains))
+    code_of = {chain: code for code, chain in enumerate(chains)}
+    codes = np.fromiter(map(code_of.__getitem__, row_chains), np.intp, n)
+    # Rows grouped by chain, each group in file order.
+    order = np.argsort(codes, kind="stable")
+    grouped = codes[order]
+    year = table[_ROW["year"]][order]
+    fail = table[_ROW["fail"]][order]
+    starts = np.ones(n, bool)
+    starts[1:] = grouped[1:] != grouped[:-1]
+    ends = np.roll(starts, -1)
+    gaps = ~starts
+    gaps[1:] &= year[1:] != year[:-1] + 1
+    failures = np.bincount(codes, weights=table[_ROW["fail"]], minlength=len(chains))
+
+    def first_year(flags, chain, offset=0):
+        position = int(np.flatnonzero(flags & (grouped == chain))[0]) + offset
+        return record_at(int(order[position])).year
+
+    chain_rules = (
+        (np.bincount(grouped[gaps], minlength=len(chains)) > 0,
+         lambda c: f"{chains[c]}: years must be strictly ascending and contiguous "
+                   f"({first_year(gaps, c, -1)} followed by {first_year(gaps, c)})"),
+        (failures > 1, lambda c: f"{chains[c]}: more than one fail=1 record"),
+        ((failures == 1) & (fail[ends] != 1),
+         lambda c: f"{chains[c]} {first_year(fail == 1, c)}: fail=1 must be the chain's final year"),
+    )
+    found = _first_violation(np.array([flags for flags, _ in chain_rules]))
+    if found is not None:
+        rule, chain = found
+        raise DataValidationError(chain_rules[rule][1](chain))
+    return chains
 
 
 _INTEGER_COLUMNS = ("year", "fail", "pandemic")
-_INTEGER_POSITIONS = tuple(CSV_HEADER.index(c) - 1 for c in _INTEGER_COLUMNS)
+_INTEGER_ROWS = [_ROW[c] for c in _INTEGER_COLUMNS]
 
 
 def _parse_number(text: str, column: str, line_no: int) -> float:
@@ -256,17 +375,40 @@ def _parse_number(text: str, column: str, line_no: int) -> float:
     return value
 
 
-def _parse_fields(row: list[str], line_no: int) -> list[float]:
-    """The numeric fields of a row (every column after the chain name)."""
+def _walk_rows(reader) -> tuple[list[str], list[list[float]]]:
+    """Parse row by row, raising :class:`DataParseError` for the first bad
+    line in file order and, within it, its first bad column."""
+    chains, rows = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != len(CSV_HEADER):
+            raise DataParseError(
+                f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
+            )
+        chain = row[0].strip()
+        if not chain:
+            raise DataParseError(f"line {line_no}: empty chain name")
+        chains.append(chain)
+        rows.append([_parse_number(text, column, line_no)
+                     for column, text in zip(NUMERIC_COLUMNS, row[1:])])
+    return chains, rows
+
+
+def _read_table(rows: list[list[str]], chains: list[str]) -> np.ndarray | None:
+    """The ``(n, len(NUMERIC_COLUMNS))`` float table of well-formed rows, or
+    None when some row is malformed."""
+    if not all(chains) or any(len(row) != len(CSV_HEADER) for row in rows):
+        return None
     try:
-        values = list(map(float, row[1:]))
-        if all(values[i].is_integer() for i in _INTEGER_POSITIONS):
-            return values
+        table = np.array([row[1:] for row in rows], dtype=float)
     except ValueError:
-        pass
-    # Some field is bad: this loop raises for the first one in column order.
-    for column, text in zip(CSV_HEADER[1:], row[1:]):
-        _parse_number(text, column, line_no)
+        return None
+    table = table.reshape(len(rows), len(NUMERIC_COLUMNS))
+    whole = table[:, _INTEGER_ROWS]
+    if not np.all(np.isfinite(whole) & (whole == np.trunc(whole))):
+        return None
+    return table
 
 
 def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
@@ -285,22 +427,16 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
         raise DataParseError(
             f"unexpected header {header!r}; expected {','.join(CSV_HEADER)}"
         )
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
-        if len(row) != len(CSV_HEADER):
-            raise DataParseError(
-                f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
-            )
-        chain = row[0].strip()
-        if not chain:
-            raise DataParseError(f"line {line_no}: empty chain name")
-        year, fail, *amounts, pandemic, acsi = _parse_fields(row, line_no)
-        records.append(
-            FirmYearRecord(chain, int(year), int(fail), *amounts, int(pandemic), acsi)
-        )
-    return Dataset(tuple(records), ratio_precision=ratio_precision)
+    rows = [row for row in reader if row]
+    chains = [row[0].strip() for row in rows]
+    table = _read_table(rows, chains)
+    if table is None:
+        # Some row is bad: the row walk names the first one in file order.
+        reader = csv.reader(io.StringIO(csv_text))
+        next(reader)
+        chains, values = _walk_rows(reader)
+        table = np.array(values, dtype=float).reshape(len(chains), len(NUMERIC_COLUMNS))
+    return Dataset._from_table(tuple(chains), table.T, ratio_precision)
 
 
 def _format_number(value: float) -> str:

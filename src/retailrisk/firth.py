@@ -31,7 +31,7 @@ import numpy as np
 from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf, expit
-from .logistic import check_fittable, log_likelihood
+from .logistic import _log_likelihood, check_fittable, log_likelihood
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,10 +116,9 @@ def _newton(X: np.ndarray, y: np.ndarray, fit_idx: list[int], max_iter: int,
     beta = np.zeros(p)
 
     def pen_ll(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, linalg.Cholesky]:
-        eta = X @ b
+        ll, eta = _log_likelihood(X, y, b)
         prob = expit(eta)
         w = prob * (1.0 - prob)
-        ll = float(y @ eta - np.sum(np.logaddexp(0.0, eta)))
         # The factor for the penalty also gives the next step's hat diagonals.
         factor = _factor(X, w)
         return ll + 0.5 * factor.log_det(), prob, w, factor

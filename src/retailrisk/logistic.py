@@ -57,9 +57,14 @@ def log_likelihood(beta, dm: DesignMatrix) -> float:
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (dm.p,):
         raise ValueError(f"expected {dm.p} coefficients, got shape {beta.shape}")
-    eta = dm.X @ beta
+    return _log_likelihood(dm.X, dm.y, beta)[0]
+
+
+def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
+    """The log-likelihood at beta and the linear predictor X @ beta it used."""
+    eta = X @ beta
     # y*eta - log(1 + exp(eta)), with log1p/exp handled by logaddexp.
-    return float(dm.y @ eta - np.sum(np.logaddexp(0.0, eta)))
+    return float(y @ eta - np.sum(np.logaddexp(0.0, eta))), eta
 
 
 def check_fittable(dm: DesignMatrix, model: str) -> None:
@@ -87,38 +92,38 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
     ``converged=False`` plus the ``separation`` diagnosis, never silently.
     """
     check_fittable(dm, "logistic MLE")
-    p = dm.p
+    X, y, p = dm.X, dm.y, dm.p
     beta = np.zeros(p)
-    ll = log_likelihood(beta, dm)
+    ll, eta = _log_likelihood(X, y, beta)
     # prob and score always belong to the current beta.
-    prob = expit(dm.X @ beta)
-    score = dm.X.T @ (dm.y - prob)
+    prob = expit(eta)
+    score = X.T @ (y - prob)
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
         try:
-            delta = linalg.Cholesky(_fisher_information(dm.X, prob)).solve(score)
+            delta = linalg.Cholesky(_fisher_information(X, prob)).solve(score)
         except linalg.SingularMatrixError:
             # Weights collapsed: coefficients are running off to infinity.
             break
         new = beta + delta
-        new_ll = log_likelihood(new, dm)
+        new_ll, new_eta = _log_likelihood(X, y, new)
         halvings = 0
         while new_ll < ll and halvings < 10:
             delta = delta / 2.0
             new = beta + delta
-            new_ll = log_likelihood(new, dm)
+            new_ll, new_eta = _log_likelihood(X, y, new)
             halvings += 1
         moved = float(np.max(np.abs(new - beta)))
         beta, ll = new, new_ll
-        prob = expit(dm.X @ beta)
-        score = dm.X.T @ (dm.y - prob)
+        prob = expit(new_eta)
+        score = X.T @ (y - prob)
         if moved <= tol and float(np.max(np.abs(score))) <= score_tol:
             converged = True
             break
 
     try:
-        cov = linalg.Cholesky(_fisher_information(dm.X, prob)).inverse()
+        cov = linalg.Cholesky(_fisher_information(X, prob)).inverse()
         se = np.sqrt(np.diag(cov))
     except linalg.SingularMatrixError:
         cov = np.full((p, p), np.nan)

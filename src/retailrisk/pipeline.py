@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .dataset import Dataset, FirmYearRecord, derive_ratios, design_matrix
 from .firth import FirthFit, fit_firth
 from .logistic import MleFit, fit_logistic
@@ -194,13 +196,13 @@ def probability_table(fit: FirthFit, dataset: Dataset) -> PredictionTable:
 def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     """Probability grid from explicit final-model coefficients."""
     beta = _final_beta(beta)
-    records = dataset.records
-    years = tuple(sorted({r.year for r in records}))
-    row_of = {(r.chain, r.year): i for i, r in enumerate(records)}
+    chain_of_row = dataset.column("chain")
+    year_of_row = dataset.column("year").astype(int).tolist()
+    years = tuple(sorted(set(year_of_row)))
+    row_of = {key: i for i, key in enumerate(zip(chain_of_row, year_of_row))}
     failure_year = dict.fromkeys(dataset.chains)
-    for r in records:
-        if r.fail == 1:
-            failure_year[r.chain] = r.year
+    for i in np.flatnonzero(dataset.column("fail") == 1).tolist():
+        failure_year[chain_of_row[i]] = year_of_row[i]
     inflation, ltd, ebitda = (dataset.column(name).tolist() for name in FINAL_MODEL_PREDICTORS)
     ceased, not_available = PredictionCell(CELL_CEASED), PredictionCell(CELL_NOT_AVAILABLE)
 

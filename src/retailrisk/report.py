@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .dataset import Dataset
 from .descriptive import CorrelationMatrix, correlation_matrix, describe
 from .firth import FirthFit
-from .logistic import significance_code
+from .logistic import SEPARATION_NONE, significance_code
 from .pipeline import (
     CELL_CEASED,
     CELL_NOT_AVAILABLE,
@@ -69,6 +69,9 @@ SCREEN_TITLES = {
 
 
 def fmt_number(value: float, decimals: int) -> str:
+    """Fixed decimals; a non-finite value reads ``NA``, as in :func:`fmt_p`."""
+    if not math.isfinite(value):
+        return "NA"
     text = f"{value:.{decimals}f}"
     # Avoid "-0.000"-style output when the rounded value is zero.
     if float(text) == 0.0:
@@ -152,12 +155,26 @@ def screen_section(report: ScreenReport) -> Section:
         ("Slope signif.", *across(lambda f: significance_code(f.p_values[1]))),
         ("AIC", *across(lambda f: fmt_number(f.aic, ROUNDING["statistic"]))),
     )
+    labels = [COLUMN_LABELS.get(name, name) for name in predictors]
     return Section(
         title=f"Univariate logistic screen: {SCREEN_TITLES.get(report.group, report.group)}",
-        columns=("Estimates", *(COLUMN_LABELS.get(name, name) for name in predictors)),
+        columns=("Estimates", *labels),
         rows=rows,
-        notes=(SIGNIF_LEGEND,),
+        notes=(*filter(None, map(_fit_health_note, labels, fits)), SIGNIF_LEGEND),
     )
+
+
+def _fit_health_note(label: str, fit) -> str | None:
+    """A note for a fit that did not converge or shows separation; None for
+    a healthy fit."""
+    problems = []
+    if not fit.converged:
+        problems.append("not converged")
+    if fit.separation != SEPARATION_NONE:
+        problems.append(f"{fit.separation} separation")
+    if not problems:
+        return None
+    return f"{label}: {', '.join(problems)}; estimates are not reliable"
 
 
 def final_model_section(fit: FirthFit, n: int) -> Section:
@@ -303,5 +320,5 @@ def document_meta(dataset: Dataset) -> dict:
     return {
         "n": dataset.n,
         "chains": list(dataset.chains),
-        "failures": int(sum(r.fail for r in dataset.records)),
+        "failures": int(dataset.column("fail").sum()),
     }

@@ -26,6 +26,8 @@ from retailrisk.report import (
     render,
 )
 
+from _panel import panel_csv
+
 
 def run(argv):
     out, err = io.StringIO(), io.StringIO()
@@ -255,6 +257,19 @@ class TestCli:
         assert "| Slope signif. | NA |" in out
         assert err == ""
 
+    def test_unhealthy_screen_fits_are_flagged(self, tmp_path):
+        # Two rows: every external screen stalls, two of them by separating
+        # completely, and no information matrix can be inverted.
+        path = write_variant(tmp_path / "two_rows.csv", **DEGENERATE_INPUTS["two_rows"])
+        status, out, err = run(["fit", "--group", "external", "--data", str(path)])
+        assert status == 0 and err == ""
+        assert "nan" not in out
+        assert "| Intercept [s.e.] | NA | NA | NA | NA |" in out
+        assert "| Slope [s.e.] | NA | NA | NA | NA |" in out
+        assert "ACSI score: not converged; estimates are not reliable" in out
+        assert ("US inflation rate (%): not converged, complete separation; "
+                "estimates are not reliable") in out
+
 
 #: Schema-valid inputs on which an analysis is undefined.
 DEGENERATE_INPUTS = {
@@ -350,3 +365,27 @@ def test_default_report_factorization_count(monkeypatch):
         assert run(["report"])[0] == 0
         counts.append(count)
     assert counts == [REPORT_FACTORIZATIONS] * 2
+
+
+def test_report_builds_no_records(monkeypatch, tmp_path):
+    """A report reads the columns only; records are built when asked for."""
+    from retailrisk import dataset
+
+    count = 0
+    record = dataset.FirmYearRecord
+
+    def counting_record(*args):
+        nonlocal count
+        count += 1
+        return record(*args)
+
+    monkeypatch.setattr(dataset, "FirmYearRecord", counting_record)
+    path = tmp_path / "panel.csv"
+    path.write_text(panel_csv(seed=3, chains=275))
+    assert parse_dataset(path.read_text()).n == 1508
+    for argv in (["report"], ["report", "--data", str(path)]):
+        count = 0
+        assert run(argv)[0] == 0
+        assert count == 0, argv
+    status, out, _ = run(["predict", "--chain", "Rite Aid", "--year", "2015"])
+    assert status == 0 and "| Rite Aid | 2015 | 0.020 |" in out
