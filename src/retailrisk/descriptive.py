@@ -9,6 +9,7 @@ for the p-value. Valid for 3 <= n <= 5000.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -164,24 +165,36 @@ def pearson_corr(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise DegenerateDataError("need two 1-d series of equal length >= 2")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
-    if sxx == 0.0 or syy == 0.0:
+    with np.errstate(over="ignore"):
+        return _centred_corr(x - x.mean(), y - y.mean())
+
+
+def _centred_corr(dx: np.ndarray, dy: np.ndarray) -> float:
+    """The correlation of two centred series; the caller scopes np.errstate."""
+    sxx, syy = float(dx @ dx), float(dy @ dy)
+    if min(sxx, syy, sxx * syy) >= sys.float_info.min and sxx * syy < math.inf:
+        return float(dx @ dy) / math.sqrt(sxx * syy)
+    if not (dx.any() and dy.any()):
         raise DegenerateDataError("correlation is undefined for a zero-variance series")
-    return float(dx @ dy) / math.sqrt(sxx * syy)
+    # A sum of squares or their product under- or overflowed: rescale first.
+    dx, dy = dx / abs(dx).max(), dy / abs(dy).max()
+    return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
 def correlation_matrix(dataset: Dataset, columns=None) -> CorrelationMatrix:
-    """Pairwise Pearson correlations; exactly symmetric with unit diagonal."""
+    """Pairwise Pearson correlations; exactly symmetric with unit diagonal.
+    Each column is centred once; each pair is then :func:`pearson_corr`'s
+    arithmetic, so the values are the same bits."""
     labels = tuple(columns) if columns is not None else CORRELATION_COLUMNS
-    series = [dataset.column(name) for name in labels]
     k = len(labels)
+    if k > 1 and dataset.n < 2:
+        raise DegenerateDataError("need two 1-d series of equal length >= 2")
     r = np.eye(k)
-    for i in range(k):
-        for j in range(i + 1, k):
-            r[i, j] = r[j, i] = pearson_corr(series[i], series[j])
+    with np.errstate(over="ignore"):
+        centred = [x - x.mean() for x in map(dataset.column, labels)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                r[i, j] = r[j, i] = _centred_corr(centred[i], centred[j])
     return CorrelationMatrix(labels=labels, r=r)
 
 

@@ -9,10 +9,11 @@ plain maximum likelihood diverges (Firth 1993; Heinze & Schemper 2002).
 Conventions follow the standard penalized-logistic toolchain so that results
 line up with published fits:
 
-* Newton steps (with step-halving) use the hat-augmented information
-  X' diag(w*(1+h)) X, which also converges much faster than plain X'WX near
-  the optimum.
-* The variance-covariance matrix is the inverse of that augmented
+* Newton steps (``logistic.newton``, with step-halving) solve with the
+  exact negative Hessian of l*, so they converge quadratically even near
+  separation; where it is not positive definite, with the hat-augmented
+  information X' diag(w*(1+h)) X.
+* The variance-covariance matrix is the inverse of the hat-augmented
   information at the solution; per-coefficient Wald chi-squares are
   (beta/se)^2 on one degree of freedom.
 * The likelihood-ratio test refits with the slopes pinned at zero (the
@@ -30,8 +31,8 @@ import numpy as np
 
 from . import linalg
 from .dataset import DesignMatrix
-from .distributions import chi2_sf, expit
-from .logistic import _log_likelihood, check_fittable, log_likelihood
+from .distributions import chi2_sf
+from .logistic import _evaluate, _information, check_fittable, newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,106 +59,31 @@ class FirthFit:
         return float(self.beta[self.labels.index(label)])
 
 
-def _weights(X: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    prob = expit(X @ beta)
-    return prob, prob * (1.0 - prob)
-
-
-def _information(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return (X * w[:, None]).T @ X
-
-
-def _factor(X: np.ndarray, w: np.ndarray) -> linalg.Cholesky:
-    """Cholesky factor of the Fisher information X'WX, for the penalty's
-    log-determinant and the hat diagonals."""
-    return linalg.Cholesky(_information(X, w))
-
-
-def _hat(X: np.ndarray, w: np.ndarray, factor: linalg.Cholesky) -> np.ndarray:
-    """Diagonal of W^(1/2) X (X'WX)^-1 X' W^(1/2), given the Cholesky factor
-    L of X'WX: h = colsum((L^-1 (sqrt(w) X)')^2)."""
-    z = factor.whiten((X * np.sqrt(w)[:, None]).T)
-    return np.sum(z * z, axis=0)
-
-
 def hat_diagonals(beta, dm: DesignMatrix) -> np.ndarray:
     """Diagonal of H = W^(1/2) X (X'WX)^-1 X' W^(1/2) at beta."""
-    beta = np.asarray(beta, dtype=float)
-    _, w = _weights(dm.X, beta)
-    return _hat(dm.X, w, _factor(dm.X, w))
+    _, _, w, _, q, _ = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
+    return w * q
 
 
 def penalized_loglik(beta, dm: DesignMatrix) -> float:
     """l(beta) + 0.5*log det X'WX (the Jeffreys-prior penalty)."""
     beta = np.asarray(beta, dtype=float)
-    _, w = _weights(dm.X, beta)
-    return log_likelihood(beta, dm) + 0.5 * _factor(dm.X, w).log_det()
+    if beta.shape != (dm.p,):
+        raise ValueError(f"expected {dm.p} coefficients, got shape {beta.shape}")
+    return _evaluate(dm.X, dm.y, beta, True)[0]
 
 
 def firth_score(beta, dm: DesignMatrix) -> np.ndarray:
     """Modified score U*(beta): gradient of the penalized log-likelihood."""
-    beta = np.asarray(beta, dtype=float)
-    prob, w = _weights(dm.X, beta)
-    h = _hat(dm.X, w, _factor(dm.X, w))
-    return dm.X.T @ (dm.y - prob + h * (0.5 - prob))
-
-
-def _newton(X: np.ndarray, y: np.ndarray, fit_idx: list[int], max_iter: int,
-            tol: float) -> tuple[np.ndarray, float, int, bool, np.ndarray, linalg.Cholesky]:
-    """Newton with step-halving on the modified score, restricted to fit_idx.
-
-    Coefficients outside fit_idx stay at zero but still enter the penalty
-    and the hat diagonals, so a restricted fit is nested inside the full
-    penalized likelihood. Returns (beta, penalized log-likelihood,
-    iterations, converged, weights p(1-p) at beta, Cholesky factor of X'WX
-    at beta).
-    """
-    p = X.shape[1]
-    beta = np.zeros(p)
-
-    def pen_ll(b: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, linalg.Cholesky]:
-        ll, eta = _log_likelihood(X, y, b)
-        prob = expit(eta)
-        w = prob * (1.0 - prob)
-        # The factor for the penalty also gives the next step's hat diagonals.
-        factor = _factor(X, w)
-        return ll + 0.5 * factor.log_det(), prob, w, factor
-
-    # prob, w and factor always belong to the current beta.
-    current, prob, w, factor = pen_ll(beta)
-    converged = False
-    iterations = 0
-    sub = np.ix_(fit_idx, fit_idx)
-    for iterations in range(1, max_iter + 1):
-        h = _hat(X, w, factor)
-        score = X.T @ (y - prob + h * (0.5 - prob))
-        augmented = _information(X, w * (1.0 + h))
-        delta = np.zeros(p)
-        delta[fit_idx] = linalg.Cholesky(augmented[sub]).solve(score[fit_idx])
-        new = beta + delta
-        new_ll, new_prob, new_w, new_factor = pen_ll(new)
-        halvings = 0
-        while new_ll < current and halvings < 10:
-            delta = delta / 2.0
-            new = beta + delta
-            new_ll, new_prob, new_w, new_factor = pen_ll(new)
-            halvings += 1
-        moved = float(np.max(np.abs(new - beta)))
-        beta, current, prob, w, factor = new, new_ll, new_prob, new_w, new_factor
-        if moved <= tol and float(np.max(np.abs(score[fit_idx]))) <= tol * 10:
-            converged = True
-            break
-    return beta, current, iterations, converged, w, factor
+    return _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)[3]
 
 
 def fit_firth(dm: DesignMatrix, max_iter: int = 100, tol: float = 1e-8) -> FirthFit:
     """Fit the penalized-likelihood logistic model on a design matrix."""
     check_fittable(dm, "the failure model")
-    beta, pen_ll, iterations, converged, w, factor = _newton(
-        dm.X, dm.y, list(range(dm.p)), max_iter, tol
-    )
+    options = dict(penalized=True, max_iter=max_iter, tol=tol, score_tol=10.0 * tol)
+    beta, pen_ll, w, h, trace = newton(dm.X, dm.y, **options)
 
-    h = _hat(dm.X, w, factor)
     augmented = _information(dm.X, w * (1.0 + h))
     cov = linalg.Cholesky(augmented).inverse()
     se = np.sqrt(np.diag(cov))
@@ -166,7 +92,7 @@ def fit_firth(dm: DesignMatrix, max_iter: int = 100, tol: float = 1e-8) -> Firth
 
     df = dm.p - 1
     if df > 0:
-        _, null_ll, *_ = _newton(dm.X, dm.y, [0], max_iter, tol)
+        null_ll = newton(dm.X, dm.y, free_idx=[0], **options)[1]
         lr_stat = max(0.0, 2.0 * (pen_ll - null_ll))
         lr_p = chi2_sf(lr_stat, df)
         wald_stat = float(beta @ augmented @ beta)
@@ -190,22 +116,7 @@ def fit_firth(dm: DesignMatrix, max_iter: int = 100, tol: float = 1e-8) -> Firth
         wald_df=df,
         wald_p=wald_p,
         cov=cov,
-        iterations=iterations,
-        converged=converged,
+        iterations=trace.steps,
+        converged=trace.converged,
     )
 
-
-def lr_test(full: FirthFit, dm: DesignMatrix) -> tuple[float, int, float]:
-    """Penalized likelihood-ratio test of the full fit against intercept-only.
-
-    Refits the null (slopes pinned at zero, penalty from the full design) on
-    the same data; returns (statistic, df, p).
-    """
-    if not full.converged:
-        raise ValueError("full fit did not converge; LR test would be meaningless")
-    df = dm.p - 1
-    if df == 0:
-        return 0.0, 0, 1.0
-    _, null_ll, *_ = _newton(dm.X, dm.y, [0], max_iter=100, tol=1e-8)
-    stat = max(0.0, 2.0 * (full.pen_log_lik - null_ll))
-    return stat, df, chi2_sf(stat, df)

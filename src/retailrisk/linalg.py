@@ -9,7 +9,8 @@ whitening ``L^-1 B`` that gives hat diagonals, so a Newton step that needs
 several of them factors its matrix once. The matrices are symmetric positive
 definite whenever the design has full rank and the fit is away from
 separation; a failed pivot is therefore itself a useful diagnostic and is
-reported as :class:`SingularMatrixError`.
+reported as :class:`SingularMatrixError`; an infinite or NaN entry (an
+overflowed product) as :class:`NonFiniteMatrixError`.
 
 ``cholesky``, ``solve_spd``, ``inverse_spd`` and ``log_det_spd`` are
 one-line wrappers over the factor.
@@ -36,6 +37,10 @@ class SingularMatrixError(RetailRiskError):
     """Matrix is not positive definite (collinear design or separation)."""
 
 
+class NonFiniteMatrixError(RetailRiskError):
+    """Matrix has an infinite or NaN entry (overflow in its products)."""
+
+
 def _validated_rows(a) -> list[list[float]]:
     """The rows of a square, finite, symmetric matrix as Python floats."""
     a = np.asarray(a, dtype=float)
@@ -44,7 +49,7 @@ def _validated_rows(a) -> list[list[float]]:
     rows = a.tolist()
     entries = list(chain.from_iterable(rows))
     if not all(map(math.isfinite, entries)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteMatrixError("matrix has non-finite entries")
     scale = max(1.0, max(map(abs, entries)))
     transposed = chain.from_iterable(zip(*rows))
     if max(map(abs, map(sub, entries, transposed))) > SYMMETRY_RTOL * scale:

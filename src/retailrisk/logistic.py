@@ -2,16 +2,17 @@
 
 Newton-Raphson on the Bernoulli log-likelihood with step-halving, Wald
 z-tests against the standard normal, AIC, and separation diagnostics. A
-singular Fisher information mid-iteration is treated as a divergence signal
-rather than an error: the fit is returned unconverged with its separation
-diagnosis so callers can decide what to do (the penalized fitter exists for
-exactly these designs).
+singular or overflowed Fisher information is a divergence signal, not an
+error: the fit is returned unconverged with its separation diagnosis so
+callers can decide what to do (the penalized fitter, which shares the
+damped-Newton kernel :func:`newton`, exists for exactly these designs).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,7 +65,7 @@ def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[flo
     """The log-likelihood at beta and the linear predictor X @ beta it used."""
     eta = X @ beta
     # y*eta - log(1 + exp(eta)), with log1p/exp handled by logaddexp.
-    return float(y @ eta - np.sum(np.logaddexp(0.0, eta))), eta
+    return float(y @ eta - np.logaddexp(0.0, eta).sum()), eta
 
 
 def check_fittable(dm: DesignMatrix, model: str) -> None:
@@ -77,9 +78,107 @@ def check_fittable(dm: DesignMatrix, model: str) -> None:
         raise DegenerateResponseError(f"response contains a single class; {model} is undefined")
 
 
-def _fisher_information(X: np.ndarray, prob: np.ndarray) -> np.ndarray:
-    w = prob * (1.0 - prob)
+def _information(X: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """X' diag(w) X."""
     return (X * w[:, None]).T @ X
+
+
+#: A factorization that failed: the matrix is singular or has overflowed.
+FACTOR_ERRORS = (linalg.SingularMatrixError, linalg.NonFiniteMatrixError)
+
+
+class NewtonTrace(NamedTuple):
+    """Steps, step-halvings, final max |score| over the free coefficients."""
+
+    steps: int
+    halvings: int
+    max_score: float
+    converged: bool
+
+
+def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: bool):
+    """(objective, prob, w = p(1-p), score, q, z) at beta; q = z = None for l.
+    For l* = l + 0.5*log det X'WX: the modified score X'(y - p + h(0.5 - p)),
+    z = L^-1 X' for the factor L of X'WX and q = colsum(z^2), so h = w*q."""
+    ll, eta = _log_likelihood(X, y, beta)
+    prob = expit(eta)
+    w = prob * (1.0 - prob)
+    if not penalized:
+        return ll, prob, w, X.T @ (y - prob), None, None
+    factor = linalg.Cholesky(_information(X, w))
+    z = factor.whiten(X.T)
+    q = (z * z).sum(axis=0)
+    score = X.T @ (y - prob + w * q * (0.5 - prob))
+    return ll + 0.5 * factor.log_det(), prob, w, score, q, z
+
+
+def _negative_hessian(X: np.ndarray, prob: np.ndarray, w: np.ndarray, q: np.ndarray,
+                      z: np.ndarray) -> np.ndarray:
+    """-d2 l*/d beta2 = X'WX - H_P with H_P = 0.5 [X' diag(q w'') X - U'(Q o Q)U],
+    Q = X (X'WX)^-1 X', U = diag(w') X, w' = w(1-2p) and w'' = w(1-6w). The
+    p^2 row products of z form K with Q o Q = K'K, so U'(Q o Q)U = (KU)'(KU)."""
+    p, n = z.shape
+    u = X * (w * (1.0 - 2.0 * prob))[:, None]
+    ku = (z[:, None, :] * z[None, :, :]).reshape(p * p, n) @ u
+    return _information(X, w - 0.5 * q * w * (1.0 - 6.0 * w)) + 0.5 * (ku.T @ ku)
+
+
+def _step_factor(X, prob, w, q, z, free) -> linalg.Cholesky:
+    """The factored step matrix on the free coefficients: X'WX for l; for l*
+    the exact negative Hessian, else the augmented X' diag(w(1+h)) X."""
+    if q is None:
+        return linalg.Cholesky(_information(X, w)[free][:, free])
+    try:
+        return linalg.Cholesky(_negative_hessian(X, prob, w, q, z)[free][:, free])
+    except FACTOR_ERRORS:
+        return linalg.Cholesky(_information(X, w * (1.0 + w * q))[free][:, free])
+
+
+def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None,
+           max_iter: int = 50, tol: float = 1e-8, score_tol: float = 1e-6):
+    """Damped Newton from beta = 0 on the log-likelihood l or, if
+    ``penalized``, on Firth's l* = l + 0.5*log det X'WX.
+
+    Only the ``free_idx`` coefficients (default: all) move; the others stay
+    at zero but still enter the penalty. A step is halved up to 10 times
+    while the objective falls. Converged means the step moved no coefficient
+    by more than ``tol`` and the score at the new beta is at most
+    ``score_tol``; a singular or overflowed step matrix stops the fit.
+    Returns (beta, objective, w = p(1-p), hat diagonals h or None, trace).
+    """
+    p = X.shape[1]
+    free = slice(None) if free_idx is None else list(free_idx)
+    beta = np.zeros(p)
+    # The objective and its derivatives always belong to the current beta.
+    value, prob, w, score, q, z = _evaluate(X, y, beta, penalized)
+    converged = False
+    steps = halvings = 0
+    for steps in range(1, max_iter + 1):
+        try:
+            step = _step_factor(X, prob, w, q, z, free)
+        except FACTOR_ERRORS:
+            # Weights collapsed: coefficients are running off to infinity.
+            break
+        delta = np.zeros(p)
+        delta[free] = step.solve(score[free])
+        new = beta + delta
+        trial = _evaluate(X, y, new, penalized)
+        halved = 0
+        while trial[0] < value and halved < 10:
+            delta = delta / 2.0
+            new = beta + delta
+            trial = _evaluate(X, y, new, penalized)
+            halved += 1
+        halvings += halved
+        moved = float(np.abs(new - beta).max())
+        beta = new
+        value, prob, w, score, q, z = trial
+        if moved <= tol and float(np.abs(score[free]).max()) <= score_tol:
+            converged = True
+            break
+    h = None if q is None else w * q
+    max_score = float(np.abs(score[free]).max())
+    return beta, value, w, h, NewtonTrace(steps, halvings, max_score, converged)
 
 
 def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
@@ -88,44 +187,16 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
 
     Converged means both the largest coefficient change fell below ``tol``
     and the score's max-norm fell below ``score_tol``. Non-convergence (or a
-    singular information matrix on the way) is reported through
+    singular or overflowed information matrix) is reported through
     ``converged=False`` plus the ``separation`` diagnosis, never silently.
     """
     check_fittable(dm, "logistic MLE")
-    X, y, p = dm.X, dm.y, dm.p
-    beta = np.zeros(p)
-    ll, eta = _log_likelihood(X, y, beta)
-    # prob and score always belong to the current beta.
-    prob = expit(eta)
-    score = X.T @ (y - prob)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        try:
-            delta = linalg.Cholesky(_fisher_information(X, prob)).solve(score)
-        except linalg.SingularMatrixError:
-            # Weights collapsed: coefficients are running off to infinity.
-            break
-        new = beta + delta
-        new_ll, new_eta = _log_likelihood(X, y, new)
-        halvings = 0
-        while new_ll < ll and halvings < 10:
-            delta = delta / 2.0
-            new = beta + delta
-            new_ll, new_eta = _log_likelihood(X, y, new)
-            halvings += 1
-        moved = float(np.max(np.abs(new - beta)))
-        beta, ll = new, new_ll
-        prob = expit(new_eta)
-        score = X.T @ (y - prob)
-        if moved <= tol and float(np.max(np.abs(score))) <= score_tol:
-            converged = True
-            break
-
+    X, p = dm.X, dm.p
+    beta, ll, w, _, trace = newton(X, dm.y, max_iter=max_iter, tol=tol, score_tol=score_tol)
     try:
-        cov = linalg.Cholesky(_fisher_information(X, prob)).inverse()
+        cov = linalg.Cholesky(_information(X, w)).inverse()
         se = np.sqrt(np.diag(cov))
-    except linalg.SingularMatrixError:
+    except FACTOR_ERRORS:
         cov = np.full((p, p), np.nan)
         se = np.full(p, np.nan)
     with np.errstate(invalid="ignore"):
@@ -141,8 +212,8 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
         log_lik=ll,
         aic=aic,
         cov=cov,
-        iterations=iterations,
-        converged=converged,
+        iterations=trace.steps,
+        converged=trace.converged,
     )
     return replace(fit, separation=detect_separation(dm, fit))
 

@@ -165,12 +165,12 @@ def screen_section(report: ScreenReport) -> Section:
 
 
 def _fit_health_note(label: str, fit) -> str | None:
-    """A note for a fit that did not converge or shows separation; None for
-    a healthy fit."""
+    """A note for a fit that did not converge or shows separation (a Firth
+    fit has no separation class); None for a healthy fit."""
     problems = []
     if not fit.converged:
         problems.append("not converged")
-    if fit.separation != SEPARATION_NONE:
+    if getattr(fit, "separation", SEPARATION_NONE) != SEPARATION_NONE:
         problems.append(f"{fit.separation} separation")
     if not problems:
         return None
@@ -197,6 +197,7 @@ def final_model_section(fit: FirthFit, n: int) -> Section:
         f"on {fit.lr_df} df, p={fmt_p(fit.lr_p)}, n={n}",
         f"Wald test={fmt_number(fit.wald_stat, stat_nd)} "
         f"on {fit.wald_df} df, p={fmt_p(fit.wald_p)}",
+        *filter(None, [_fit_health_note("Failure model", fit)]),
         SIGNIF_LEGEND,
     )
     return Section(

@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -120,6 +123,28 @@ class TestPearson:
         x, y = rng.standard_normal(40), rng.standard_normal(40)
         assert pearson_corr(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-12)
 
+    @pytest.mark.parametrize("sx,sy", [(1e-160, 1.0), (1e-160, 1e-160), (1e150, 1e150),
+                                       (1e150, 1.0), (1e-160, 1e150)])
+    def test_extreme_scales(self, sx, sy):
+        # sxx * syy under- or overflows here; the result must not.
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal(32)
+        y = x + rng.standard_normal(32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = pearson_corr(x * sx, y * sy)
+        assert r == pytest.approx(pearson_corr(x, y), abs=1e-14)
+
+    def test_embedded_correlations_keep_their_bits(self):
+        ds = embedded_dataset()
+        matrix = correlation_matrix(ds)
+        for i, a in enumerate(matrix.labels):
+            for j, b in enumerate(matrix.labels[:i]):
+                dx = ds.column(a) - ds.column(a).mean()
+                dy = ds.column(b) - ds.column(b).mean()
+                expected = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
+                assert matrix.r[i, j] == expected, (a, b)
+
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateDataError):
             pearson_corr([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
@@ -153,8 +178,12 @@ class TestCorrelationMatrix:
         from retailrisk.dataset import CSV_HEADER, parse_dataset
 
         ds = parse_dataset(",".join(CSV_HEADER) + "\n" + "\n".join(text_rows) + "\n")
-        with pytest.raises(DegenerateDataError):
+        with pytest.raises(DegenerateDataError, match="zero-variance"):
             correlation_matrix(ds, columns=["revenue", "fail"])
+        one_row = parse_dataset(",".join(CSV_HEADER) + "\n" + text_rows[1] + "\n")
+        with pytest.raises(DegenerateDataError, match="equal length >= 2"):
+            correlation_matrix(one_row, columns=["revenue", "fail"])
+        assert correlation_matrix(one_row, columns=["revenue"]).r[0, 0] == 1.0
 
 
 def test_describe_covers_all_summary_columns():

@@ -11,12 +11,18 @@ from retailrisk.firth import (
     fit_firth,
     firth_score,
     hat_diagonals,
-    lr_test,
     penalized_loglik,
 )
 from retailrisk.errors import DegenerateDataError
 from retailrisk.linalg import SingularMatrixError
-from retailrisk.logistic import SEPARATION_NONE, DegenerateResponseError, fit_logistic
+from retailrisk.logistic import (
+    SEPARATION_NONE,
+    DegenerateResponseError,
+    _evaluate,
+    _negative_hessian,
+    fit_logistic,
+    newton,
+)
 
 from _reference import (
     FINAL_CHISQ_TOL,
@@ -157,6 +163,70 @@ class TestFirthScore:
                                        rtol=0, atol=1e-12)
 
 
+def analytic_negative_hessian(beta, dm):
+    """The kernel's exact negative Hessian of l* at beta."""
+    _, prob, w, _, q, z = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
+    return _negative_hessian(dm.X, prob, w, q, z)
+
+
+def numeric_negative_hessian(beta, dm):
+    """-dU*/dbeta by central differences of the modified score."""
+    beta = np.asarray(beta, dtype=float)
+    columns = []
+    for j in range(dm.p):
+        h = 1e-5 * max(1.0, abs(beta[j]))
+        up, down = beta.copy(), beta.copy()
+        up[j] += h
+        down[j] -= h
+        columns.append(-(firth_score(up, dm) - firth_score(down, dm)) / (2 * h))
+    return np.column_stack(columns)
+
+
+def assert_hessian_matches(beta, dm):
+    analytic = analytic_negative_hessian(beta, dm)
+    numeric = numeric_negative_hessian(beta, dm)
+    np.testing.assert_allclose(analytic, analytic.T, rtol=0, atol=1e-12 * np.abs(analytic).max())
+    scale = max(1.0, float(np.abs(analytic).max()))
+    assert np.abs(analytic - numeric).max() / scale <= 1e-7
+
+
+class TestExactHessian:
+    """The penalized Newton step's matrix is the derivative of the modified
+    score, so Newton converges quadratically near the optimum."""
+
+    def test_matches_central_differences_on_final_design(self):
+        dm = final_design()
+        rng = np.random.default_rng(17)
+        betas = [fit_firth(dm).beta, np.zeros(dm.p)]
+        betas += [rng.normal(scale=0.4, size=dm.p) for _ in range(5)]
+        for beta in betas:
+            assert_hessian_matches(beta, dm)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_central_differences_on_separated_panels(self, seed):
+        dm = separated_panel(seed)
+        fit = fit_firth(dm)
+        for beta in (fit.beta, fit.beta / 2.0, np.zeros(dm.p)):
+            assert_hessian_matches(beta, dm)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_converges_within_15_steps_on_separated_panels(self, seed):
+        fit = fit_firth(separated_panel(seed))
+        assert fit.converged
+        assert fit.iterations <= 15
+
+    def test_trace_of_the_final_fit(self):
+        dm = final_design()
+        fit = fit_firth(dm)
+        beta, pen_ll, _, _, trace = newton(dm.X, dm.y, penalized=True, max_iter=100,
+                                           tol=1e-8, score_tol=1e-7)
+        np.testing.assert_array_equal(beta, fit.beta)
+        assert pen_ll == fit.pen_log_lik
+        assert (trace.steps, trace.converged) == (fit.iterations, True)
+        assert trace.steps <= 8 and trace.halvings == 0
+        assert trace.max_score == np.abs(firth_score(beta, dm)).max() <= 1e-7
+
+
 class TestFitFirth:
     def test_reference_model(self):
         fit = fit_firth(final_design())
@@ -258,17 +328,15 @@ class TestFitFirth:
 
 class TestLrTest:
     def test_reference_statistic(self):
-        dm = final_design()
-        fit = fit_firth(dm)
-        stat, df, p = lr_test(fit, dm)
+        fit = fit_firth(final_design())
+        stat, df, p = fit.lr_stat, fit.lr_df, fit.lr_p
         assert stat == pytest.approx(13.816, abs=0.05)
         assert df == 3
         assert p == pytest.approx(0.00317, abs=0.0005)
 
     def test_intercept_only_is_null_vs_itself(self):
-        dm = design_matrix(embedded_dataset(), [])
-        fit = fit_firth(dm)
-        stat, df, p = lr_test(fit, dm)
+        fit = fit_firth(design_matrix(embedded_dataset(), []))
+        stat, df, p = fit.lr_stat, fit.lr_df, fit.lr_p
         assert stat == 0.0
         assert df == 0
         assert p == 1.0
@@ -276,9 +344,8 @@ class TestLrTest:
     def test_statistic_nonnegative(self):
         ds = embedded_dataset()
         for predictors in (["acsi"], ["pandemic"], ["revenue", "stores"]):
-            dm = design_matrix(ds, predictors)
-            fit = fit_firth(dm)
-            stat, _, p = lr_test(fit, dm)
+            fit = fit_firth(design_matrix(ds, predictors))
+            stat, p = fit.lr_stat, fit.lr_p
             assert stat >= 0.0
             assert 0.0 < p <= 1.0
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from retailrisk import dataset, linalg
-from retailrisk.linalg import SingularMatrixError
+from retailrisk.linalg import NonFiniteMatrixError, SingularMatrixError
 
 
 def random_spd(rng, size):
@@ -267,14 +267,14 @@ class TestCholeskyFactor:
         assert factor.n == 2
 
 
-#: Invalid inputs and the exact error each entry point has always raised;
+#: Invalid inputs and the exact error each entry point raises;
 #: invalid shape, then non-finite entries, then asymmetry are checked first.
 INVALID_INPUTS = [
     ([[1.0, 0.5], [0.0, 1.0]], ValueError, "matrix is not symmetric"),
     ([[1e3, 2e-7], [0.0, 1e3]], ValueError, "matrix is not symmetric"),
-    ([[1.0, np.nan], [np.nan, 1.0]], ValueError, "matrix has non-finite entries"),
-    ([[np.inf, 0.0], [0.0, 1.0]], ValueError, "matrix has non-finite entries"),
-    ([[1.0, np.nan], [0.0, 1.0]], ValueError, "matrix has non-finite entries"),
+    ([[1.0, np.nan], [np.nan, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
+    ([[np.inf, 0.0], [0.0, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
+    ([[1.0, np.nan], [0.0, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
     (np.ones((2, 3)), ValueError, "expected a square matrix, got shape (2, 3)"),
     (np.ones(3), ValueError, "expected a square matrix, got shape (3,)"),
     (np.zeros((0, 0)), ValueError, "expected a square matrix, got shape (0, 0)"),

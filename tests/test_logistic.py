@@ -141,6 +141,16 @@ class TestFitLogistic:
         np.testing.assert_allclose(np.sqrt(np.diag(fit.cov)), fit.se, atol=1e-12)
         np.testing.assert_allclose(fit.z, fit.beta / fit.se, atol=1e-12)
 
+    def test_overflowed_information_stops_unconverged(self):
+        # X'WX sums 0.25 * x^2 over rows near 1e154: it overflows to inf on
+        # the first step, which stops the fit as a singular matrix would.
+        x = (100.0 + np.arange(8.0)) * 1e152
+        fit = fit_logistic(toy_design(x, [0, 1, 0, 0, 1, 0, 1, 1]))
+        assert not fit.converged
+        assert fit.iterations == 1
+        np.testing.assert_array_equal(fit.beta, [0.0, 0.0])
+        assert np.all(np.isnan(fit.se)) and np.all(np.isnan(fit.p_values))
+
 
 class TestSeparation:
     def test_complete_separation_toy(self):

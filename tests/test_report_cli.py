@@ -15,9 +15,11 @@ from retailrisk import (
     SingularMatrixError,
 )
 from retailrisk.cli import run_command
-from retailrisk.dataset import dataset_to_csv, embedded_dataset, parse_dataset
-from retailrisk.pipeline import fit_final_model, probability_table
+from retailrisk.dataset import dataset_to_csv, design_matrix, embedded_dataset, parse_dataset
+from retailrisk.firth import fit_firth
+from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, fit_final_model, probability_table
 from retailrisk.report import (
+    SIGNIF_LEGEND,
     ReportDocument,
     Section,
     describe_section,
@@ -61,6 +63,15 @@ class TestRender:
         assert len(body_rows) == 2 + 4  # header + separator + four coefficients
         assert "Likelihood ratio test=" in text
         assert "Wald test=" in text
+
+    def test_unconverged_final_model_is_flagged(self):
+        ds = embedded_dataset()
+        dm = design_matrix(ds, list(FINAL_MODEL_PREDICTORS))
+        note = "Failure model: not converged; estimates are not reliable"
+        stalled = final_model_section(fit_firth(dm, max_iter=2), ds.n)
+        assert stalled.notes[2:] == (note, SIGNIF_LEGEND)
+        healthy = final_model_section(fit_firth(dm), ds.n)
+        assert healthy.notes[2:] == (SIGNIF_LEGEND,)
 
     def test_rendering_is_deterministic(self):
         ds = embedded_dataset()
@@ -325,6 +336,27 @@ class TestErrorContract:
         assert "Traceback" not in err
 
 
+def _huge_debt(row):
+    """Long-term debt times 1e154: schema-valid, but every information
+    matrix that holds the column overflows."""
+    return {"long_term_debt": repr(float(row["long_term_debt"]) * 1e154)}
+
+
+@pytest.mark.parametrize("argv", [["describe"], ["correlate"], ["fit", "--group", "internal"],
+                                  ["fit", "--group", "ratios"], ["fit-final"], ["predict"],
+                                  ["report"]])
+def test_overflowing_money_column_gives_no_traceback(tmp_path, argv):
+    path = write_variant(tmp_path / "huge_debt.csv", _huge_debt)
+    status, out, err = run([*argv, "--data", str(path)])
+    assert status in (0, 1)
+    if status == 1:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+    if argv == ["fit", "--group", "internal"]:
+        assert "Long-term debt (M$): not converged; estimates are not reliable" in out
+        se_row = next(line for line in out.splitlines() if line.startswith("| Slope [s.e.] |"))
+        assert se_row.endswith("| NA |")
+
+
 DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
 
 
@@ -342,8 +374,9 @@ class TestGoldenReports:
 
 
 #: Cholesky factorizations in one default ``report`` on the embedded data (the
-#: kernel factored 179 matrices before each Newton step reused its factors).
-REPORT_FACTORIZATIONS = 162
+#: kernel factored 179 matrices before each Newton step reused its factors, and
+#: 162 before the Firth steps used the exact Hessian, 7 steps instead of 12).
+REPORT_FACTORIZATIONS = 149
 
 
 def test_default_report_factorization_count(monkeypatch):
