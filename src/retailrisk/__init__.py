@@ -5,11 +5,8 @@ from .dataset import (
     DataParseError,
     DataValidationError,
     Dataset,
-    DerivedRatios,
     DesignMatrix,
-    FirmYearRecord,
     dataset_to_csv,
-    derive_ratios,
     design_matrix,
     embedded_dataset,
     parse_dataset,
@@ -25,7 +22,7 @@ from .descriptive import (
 )
 from .errors import DegenerateDataError, RetailRiskError
 from .firth import FirthFit, fit_firth, firth_score, penalized_loglik
-from .linalg import SingularMatrixError, cholesky, inverse_spd, log_det_spd, solve_spd
+from .linalg import SingularMatrixError
 from .logistic import (
     DegenerateResponseError,
     MleFit,
@@ -41,9 +38,8 @@ from .pipeline import (
     ScreenReport,
     fit_final_model,
     odds_ratio,
-    predict_probability,
-    probability_table,
     run_screen,
+    table_from_coefficients,
 )
 from .report import ReportDocument, Section, render
 
@@ -57,10 +53,8 @@ __all__ = [
     "Dataset",
     "DegenerateDataError",
     "DegenerateResponseError",
-    "DerivedRatios",
     "DesignMatrix",
     "FINAL_MODEL_PREDICTORS",
-    "FirmYearRecord",
     "FirthFit",
     "MleFit",
     "PredictionCell",
@@ -70,10 +64,8 @@ __all__ = [
     "ScreenReport",
     "Section",
     "SingularMatrixError",
-    "cholesky",
     "correlation_matrix",
     "dataset_to_csv",
-    "derive_ratios",
     "describe",
     "design_matrix",
     "detect_separation",
@@ -82,19 +74,15 @@ __all__ = [
     "fit_final_model",
     "fit_firth",
     "fit_logistic",
-    "inverse_spd",
-    "log_det_spd",
     "log_likelihood",
     "mean_std",
     "odds_ratio",
     "parse_dataset",
     "pearson_corr",
     "penalized_loglik",
-    "predict_probability",
-    "probability_table",
     "render",
     "run_screen",
     "shapiro_wilk",
     "significance_code",
-    "solve_spd",
+    "table_from_coefficients",
 ]

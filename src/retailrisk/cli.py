@@ -19,9 +19,10 @@ from .dataset import (
 )
 from .errors import RetailRiskError
 from .pipeline import (
+    FINAL_MODEL_PREDICTORS,
     REFERENCE_MODEL_COEFFICIENTS,
+    _probability,
     fit_final_model,
-    predict_probability,
     run_screen,
     table_from_coefficients,
 )
@@ -106,7 +107,7 @@ def _final_coefficients(args, dataset: Dataset, fit=None):
         return REFERENCE_MODEL_COEFFICIENTS
     if fit is None:
         fit = fit_final_model(dataset)
-    return tuple(fit.beta)
+    return tuple(fit.beta.tolist())
 
 
 def _predict_sections(args, dataset: Dataset) -> list[Section]:
@@ -114,14 +115,19 @@ def _predict_sections(args, dataset: Dataset) -> list[Section]:
         raise _UsageError("--chain and --year must be given together")
     beta = _final_coefficients(args, dataset)
     if args.chain is not None:
-        records = dataset.chain_records(args.chain)  # KeyError -> exit 1
-        record = next((r for r in records if r.year == args.year), None)
-        if record is None:
+        if args.chain not in dataset.chains:
+            raise KeyError(f"unknown chain {args.chain!r}; known: {', '.join(dataset.chains)}")
+        years = dataset.column("year")
+        rows = [i for i, chain in enumerate(dataset.column("chain")) if chain == args.chain]
+        first, last = int(years[rows[0]]), int(years[rows[-1]])
+        if not first <= args.year <= last:
             raise DataValidationError(
-                f"{args.chain}: no observation for year {args.year} "
-                f"(observed {records[0].year}-{records[-1].year})"
+                f"{args.chain}: no observation for year {args.year} (observed {first}-{last})"
             )
-        prob = predict_probability(beta, record, dataset.ratio_precision)
+        row = rows[args.year - first]  # a chain's years are contiguous
+        prob = _probability(
+            beta, *(float(dataset.column(name)[row]) for name in FINAL_MODEL_PREDICTORS)
+        )
         cell = Section(
             title="Failure probability",
             columns=("Chain", "Year", "Probability"),

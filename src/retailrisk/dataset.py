@@ -12,9 +12,9 @@ read from a file. ``ratio_precision="printed"`` rounds them to two decimals,
 matching how such ratios are typically published, and exists so that results
 derived from rounded ratios can be reproduced exactly.
 
-A :class:`Dataset` holds its data as columns, parsed and validated straight
-from the CSV; per-row :class:`FirmYearRecord` objects are built only when
-asked for.
+A :class:`Dataset` holds its data as columns only: one float row per numeric
+CSV column plus the chain name of each row, parsed and validated straight
+from the CSV.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import copy
 import csv
 import io
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 
@@ -81,100 +80,31 @@ class DataValidationError(RetailRiskError):
     """Structurally valid input that violates a dataset invariant."""
 
 
-@dataclass(frozen=True)
-class DerivedRatios:
-    """Revenue ratios of one record; each is raw field / revenue."""
-
-    sga_over_rev: float
-    cor_over_rev: float
-    ebitda_over_rev: float
-    ltd_over_rev: float
-
-
-@dataclass(frozen=True)
-class FirmYearRecord:
-    """One chain-year observation (raw values only; ratios are derived)."""
-
-    chain: str
-    year: int
-    fail: int
-    revenue: float
-    cost_of_revenue: float
-    sga: float
-    ebitda: float
-    stores: float
-    us_interest_rate: float
-    us_inflation_rate: float
-    long_term_debt: float
-    pandemic: int
-    acsi: float
-
-
-def derive_ratios(record: FirmYearRecord, precision: str = "full") -> DerivedRatios:
-    """Revenue ratios for one record.
-
-    ``precision="printed"`` rounds each ratio to two decimals; the default
-    keeps full floating-point precision.
-    """
-    if record.revenue <= 0:
-        raise DataValidationError(
-            f"{record.chain} {record.year}: revenue must be positive to form ratios"
-        )
-    if precision not in RATIO_PRECISIONS:
-        raise ValueError(f"unknown ratio precision {precision!r}; use one of {RATIO_PRECISIONS}")
-    values = [getattr(record, _RATIO_NUMERATORS[name]) / record.revenue for name in RATIO_COLUMNS]
-    if precision == "printed":
-        values = [round(v, 2) for v in values]
-    return DerivedRatios(*values)
-
-
 #: The numeric CSV columns, in file order; each is one row of a dataset's table.
 NUMERIC_COLUMNS = CSV_HEADER[1:]
 _ROW = {name: i for i, name in enumerate(NUMERIC_COLUMNS)}
-_NUMERIC_FIELDS = attrgetter(*NUMERIC_COLUMNS)
-
-
-def _make_record(chain: str, values: list[float]) -> FirmYearRecord:
-    year, fail, *amounts, pandemic, acsi = values
-    return FirmYearRecord(chain, int(year), int(fail), *amounts, int(pandemic), acsi)
 
 
 class Dataset:
     """Validated, immutable chain-year table.
 
-    The data is held as columns: one read-only float row per numeric CSV
-    column plus the chain name of each row. ``FirmYearRecord`` objects are
-    built only when :attr:`records` or :meth:`chain_records` is first read.
-    Chains appear in first-occurrence order; within a chain, years are
-    strictly ascending and contiguous, and a ``fail=1`` record (if any) is
+    ``table`` holds one float row per numeric CSV column (in
+    :data:`NUMERIC_COLUMNS` order) and ``row_chains`` the chain name of each
+    row. Chains appear in first-occurrence order; within a chain, years are
+    strictly ascending and contiguous, and a ``fail=1`` row (if any) is
     unique and last.
     """
 
-    def __init__(self, records, ratio_precision: str = "full"):
-        records = tuple(records)
-        table = np.array(list(map(_NUMERIC_FIELDS, records)), dtype=float)
-        self._adopt(
-            tuple(r.chain for r in records),
-            table.reshape(len(records), len(NUMERIC_COLUMNS)).T,
-            ratio_precision,
-            records,
-        )
-
-    @classmethod
-    def _from_table(cls, row_chains: tuple[str, ...], table: np.ndarray,
-                    ratio_precision: str) -> "Dataset":
-        """Validate a ``(len(NUMERIC_COLUMNS), n)`` table without records."""
-        dataset = cls.__new__(cls)
-        dataset._adopt(row_chains, table, ratio_precision, None)
-        return dataset
-
-    def _adopt(self, row_chains, table, ratio_precision, records):
-        self._row_chains = row_chains
-        self._table = np.ascontiguousarray(table)
+    def __init__(self, row_chains, table, ratio_precision: str = "full"):
+        self._row_chains = tuple(row_chains)
+        self._table = np.array(table, dtype=float, order="C")
+        if self._table.shape != (len(NUMERIC_COLUMNS), len(self._row_chains)):
+            raise ValueError(
+                f"expected a ({len(NUMERIC_COLUMNS)}, {len(self._row_chains)}) table, "
+                f"got shape {self._table.shape}"
+            )
         self._table.flags.writeable = False
-        self._records = records
-        self._by_chain = None
-        self._chains = _validate(row_chains, self._table, self._record)
+        self._chains = _validate(self._row_chains, self._table)
         self._set_precision(ratio_precision)
 
     def _set_precision(self, precision: str) -> None:
@@ -197,18 +127,6 @@ class Dataset:
     def n(self) -> int:
         return len(self._row_chains)
 
-    @property
-    def records(self) -> tuple[FirmYearRecord, ...]:
-        """One record per row, built on first access and then cached."""
-        if self._records is None:
-            self._records = tuple(map(_make_record, self._row_chains, self._table.T.tolist()))
-        return self._records
-
-    def _record(self, i: int) -> FirmYearRecord:
-        if self._records is not None:
-            return self._records[i]
-        return _make_record(self._row_chains[i], self._table[:, i].tolist())
-
     def __eq__(self, other):
         if not isinstance(other, Dataset):
             return NotImplemented
@@ -230,16 +148,6 @@ class Dataset:
         other._set_precision(precision)
         return other
 
-    def chain_records(self, chain: str) -> tuple[FirmYearRecord, ...]:
-        if chain not in self._chains:
-            raise KeyError(f"unknown chain {chain!r}; known: {', '.join(self._chains)}")
-        if self._by_chain is None:
-            by_chain = {c: [] for c in self._chains}
-            for record in self.records:
-                by_chain[record.chain].append(record)
-            self._by_chain = {c: tuple(recs) for c, recs in by_chain.items()}
-        return self._by_chain[chain]
-
     def column(self, name: str):
         """Column by name: a read-only float array for ``fail`` and every
         predictor (ratio columns honor ``ratio_precision``), or the tuple of
@@ -258,7 +166,7 @@ class Dataset:
         if name == "chain":
             return self._row_chains
         if name in RATIO_COLUMNS:
-            # IEEE division, as Python's float division on each record.
+            # IEEE division: the same bits as Python's float division.
             values = self._table[_ROW[_RATIO_NUMERATORS[name]]] / self._table[_ROW["revenue"]]
             if self._ratio_precision == "printed":
                 # The builtin round, which np.round does not match bit for bit.
@@ -272,24 +180,29 @@ class Dataset:
         )
 
 
+def _integer_text(value: float) -> str:
+    """A year, fail or pandemic value as text: ``2015``, not ``2015.0``."""
+    return str(int(value)) if value.is_integer() else str(value)
+
+
 #: Per-row rules, in the order they are reported: (column, test that flags
-#: the bad values, message after "chain year: " given the row's record).
+#: the bad values, message after "chain year: " given the offending value).
 #: Each test flags NaN exactly as the comparison it negates would.
 _ROW_RULES = (
-    ("fail", lambda v: (v != 0) & (v != 1), lambda r: f"fail must be 0 or 1, got {r.fail}"),
+    ("fail", lambda v: (v != 0) & (v != 1),
+     lambda v: f"fail must be 0 or 1, got {_integer_text(v)}"),
     ("pandemic", lambda v: (v != 0) & (v != 1),
-     lambda r: f"pandemic must be 0 or 1, got {r.pandemic}"),
+     lambda v: f"pandemic must be 0 or 1, got {_integer_text(v)}"),
     ("year", lambda v: ~((YEAR_RANGE[0] <= v) & (v <= YEAR_RANGE[1])),
-     lambda r: f"year outside plausible range {YEAR_RANGE}"),
-    ("revenue", lambda v: v <= 0, lambda r: f"revenue must be > 0, got {r.revenue}"),
-    ("stores", lambda v: v <= 0, lambda r: f"stores must be > 0, got {r.stores}"),
-    ("cost_of_revenue", lambda v: v < 0, lambda r: "cost_of_revenue must be >= 0"),
-    ("sga", lambda v: v < 0, lambda r: "sga must be >= 0"),
-    ("long_term_debt", lambda v: v < 0, lambda r: "long_term_debt must be >= 0"),
-    ("acsi", lambda v: ~((0 <= v) & (v <= 100)),
-     lambda r: f"acsi must be in [0, 100], got {r.acsi}"),
+     lambda v: f"year outside plausible range {YEAR_RANGE}"),
+    ("revenue", lambda v: v <= 0, lambda v: f"revenue must be > 0, got {v}"),
+    ("stores", lambda v: v <= 0, lambda v: f"stores must be > 0, got {v}"),
+    ("cost_of_revenue", lambda v: v < 0, lambda v: "cost_of_revenue must be >= 0"),
+    ("sga", lambda v: v < 0, lambda v: "sga must be >= 0"),
+    ("long_term_debt", lambda v: v < 0, lambda v: "long_term_debt must be >= 0"),
+    ("acsi", lambda v: ~((0 <= v) & (v <= 100)), lambda v: f"acsi must be in [0, 100], got {v}"),
     *(
-        (name, lambda v: ~np.isfinite(v), lambda r, name=name: f"{name} is not finite")
+        (name, lambda v: ~np.isfinite(v), lambda v, name=name: f"{name} is not finite")
         for name in ("revenue", "cost_of_revenue", "sga", "ebitda", "stores",
                      "us_interest_rate", "us_inflation_rate", "long_term_debt", "acsi")
     ),
@@ -306,15 +219,14 @@ def _first_violation(bad: np.ndarray) -> tuple[int, int] | None:
     return int(bad[:, item].argmax()), item
 
 
-def _validate(row_chains: tuple[str, ...], table: np.ndarray, record_at) -> tuple[str, ...]:
+def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[str, ...]:
     """Check every invariant over the columns; returns the chains in
     first-occurrence order.
 
     Every row rule is checked on all rows before any chain rule, and the
     first row in order that breaks one is reported with the first rule it
     breaks; the chain rules then report the first chain, in first-occurrence
-    order, that breaks one. ``record_at(i)`` gives row ``i`` as a record,
-    whose fields the messages print.
+    order, that breaks one.
     """
     n = len(row_chains)
     if n == 0:
@@ -322,8 +234,10 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray, record_at) -> tupl
     found = _first_violation(np.array([flag(table[_ROW[c]]) for c, flag, _ in _ROW_RULES]))
     if found is not None:
         rule, row = found
-        record = record_at(row)
-        raise DataValidationError(f"{record.chain} {record.year}: {_ROW_RULES[rule][2](record)}")
+        column, _, message = _ROW_RULES[rule]
+        year = _integer_text(float(table[_ROW["year"], row]))
+        value = float(table[_ROW[column], row])
+        raise DataValidationError(f"{row_chains[row]} {year}: {message(value)}")
 
     chains = tuple(dict.fromkeys(row_chains))
     code_of = {chain: code for code, chain in enumerate(chains)}
@@ -342,7 +256,7 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray, record_at) -> tupl
 
     def first_year(flags, chain, offset=0):
         position = int(np.flatnonzero(flags & (grouped == chain))[0]) + offset
-        return record_at(int(order[position])).year
+        return int(year[position])
 
     chain_rules = (
         (np.bincount(grouped[gaps], minlength=len(chains)) > 0,
@@ -436,7 +350,7 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
         next(reader)
         chains, values = _walk_rows(reader)
         table = np.array(values, dtype=float).reshape(len(chains), len(NUMERIC_COLUMNS))
-    return Dataset._from_table(tuple(chains), table.T, ratio_precision)
+    return Dataset(chains, table.T, ratio_precision)
 
 
 def _format_number(value: float) -> str:
@@ -450,24 +364,10 @@ def dataset_to_csv(dataset: Dataset) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_HEADER)
-    for r in dataset.records:
-        writer.writerow(
-            [
-                r.chain,
-                r.year,
-                r.fail,
-                _format_number(r.revenue),
-                _format_number(r.cost_of_revenue),
-                _format_number(r.sga),
-                _format_number(r.ebitda),
-                _format_number(r.stores),
-                _format_number(r.us_interest_rate),
-                _format_number(r.us_inflation_rate),
-                _format_number(r.long_term_debt),
-                r.pandemic,
-                _format_number(r.acsi),
-            ]
-        )
+    writer.writerows(
+        [chain, *map(_format_number, row)]
+        for chain, row in zip(dataset.column("chain"), dataset._table.T.tolist())
+    )
     return out.getvalue()
 
 

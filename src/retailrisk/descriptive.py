@@ -78,7 +78,9 @@ def mean_std(series) -> tuple[float, float]:
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise DegenerateDataError("need a 1-d series of length >= 2")
-    return float(np.mean(x)), float(np.std(x, ddof=1))
+    # A series near the float limit overflows to an infinite SD, printed NA.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.mean(x)), float(np.std(x, ddof=1))
 
 
 # Royston (1995) polynomial coefficients, ascending powers.
@@ -134,8 +136,10 @@ def shapiro_wilk(series) -> tuple[float, float]:
         raise DegenerateDataError("Shapiro-Wilk is undefined for a constant series")
 
     a = _sw_weights(n)
-    centered = x - np.mean(x)
-    w = float((a @ x) ** 2 / (centered @ centered))
+    # Overflowed sums of squares give W = NaN, and a NaN p-value, printed NA.
+    with np.errstate(over="ignore", invalid="ignore"):
+        centered = x - np.mean(x)
+        w = float((a @ x) ** 2 / (centered @ centered))
     w = min(w, 1.0)
 
     if n == 3:

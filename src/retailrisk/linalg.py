@@ -11,9 +11,6 @@ definite whenever the design has full rank and the fit is away from
 separation; a failed pivot is therefore itself a useful diagnostic and is
 reported as :class:`SingularMatrixError`; an infinite or NaN entry (an
 overflowed product) as :class:`NonFiniteMatrixError`.
-
-``cholesky``, ``solve_spd``, ``inverse_spd`` and ``log_det_spd`` are
-one-line wrappers over the factor.
 """
 
 from __future__ import annotations
@@ -86,7 +83,12 @@ class Cholesky:
                 dot += v * v
             pivot = a_i[i] - dot
             if pivot <= tol:
-                raise SingularMatrixError(f"non-positive pivot at row {i} (pivot={pivot:.3e})")
+                if pivot <= 0.0:
+                    raise SingularMatrixError(f"non-positive pivot at row {i} (pivot={pivot:.3e})")
+                raise SingularMatrixError(
+                    f"pivot at row {i} below {PIVOT_RTOL:g} x max diagonal "
+                    f"(pivot={pivot:.3e}, max diagonal={max_diag:.3e})"
+                )
             l_i.append(math.sqrt(pivot))
             lower.append(l_i)
         self.n = n
@@ -149,23 +151,3 @@ class Cholesky:
     def whiten(self, b) -> np.ndarray:
         """L^-1 @ b for a matrix b of columns (n rows)."""
         return self._inverse_lower() @ b
-
-
-def cholesky(a) -> np.ndarray:
-    """Lower-triangular L with L @ L.T == a, for symmetric positive-definite a."""
-    return Cholesky(a).lower
-
-
-def solve_spd(a, b) -> np.ndarray:
-    """Solve a @ x = b via Cholesky. b may be a vector or a matrix of columns."""
-    return Cholesky(a).solve(b)
-
-
-def inverse_spd(a) -> np.ndarray:
-    """Inverse of a symmetric positive-definite matrix."""
-    return Cholesky(a).inverse()
-
-
-def log_det_spd(a) -> float:
-    """log(det(a)) for symmetric positive-definite a, as 2*sum(log(diag(L)))."""
-    return Cholesky(a).log_det()

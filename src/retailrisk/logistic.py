@@ -134,6 +134,9 @@ def _step_factor(X, prob, w, q, z, free) -> linalg.Cholesky:
         return linalg.Cholesky(_information(X, w * (1.0 + w * q))[free][:, free])
 
 
+# An information matrix that overflows is refused by linalg as non-finite;
+# numpy's own overflow warnings would only repeat that on stderr.
+@np.errstate(over="ignore", invalid="ignore")
 def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None,
            max_iter: int = 50, tol: float = 1e-8, score_tol: float = 1e-6):
     """Damped Newton from beta = 0 on the log-likelihood l or, if
@@ -193,13 +196,13 @@ def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
     check_fittable(dm, "logistic MLE")
     X, p = dm.X, dm.p
     beta, ll, w, _, trace = newton(X, dm.y, max_iter=max_iter, tol=tol, score_tol=score_tol)
-    try:
-        cov = linalg.Cholesky(_information(X, w)).inverse()
-        se = np.sqrt(np.diag(cov))
-    except FACTOR_ERRORS:
-        cov = np.full((p, p), np.nan)
-        se = np.full(p, np.nan)
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            cov = linalg.Cholesky(_information(X, w)).inverse()
+            se = np.sqrt(np.diag(cov))
+        except FACTOR_ERRORS:
+            cov = np.full((p, p), np.nan)
+            se = np.full(p, np.nan)
         z = beta / se
     p_values = 2.0 * norm_sf(np.abs(z))
     aic = 2.0 * p - 2.0 * ll
@@ -230,8 +233,11 @@ def detect_separation(dm: DesignMatrix, fit: MleFit) -> str:
     if not np.all(np.isfinite(beta)):
         diverged = True
     else:
-        scales = np.std(dm.X[:, 1:], axis=0, ddof=1) if dm.p > 1 else np.array([])
-        standardized = np.abs(beta[1:]) * scales
+        # A column near the float limit has an infinite SD: the product is
+        # inf or NaN, and only an inf above the bound counts as divergence.
+        with np.errstate(over="ignore", invalid="ignore"):
+            scales = np.std(dm.X[:, 1:], axis=0, ddof=1) if dm.p > 1 else np.array([])
+            standardized = np.abs(beta[1:]) * scales
         diverged = bool(np.any(standardized > DIVERGENCE_BOUND))
         if not diverged and not fit.converged:
             prob = expit(dm.X @ beta)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset, FirmYearRecord, derive_ratios, design_matrix
+from .dataset import Dataset, design_matrix
 from .firth import FirthFit, fit_firth
 from .logistic import MleFit, fit_logistic
 
@@ -108,19 +108,6 @@ def fit_final_model(dataset: Dataset) -> FirthFit:
     return fit_firth(design_matrix(dataset, list(FINAL_MODEL_PREDICTORS)))
 
 
-def predict_probability(beta, record: FirmYearRecord, ratio_precision: str = "full") -> float:
-    """Failure probability for one record under the final-model coefficients.
-
-    ``beta`` is (intercept, inflation, long-term debt/revenue,
-    EBITDA/revenue); the record's ratios are derived at ``ratio_precision``.
-    """
-    beta = _final_beta(beta)
-    ratios = derive_ratios(record, ratio_precision)
-    return _probability(
-        beta, record.us_inflation_rate, ratios.ltd_over_rev, ratios.ebitda_over_rev
-    )
-
-
 def _final_beta(beta) -> tuple[float, ...]:
     beta = tuple(float(b) for b in beta)
     if len(beta) != 1 + len(FINAL_MODEL_PREDICTORS):
@@ -181,20 +168,17 @@ class PredictionTable:
         return self.cells[self._year_index[year]][self._chain_index[chain]]
 
 
-def probability_table(fit: FirthFit, dataset: Dataset) -> PredictionTable:
-    """Grid of fitted failure probabilities over observed years x chains.
-
-    Years before a chain's first observation are 'not available'; years after
-    a failure year are 'ceased operations' (after the last observation of a
-    never-failing chain they are 'not available' as well).
-    """
-    if not fit.converged:
-        raise ValueError("cannot tabulate probabilities from an unconverged fit")
-    return table_from_coefficients(fit.beta, dataset)
-
-
 def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
-    """Probability grid from explicit final-model coefficients."""
+    """Grid of failure probabilities over observed years x chains.
+
+    ``beta`` is the final model's (intercept, inflation, long-term
+    debt/revenue, EBITDA/revenue); the ratios honor the dataset's
+    ``ratio_precision``. Years before a chain's first observation are 'not
+    available'; years after a failure year are 'ceased operations' (after
+    the last observation of a never-failing chain they are 'not available'
+    as well). The coefficients are used as given: check ``fit.converged``
+    before tabulating a fit.
+    """
     beta = _final_beta(beta)
     chain_of_row = dataset.column("chain")
     year_of_row = dataset.column("year").astype(int).tolist()

@@ -1,18 +1,66 @@
 """The per-record CSV parser and validator that ``retailrisk.dataset`` used
 before it parsed and validated straight into columns, kept as the reference
-for its error classes and messages and for the records it yields."""
+for its error classes and messages and for the values it yields: one
+record per row, with revenue ratios derived record by record."""
 
 import csv
 import io
 import math
+from dataclasses import dataclass
 
 from retailrisk.dataset import (
     CSV_HEADER,
+    RATIO_PRECISIONS,
     YEAR_RANGE,
     DataParseError,
     DataValidationError,
-    FirmYearRecord,
 )
+
+
+@dataclass(frozen=True)
+class FirmYearRecord:
+    """One chain-year observation (raw values only; ratios are derived)."""
+
+    chain: str
+    year: int
+    fail: int
+    revenue: float
+    cost_of_revenue: float
+    sga: float
+    ebitda: float
+    stores: float
+    us_interest_rate: float
+    us_inflation_rate: float
+    long_term_debt: float
+    pandemic: int
+    acsi: float
+
+
+@dataclass(frozen=True)
+class DerivedRatios:
+    """Revenue ratios of one record; each is raw field / revenue."""
+
+    sga_over_rev: float
+    cor_over_rev: float
+    ebitda_over_rev: float
+    ltd_over_rev: float
+
+
+def derive_ratios(record, precision="full"):
+    """Revenue ratios for one record; ``precision="printed"`` rounds each
+    to two decimals."""
+    if record.revenue <= 0:
+        raise DataValidationError(
+            f"{record.chain} {record.year}: revenue must be positive to form ratios"
+        )
+    if precision not in RATIO_PRECISIONS:
+        raise ValueError(f"unknown ratio precision {precision!r}; use one of {RATIO_PRECISIONS}")
+    values = (record.sga, record.cost_of_revenue, record.ebitda, record.long_term_debt)
+    values = [v / record.revenue for v in values]
+    if precision == "printed":
+        values = [round(v, 2) for v in values]
+    return DerivedRatios(*values)
+
 
 _INTEGER_COLUMNS = ("year", "fail", "pandemic")
 

@@ -34,9 +34,8 @@ from retailrisk.pipeline import (
     REFERENCE_MODEL_COEFFICIENTS,
     fit_final_model,
     odds_ratio,
-    predict_probability,
-    probability_table,
     run_screen,
+    table_from_coefficients,
 )
 
 import _reference as ref
@@ -175,7 +174,8 @@ def test_criterion_5_firth_final_model(final_fit):
 
 def test_criterion_6_probability_table(data, data_printed, final_fit):
     with criterion(6, "probability table"):
-        table = probability_table(final_fit, data)
+        assert final_fit.converged
+        table = table_from_coefficients(final_fit.beta, data)
 
         # Marker cells match the published "-"/"*" pattern exactly.
         for (chain, year), expected in ref.PROBABILITIES.items():
@@ -188,14 +188,10 @@ def test_criterion_6_probability_table(data, data_printed, final_fit):
                 assert cell.kind == CELL_PROBABILITY, (chain, year)
 
         # Hand-derivable cells from the published rounded coefficients.
-        records = {(r.chain, r.year): r for r in data_printed.records}
-        sears = predict_probability(
-            REFERENCE_MODEL_COEFFICIENTS, records[("Sears Holdings", 2015)], "printed"
-        )
+        rounded = table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, data_printed)
+        sears = rounded.cell("Sears Holdings", 2015).probability
         assert round(sears, 4) == 0.0160
-        bbb = predict_probability(
-            REFERENCE_MODEL_COEFFICIENTS, records[("Bed Bath & Beyond", 2022)], "printed"
-        )
+        bbb = rounded.cell("Bed Bath & Beyond", 2022).probability
         assert round(bbb, 3) == 0.830
 
         # Full-table equality is not reproducible from the published printed
@@ -213,7 +209,8 @@ def test_criterion_6_probability_table(data, data_printed, final_fit):
             return table.cell(chain, year).probability
 
         for chain in ("Bed Bath & Beyond", "Rite Aid"):
-            observed = [r.year for r in data.chain_records(chain)]
+            observed = [int(year) for c, year in zip(data.column("chain"), data.column("year"))
+                        if c == chain]
             values = {y: prob(chain, y) for y in observed}
             assert values[2022] == max(values.values()), chain
             assert values[2022] > 0.5, chain

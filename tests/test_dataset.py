@@ -3,33 +3,41 @@ import pytest
 
 from retailrisk.dataset import (
     CSV_HEADER,
+    NUMERIC_COLUMNS,
     PREDICTOR_COLUMNS,
     RATIO_COLUMNS,
     DataParseError,
     DataValidationError,
     Dataset,
-    FirmYearRecord,
     dataset_to_csv,
-    derive_ratios,
     design_matrix,
     embedded_dataset,
     parse_dataset,
 )
 
+from _ingest_reference import derive_ratios, parse_records
 from _panel import panel_csv
 from _reference import PANDEMIC_ROWS, REVENUE_TOTAL
 
 HEADER = ",".join(CSV_HEADER)
 
 
-def make_record(**overrides) -> FirmYearRecord:
-    base = dict(
+def one_row(**overrides) -> str:
+    """A one-row CSV, with the given fields replaced."""
+    row = dict(
         chain="Test Chain", year=2015, fail=0, revenue=1000.0, cost_of_revenue=700.0,
         sga=200.0, ebitda=50.0, stores=10.0, us_interest_rate=2.0,
         us_inflation_rate=1.5, long_term_debt=300.0, pandemic=0, acsi=75.0,
     )
-    base.update(overrides)
-    return FirmYearRecord(**base)
+    row.update(overrides)
+    return HEADER + "\n" + ",".join(str(row[c]) for c in CSV_HEADER) + "\n"
+
+
+def rows_of(ds, chain):
+    """(year, fail) of each of ``chain``'s rows, read from the columns."""
+    return [(int(year), int(fail))
+            for c, year, fail in zip(ds.column("chain"), ds.column("year"), ds.column("fail"))
+            if c == chain]
 
 
 class TestEmbeddedDataset:
@@ -46,55 +54,56 @@ class TestEmbeddedDataset:
         assert float(np.mean(revenue)) == pytest.approx(16854.81, abs=0.01)
 
     def test_sears_span_and_failure_year(self):
-        recs = embedded_dataset().chain_records("Sears Holdings")
-        assert [r.year for r in recs] == list(range(2013, 2019))
-        assert [r.year for r in recs if r.fail == 1] == [2018]
+        rows = rows_of(embedded_dataset(), "Sears Holdings")
+        assert [year for year, _ in rows] == list(range(2013, 2019))
+        assert [year for year, fail in rows if fail == 1] == [2018]
 
     def test_pandemic_rows(self):
         ds = embedded_dataset()
-        flagged = {(r.chain, r.year) for r in ds.records if r.pandemic == 1}
+        flagged = {(chain, int(year)) for chain, year, pandemic
+                   in zip(ds.column("chain"), ds.column("year"), ds.column("pandemic"))
+                   if pandemic == 1}
         assert flagged == PANDEMIC_ROWS
 
     def test_each_chain_fails_in_its_final_year(self):
         ds = embedded_dataset()
         for chain in ds.chains:
-            recs = ds.chain_records(chain)
-            assert sum(r.fail for r in recs) == 1
-            assert recs[-1].fail == 1
+            fails = [fail for _, fail in rows_of(ds, chain)]
+            assert sum(fails) == 1
+            assert fails[-1] == 1
 
 
-class TestDeriveRatios:
+class TestRatioColumns:
     def test_bbb_2015_sga_ratio(self):
-        rec = embedded_dataset().chain_records("Bed Bath & Beyond")[0]
-        ratios = derive_ratios(rec)
-        assert ratios.sga_over_rev == pytest.approx(3205 / 12104)
-        assert round(ratios.sga_over_rev, 2) == 0.26
+        ds = embedded_dataset()
+        assert (ds.column("chain")[0], ds.column("year")[0]) == ("Bed Bath & Beyond", 2015)
+        ratio = ds.column("sga_over_rev")[0]
+        assert ratio == pytest.approx(3205 / 12104)
+        assert round(ratio, 2) == 0.26
 
     def test_jcp_2020_ltd_ratio(self):
-        rec = embedded_dataset().chain_records("J.C. Penney")[-1]
-        ratios = derive_ratios(rec)
-        assert ratios.ltd_over_rev == pytest.approx(3574 / 1196)
-        assert round(ratios.ltd_over_rev, 2) == 2.99
+        ds = embedded_dataset()
+        assert (ds.column("chain")[-1], ds.column("year")[-1]) == ("J.C. Penney", 2020)
+        ratio = ds.column("ltd_over_rev")[-1]
+        assert ratio == pytest.approx(3574 / 1196)
+        assert round(ratio, 2) == 2.99
 
     def test_zero_ebitda_gives_exact_zero(self):
-        assert derive_ratios(make_record(ebitda=0.0)).ebitda_over_rev == 0.0
+        assert parse_dataset(one_row(ebitda=0.0)).column("ebitda_over_rev")[0] == 0.0
 
     def test_printed_precision_rounds_to_two_decimals(self):
-        for rec in embedded_dataset().records:
-            full = derive_ratios(rec)
-            printed = derive_ratios(rec, "printed")
-            assert printed.sga_over_rev == round(full.sga_over_rev, 2)
-            assert printed.cor_over_rev == round(full.cor_over_rev, 2)
-            assert printed.ebitda_over_rev == round(full.ebitda_over_rev, 2)
-            assert printed.ltd_over_rev == round(full.ltd_over_rev, 2)
+        full, printed = embedded_dataset(), embedded_dataset("printed")
+        for name in RATIO_COLUMNS:
+            rounded = [round(v, 2) for v in full.column(name).tolist()]
+            assert printed.column(name).tolist() == rounded
 
     def test_nonpositive_revenue_rejected(self):
-        with pytest.raises(DataValidationError):
-            derive_ratios(make_record(revenue=0.0))
+        with pytest.raises(DataValidationError, match="revenue must be > 0"):
+            parse_dataset(one_row(revenue=0.0))
 
     def test_unknown_precision_rejected(self):
         with pytest.raises(ValueError, match="precision"):
-            derive_ratios(make_record(), "approximate")
+            parse_dataset(one_row(), "approximate")
 
 
 class TestParseErrors:
@@ -268,12 +277,12 @@ class TestColumnarDataset:
 
     @pytest.mark.parametrize("ds", _datasets())
     def test_columns_equal_per_record_values(self, ds):
+        records = parse_records(dataset_to_csv(ds))
         for name in ("fail", *PREDICTOR_COLUMNS):
             if name in RATIO_COLUMNS:
-                expected = [getattr(derive_ratios(r, ds.ratio_precision), name)
-                            for r in ds.records]
+                expected = [getattr(derive_ratios(r, ds.ratio_precision), name) for r in records]
             else:
-                expected = [float(getattr(r, name)) for r in ds.records]
+                expected = [float(getattr(r, name)) for r in records]
             np.testing.assert_array_equal(ds.column(name), np.array(expected), err_msg=name)
 
     @pytest.mark.parametrize("ds", _datasets())
@@ -286,12 +295,10 @@ class TestColumnarDataset:
                 values[0] = 0.0
 
     @pytest.mark.parametrize("ds", _datasets())
-    def test_chain_records_equal_linear_scan(self, ds):
-        assert ds.chains == tuple(dict.fromkeys(r.chain for r in ds.records))
-        for chain in ds.chains:
-            assert ds.chain_records(chain) == tuple(r for r in ds.records if r.chain == chain)
-        with pytest.raises(KeyError, match="unknown chain 'Woolworths'; known: "):
-            ds.chain_records("Woolworths")
+    def test_chains_in_first_occurrence_order(self, ds):
+        records = parse_records(dataset_to_csv(ds))
+        assert ds.chains == tuple(dict.fromkeys(r.chain for r in records))
+        assert ds.column("chain") == tuple(r.chain for r in records)
 
     def test_column_cache_is_per_dataset(self):
         ds = embedded_dataset()
@@ -300,6 +307,26 @@ class TestColumnarDataset:
         assert printed == embedded_dataset("printed")
 
 
+def _table(ds):
+    return np.array([ds.column(name) for name in NUMERIC_COLUMNS])
+
+
+def test_constructor_takes_chains_and_table():
+    ds = embedded_dataset("printed")
+    assert Dataset(ds.column("chain"), _table(ds), "printed") == ds
+    with pytest.raises(ValueError, match=r"expected a \(12, 31\) table, got shape \(12, 32\)"):
+        Dataset(ds.column("chain")[1:], _table(ds))
+
+
+def test_constructor_copies_the_table():
+    ds = embedded_dataset()
+    table = _table(ds)
+    again = Dataset(ds.column("chain"), table)
+    table[:] = 0.0
+    assert again == ds
+
+
 def test_dataset_rejects_unknown_precision():
+    ds = embedded_dataset()
     with pytest.raises(ValueError, match="precision"):
-        Dataset(embedded_dataset().records, ratio_precision="half")
+        Dataset(ds.column("chain"), _table(ds), ratio_precision="half")

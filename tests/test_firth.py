@@ -5,7 +5,13 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
-from retailrisk.dataset import DesignMatrix, design_matrix, embedded_dataset, parse_dataset
+from retailrisk.dataset import (
+    EMBEDDED_CSV,
+    DesignMatrix,
+    design_matrix,
+    embedded_dataset,
+    parse_dataset,
+)
 from retailrisk.dataset import CSV_HEADER
 from retailrisk.firth import (
     fit_firth,
@@ -281,11 +287,10 @@ class TestFitFirth:
         assert np.max(np.abs(fit.beta)) < 10
 
     def test_single_chain_subset_fits(self):
-        ds = embedded_dataset()
-        rows = [r for r in ds.records if r.chain == "Rite Aid"]
-        from retailrisk.dataset import Dataset
-
-        subset = Dataset(tuple(rows))
+        lines = EMBEDDED_CSV.splitlines(keepends=True)
+        rite_aid = [line for line in lines if line.startswith("Rite Aid,")]
+        subset = parse_dataset("".join([lines[0], *rite_aid]))
+        assert subset.chains == ("Rite Aid",) and subset.n == 10
         dm = design_matrix(subset, ["us_inflation_rate", "ltd_over_rev", "ebitda_over_rev"])
         fit = fit_firth(dm)
         assert fit.converged

@@ -56,10 +56,10 @@ def adjugate_inverse(a):
 
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(linalg.cholesky(np.eye(3)), np.eye(3))
+        assert np.array_equal(linalg.Cholesky(np.eye(3)).lower, np.eye(3))
 
     def test_hand_checked_2x2(self):
-        lower = linalg.cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        lower = linalg.Cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])).lower
         expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
         np.testing.assert_allclose(lower, expected, rtol=0, atol=1e-12)
 
@@ -72,7 +72,7 @@ class TestCholesky:
         for row in dm.X:  # brute-force Gram accumulation
             gram += np.outer(row, row)
         assert np.linalg.matrix_rank(gram) == dm.p
-        lower = linalg.cholesky(gram)
+        lower = linalg.Cholesky(gram).lower
         rel = np.max(np.abs(lower @ lower.T - gram)) / np.max(np.abs(gram))
         assert rel <= 1e-10
 
@@ -80,110 +80,112 @@ class TestCholesky:
         rng = np.random.default_rng(7)
         for size in range(1, 9):
             a = random_spd(rng, size)
-            lower = linalg.cholesky(a)
+            lower = linalg.Cholesky(a).lower
             rel = np.max(np.abs(lower @ lower.T - a)) / np.max(np.abs(a))
             assert rel <= 1e-10
             assert np.array_equal(lower, np.tril(lower))
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(SingularMatrixError):
-            linalg.cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
+            linalg.Cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))  # eigenvalues 3, -1
         with pytest.raises(SingularMatrixError):
-            linalg.cholesky(np.zeros((2, 2)))
+            linalg.Cholesky(np.zeros((2, 2)))
         ones = np.ones((3, 3))  # rank one
         with pytest.raises(SingularMatrixError):
-            linalg.cholesky(ones)
+            linalg.Cholesky(ones)
 
     def test_rejects_asymmetric_and_non_square(self):
         with pytest.raises(ValueError):
-            linalg.cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
+            linalg.Cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            linalg.cholesky(np.ones((2, 3)))
+            linalg.Cholesky(np.ones((2, 3)))
 
 
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(linalg.solve_spd(np.eye(3), b), b)
+        np.testing.assert_array_equal(linalg.Cholesky(np.eye(3)).solve(b), b)
 
     def test_diagonal(self):
-        x = linalg.solve_spd(np.diag([2.0, 4.0]), np.array([2.0, 4.0]))
+        x = linalg.Cholesky(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0]))
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_matches_gaussian_elimination_oracle(self):
         rng = np.random.default_rng(11)
         a = random_spd(rng, 4)
         b = rng.standard_normal(4)
-        np.testing.assert_allclose(linalg.solve_spd(a, b), gauss_solve(a, b), atol=1e-8)
+        np.testing.assert_allclose(linalg.Cholesky(a).solve(b), gauss_solve(a, b), atol=1e-8)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             a = random_spd(rng, 6)
             b = rng.standard_normal(6)
-            x = linalg.solve_spd(a, b)
+            x = linalg.Cholesky(a).solve(b)
             assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            linalg.solve_spd(np.eye(3), np.ones(4))
+            linalg.Cholesky(np.eye(3)).solve(np.ones(4))
 
 
 class TestInverseSpd:
     def test_identity(self):
-        np.testing.assert_array_equal(linalg.inverse_spd(np.eye(4)), np.eye(4))
+        np.testing.assert_array_equal(linalg.Cholesky(np.eye(4)).inverse(), np.eye(4))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            linalg.inverse_spd(np.diag([2.0, 5.0])), np.diag([0.5, 0.2]), atol=1e-14
+            linalg.Cholesky(np.diag([2.0, 5.0])).inverse(), np.diag([0.5, 0.2]), atol=1e-14
         )
 
     def test_matches_adjugate_oracle(self):
         rng = np.random.default_rng(17)
         a = random_spd(rng, 4)
-        np.testing.assert_allclose(linalg.inverse_spd(a), adjugate_inverse(a), atol=1e-8)
+        np.testing.assert_allclose(linalg.Cholesky(a).inverse(), adjugate_inverse(a), atol=1e-8)
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(19)
         a = random_spd(rng, 7)
-        np.testing.assert_allclose(a @ linalg.inverse_spd(a), np.eye(7), atol=1e-8)
+        np.testing.assert_allclose(a @ linalg.Cholesky(a).inverse(), np.eye(7), atol=1e-8)
 
 
 class TestLogDetSpd:
     def test_identity_is_zero(self):
-        assert linalg.log_det_spd(np.eye(5)) == 0.0
+        assert linalg.Cholesky(np.eye(5)).log_det() == 0.0
 
     def test_diagonal_exact(self):
         a = np.diag([math.e, math.e**2])
-        assert linalg.log_det_spd(a) == pytest.approx(3.0, abs=1e-12)
+        assert linalg.Cholesky(a).log_det() == pytest.approx(3.0, abs=1e-12)
 
     def test_matches_laplace_expansion_oracle(self):
         rng = np.random.default_rng(23)
         a = random_spd(rng, 3)
         expected = math.log(laplace_det(a))
-        assert linalg.log_det_spd(a) == pytest.approx(expected, rel=1e-10)
+        assert linalg.Cholesky(a).log_det() == pytest.approx(expected, rel=1e-10)
 
     def test_inverse_negates_log_det(self):
         rng = np.random.default_rng(29)
         for _ in range(5):
             a = random_spd(rng, 5)
-            total = linalg.log_det_spd(a) + linalg.log_det_spd(linalg.inverse_spd(a))
+            factor = linalg.Cholesky(a)
+            total = factor.log_det() + linalg.Cholesky(factor.inverse()).log_det()
             assert abs(total) <= 1e-8
 
     def test_singular(self):
         with pytest.raises(SingularMatrixError):
-            linalg.log_det_spd(np.ones((2, 2)))
+            linalg.Cholesky(np.ones((2, 2)))
 
 
 def test_solve_and_inverse_agree():
     rng = np.random.default_rng(31)
     a = random_spd(rng, 5)
     b = rng.standard_normal(5)
-    np.testing.assert_allclose(linalg.inverse_spd(a) @ b, linalg.solve_spd(a, b), atol=1e-8)
+    factor = linalg.Cholesky(a)
+    np.testing.assert_allclose(factor.inverse() @ b, factor.solve(b), atol=1e-8)
 
 
 class TestCholeskyFactor:
-    """The factor object behind every wrapper, against Cholesky-free oracles."""
+    """The factor object, against Cholesky-free oracles."""
 
     SIZES = range(1, 9)
 
@@ -250,16 +252,6 @@ class TestCholeskyFactor:
             expected = np.einsum("ji,jk,ki->i", b, np.linalg.inv(a), b)
             np.testing.assert_allclose(np.sum(z * z, axis=0), expected, rtol=1e-10, atol=0)
 
-    def test_wrappers_equal_factor_methods(self):
-        rng = np.random.default_rng(61)
-        a = random_spd(rng, 4)
-        b = rng.standard_normal(4)
-        factor = linalg.Cholesky(a)
-        assert np.array_equal(linalg.cholesky(a), factor.lower)
-        assert np.array_equal(linalg.solve_spd(a, b), factor.solve(b))
-        assert np.array_equal(linalg.inverse_spd(a), factor.inverse())
-        assert linalg.log_det_spd(a) == factor.log_det()
-
     def test_accepts_nested_lists(self):
         factor = linalg.Cholesky([[4.0, 2.0], [2.0, 3.0]])
         np.testing.assert_allclose(factor.lower, [[2.0, 0.0], [1.0, math.sqrt(2.0)]],
@@ -267,7 +259,7 @@ class TestCholeskyFactor:
         assert factor.n == 2
 
 
-#: Invalid inputs and the exact error each entry point raises;
+#: Invalid inputs and the exact error the factorization raises;
 #: invalid shape, then non-finite entries, then asymmetry are checked first.
 INVALID_INPUTS = [
     ([[1.0, 0.5], [0.0, 1.0]], ValueError, "matrix is not symmetric"),
@@ -282,29 +274,19 @@ INVALID_INPUTS = [
      "non-positive pivot at row 1 (pivot=-3.000e+00)"),
     (np.ones((3, 3)), SingularMatrixError, "non-positive pivot at row 1 (pivot=0.000e+00)"),
     ([[1.0, 0.0], [0.0, 1e-13]], SingularMatrixError,
-     "non-positive pivot at row 1 (pivot=1.000e-13)"),
+     "pivot at row 1 below 1e-12 x max diagonal (pivot=1.000e-13, max diagonal=1.000e+00)"),
     (np.zeros((2, 2)), SingularMatrixError, "matrix has no positive diagonal entry"),
     ([[-1.0, 0.0], [0.0, -2.0]], SingularMatrixError, "matrix has no positive diagonal entry"),
 ]
 
-ENTRY_POINTS = {
-    "Cholesky": linalg.Cholesky,
-    "cholesky": linalg.cholesky,
-    "solve_spd": lambda a: linalg.solve_spd(a, np.ones(np.shape(a)[0])),
-    "inverse_spd": linalg.inverse_spd,
-    "log_det_spd": linalg.log_det_spd,
-}
-
-
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("a,cls,message", INVALID_INPUTS)
-def test_invalid_input_errors(entry, a, cls, message):
+def test_invalid_input_errors(a, cls, message):
     with pytest.raises(cls) as info:
-        ENTRY_POINTS[entry](a)
+        linalg.Cholesky(a)
     assert type(info.value) is cls
     assert str(info.value) == message
 
 
 def test_asymmetry_within_tolerance_is_accepted():
-    lower = linalg.cholesky([[1.0, 1e-11], [0.0, 1.0]])
+    lower = linalg.Cholesky([[1.0, 1e-11], [0.0, 1.0]]).lower
     assert lower[1, 1] == pytest.approx(1.0, abs=1e-12)

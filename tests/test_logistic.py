@@ -170,10 +170,11 @@ class TestSeparation:
     def test_pandemic_model_not_separated(self):
         # Both pandemic cells hold mixed outcomes: 3/7 and 1/25 failures.
         ds = embedded_dataset()
-        flagged = [r for r in ds.records if r.pandemic == 1]
-        assert (sum(r.fail for r in flagged), len(flagged)) == (3, 7)
-        others = [r for r in ds.records if r.pandemic == 0]
-        assert (sum(r.fail for r in others), len(others)) == (1, 25)
+        fail, pandemic = ds.column("fail"), ds.column("pandemic")
+        flagged = fail[pandemic == 1]
+        assert (int(flagged.sum()), len(flagged)) == (3, 7)
+        others = fail[pandemic == 0]
+        assert (int(others.sum()), len(others)) == (1, 25)
         fit = fit_logistic(design_matrix(ds, ["pandemic"]))
         assert fit.separation == SEPARATION_NONE
 

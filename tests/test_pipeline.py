@@ -1,9 +1,17 @@
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from retailrisk.dataset import CSV_HEADER, FirmYearRecord, parse_dataset, embedded_dataset
+from retailrisk.dataset import (
+    CSV_HEADER,
+    EMBEDDED_CSV,
+    dataset_to_csv,
+    embedded_dataset,
+    parse_dataset,
+)
 from retailrisk.pipeline import (
     CELL_CEASED,
     CELL_NOT_AVAILABLE,
@@ -11,21 +19,40 @@ from retailrisk.pipeline import (
     FINAL_MODEL_PREDICTORS,
     REFERENCE_MODEL_COEFFICIENTS,
     SCREEN_GROUPS,
+    _probability,
     fit_final_model,
     odds_ratio,
-    predict_probability,
     probability_drift,
-    probability_table,
     run_screen,
     table_from_coefficients,
 )
 
+from _ingest_reference import derive_ratios, parse_records
 from _panel import panel_csv
 
 
-def record_for(chain, year):
-    ds = embedded_dataset()
-    return next(r for r in ds.records if r.chain == chain and r.year == year)
+def embedded_cell(beta, chain, year, precision="full"):
+    """The probability of one cell of the grid on the embedded data."""
+    return table_from_coefficients(beta, embedded_dataset(precision)).cell(chain, year).probability
+
+
+def record_probability(beta, record, precision):
+    """The failure probability of one reference record, computed on its own."""
+    b0, b1, b2, b3 = (float(b) for b in beta)
+    ratios = derive_ratios(record, precision)
+    eta = (b0 + b1 * record.us_inflation_rate + b2 * ratios.ltd_over_rev
+           + b3 * ratios.ebitda_over_rev)
+    if eta >= 0:
+        return 1.0 / (1.0 + math.exp(-eta))
+    z = math.exp(eta)
+    return z / (1.0 + z)
+
+
+def chain_years(ds, chain):
+    """(year, fail) of each of ``chain``'s rows, read from the columns."""
+    return [(int(year), int(fail))
+            for c, year, fail in zip(ds.column("chain"), ds.column("year"), ds.column("fail"))
+            if c == chain]
 
 
 class TestScreens:
@@ -74,10 +101,11 @@ class TestFinalModel:
         assert fit.converged
 
     def test_single_chain_dataset_still_fits(self):
-        from retailrisk.dataset import Dataset
-
-        rows = tuple(r for r in embedded_dataset().records if r.chain == "Rite Aid")
-        fit = fit_final_model(Dataset(rows))
+        lines = EMBEDDED_CSV.splitlines(keepends=True)
+        rite_aid = [line for line in lines if line.startswith("Rite Aid,")]
+        ds = parse_dataset("".join([lines[0], *rite_aid]))
+        assert ds.chains == ("Rite Aid",) and ds.n == 10
+        fit = fit_final_model(ds)
         assert fit.converged
         assert np.all(np.isfinite(fit.beta))
 
@@ -93,54 +121,58 @@ class TestFinalModel:
             fit_final_model(ds)  # inflation column is constant
 
 
-class TestPredictProbability:
+def _bumped_rite_aid_2017(**change):
+    """The embedded data with Rite Aid's 2017 row changed by ``change``."""
+    rows = list(csv.DictReader(io.StringIO(EMBEDDED_CSV)))
+    row = next(r for r in rows if (r["chain"], r["year"]) == ("Rite Aid", "2017"))
+    row.update({name: repr(f(float(row[name]))) for name, f in change.items()})
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return parse_dataset(out.getvalue())
+
+
+class TestCellProbability:
     def test_zero_eta_is_half(self):
-        assert predict_probability((0.0, 0.0, 0.0, 0.0), record_for("Rite Aid", 2015)) == 0.5
+        assert embedded_cell((0.0, 0.0, 0.0, 0.0), "Rite Aid", 2015) == 0.5
 
     def test_sears_2015_with_published_coefficients(self):
-        p = predict_probability(
-            REFERENCE_MODEL_COEFFICIENTS, record_for("Sears Holdings", 2015), "printed"
-        )
+        p = embedded_cell(REFERENCE_MODEL_COEFFICIENTS, "Sears Holdings", 2015, "printed")
         assert round(p, 4) == 0.0160
-        p_full = predict_probability(
-            REFERENCE_MODEL_COEFFICIENTS, record_for("Sears Holdings", 2015)
-        )
+        p_full = embedded_cell(REFERENCE_MODEL_COEFFICIENTS, "Sears Holdings", 2015)
         assert round(p_full, 4) == 0.0160
 
     def test_bbb_2022_with_published_coefficients(self):
-        p = predict_probability(
-            REFERENCE_MODEL_COEFFICIENTS, record_for("Bed Bath & Beyond", 2022), "printed"
-        )
+        p = embedded_cell(REFERENCE_MODEL_COEFFICIENTS, "Bed Bath & Beyond", 2022, "printed")
         assert round(p, 3) == 0.830
 
     def test_wrong_length(self):
-        with pytest.raises(ValueError):
-            predict_probability((0.0, 1.0), record_for("Rite Aid", 2015))
+        with pytest.raises(ValueError, match="expected 4 coefficients, got 2"):
+            table_from_coefficients((0.0, 1.0), embedded_dataset())
 
     def test_overflow_safe(self):
-        rec = record_for("Rite Aid", 2015)
-        assert predict_probability((1000.0, 0.0, 0.0, 0.0), rec) == 1.0
-        assert predict_probability((-1000.0, 0.0, 0.0, 0.0), rec) == pytest.approx(0.0, abs=1e-300)
+        assert _probability((1000.0, 0.0, 0.0, 0.0), 1.0, 1.0, 1.0) == 1.0
+        assert _probability((-1000.0, 0.0, 0.0, 0.0), 1.0, 1.0, 1.0) == pytest.approx(
+            0.0, abs=1e-300
+        )
 
     def test_monotone_in_each_predictor(self):
-        fit = fit_final_model(embedded_dataset())
-        base = record_for("Rite Aid", 2017)
-        p0 = predict_probability(fit.beta, base)
+        beta = fit_final_model(embedded_dataset()).beta
 
-        def bumped(**kw):
-            fields = {f: getattr(base, f) for f in base.__dataclass_fields__}
-            fields.update(kw)
-            return FirmYearRecord(**fields)
+        def p(ds):
+            return table_from_coefficients(beta, ds).cell("Rite Aid", 2017).probability
 
-        assert predict_probability(fit.beta, bumped(us_inflation_rate=base.us_inflation_rate + 1)) > p0
-        assert predict_probability(fit.beta, bumped(long_term_debt=base.long_term_debt * 2)) > p0
-        assert predict_probability(fit.beta, bumped(ebitda=base.ebitda + 500)) < p0
+        p0 = p(embedded_dataset())
+        assert p(_bumped_rite_aid_2017(us_inflation_rate=lambda v: v + 1)) > p0
+        assert p(_bumped_rite_aid_2017(long_term_debt=lambda v: v * 2)) > p0
+        assert p(_bumped_rite_aid_2017(ebitda=lambda v: v + 500)) < p0
 
 
 class TestProbabilityTable:
     def test_marker_pattern(self):
         ds = embedded_dataset()
-        table = probability_table(fit_final_model(ds), ds)
+        table = table_from_coefficients(fit_final_model(ds).beta, ds)
         assert table.years == tuple(range(2013, 2023))
         assert table.chains == ds.chains
         assert table.cell("Bed Bath & Beyond", 2013).kind == CELL_NOT_AVAILABLE
@@ -156,13 +188,13 @@ class TestProbabilityTable:
 
     def test_early_warning_properties(self):
         ds = embedded_dataset()
-        table = probability_table(fit_final_model(ds), ds)
+        table = table_from_coefficients(fit_final_model(ds).beta, ds)
 
         def prob(chain, year):
             return table.cell(chain, year).probability
 
         for chain in ("Bed Bath & Beyond", "Rite Aid"):
-            years = [r.year for r in ds.chain_records(chain)]
+            years = [year for year, _ in chain_years(ds, chain)]
             values = {y: prob(chain, y) for y in years}
             assert values[2022] == max(values.values())
             assert values[2022] > 0.5
@@ -171,11 +203,11 @@ class TestProbabilityTable:
 
     def test_failure_year_exceeds_chain_minimum(self):
         ds = embedded_dataset()
-        table = probability_table(fit_final_model(ds), ds)
+        table = table_from_coefficients(fit_final_model(ds).beta, ds)
         for chain in ds.chains:
-            recs = ds.chain_records(chain)
-            failure_year = recs[-1].year
-            values = [table.cell(chain, r.year).probability for r in recs]
+            years = [year for year, _ in chain_years(ds, chain)]
+            failure_year = years[-1]
+            values = [table.cell(chain, year).probability for year in years]
             assert table.cell(chain, failure_year).probability > min(values)
 
     def test_never_failing_chain_gets_not_available_after_last_year(self):
@@ -190,17 +222,9 @@ class TestProbabilityTable:
         assert table.cell("B", 2016).kind == CELL_NOT_AVAILABLE  # never failed
         assert table.cell("A", 2014).kind == CELL_NOT_AVAILABLE
 
-    def test_unconverged_fit_rejected(self):
-        import dataclasses
-
-        ds = embedded_dataset()
-        fit = dataclasses.replace(fit_final_model(ds), converged=False)
-        with pytest.raises(ValueError, match="unconverged"):
-            probability_table(fit, ds)
-
     def test_drift_report_covers_all_probability_cells(self):
         ds = embedded_dataset()
-        table = probability_table(fit_final_model(ds), ds)
+        table = table_from_coefficients(fit_final_model(ds).beta, ds)
         drift = probability_drift(table)
         assert len(drift) == 32
         for chain, year, computed, published, delta in drift:
@@ -222,20 +246,20 @@ def _grids():
     return cases
 
 
-class TestGridAgainstPerRecordPath:
+class TestGridAgainstPerRecordReference:
     @pytest.mark.parametrize("ds,beta", _grids())
     def test_probabilities_are_bit_identical(self, ds, beta):
         table = table_from_coefficients(beta, ds)
-        for r in ds.records:
+        for r in parse_records(dataset_to_csv(ds)):
             cell = table.cell(r.chain, r.year)
             assert cell.kind == CELL_PROBABILITY
-            assert cell.probability == predict_probability(beta, r, ds.ratio_precision)
+            assert cell.probability == record_probability(beta, r, ds.ratio_precision)
 
     @pytest.mark.parametrize("ds,beta", _grids())
     def test_cell_equals_linear_scan(self, ds, beta):
         table = table_from_coefficients(beta, ds)
         assert table.chains == ds.chains
-        assert table.years == tuple(sorted({r.year for r in ds.records}))
+        assert table.years == tuple(sorted(set(ds.column("year").astype(int).tolist())))
         for chain in table.chains:
             for year in table.years:
                 expected = table.cells[table.years.index(year)][table.chains.index(chain)]
@@ -245,11 +269,12 @@ class TestGridAgainstPerRecordPath:
     def test_marker_cells_follow_each_chain_window(self, ds, beta):
         table = table_from_coefficients(beta, ds)
         for chain in ds.chains:
-            recs = ds.chain_records(chain)
-            failed = recs[-1].year if recs[-1].fail == 1 else None
+            rows = chain_years(ds, chain)
+            (first, _), (last, last_fail) = rows[0], rows[-1]
+            failed = last if last_fail == 1 else None
             for year in table.years:
                 kind = table.cell(chain, year).kind
-                if recs[0].year <= year <= recs[-1].year:
+                if first <= year <= last:
                     assert kind == CELL_PROBABILITY
                 elif failed is not None and year > failed:
                     assert kind == CELL_CEASED
@@ -259,7 +284,8 @@ class TestGridAgainstPerRecordPath:
     def test_drift_is_chain_major(self):
         ds = embedded_dataset()
         drift = probability_drift(table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds))
-        assert [(c, y) for c, y, *_ in drift] == [(r.chain, r.year) for r in ds.records]
+        rows = list(zip(ds.column("chain"), ds.column("year").astype(int).tolist()))
+        assert [(c, y) for c, y, *_ in drift] == rows
 
 
 class TestOddsRatio:

@@ -2,6 +2,8 @@ import csv
 import hashlib
 import io
 import json
+import random
+import warnings
 from pathlib import Path
 
 import pytest
@@ -15,9 +17,15 @@ from retailrisk import (
     SingularMatrixError,
 )
 from retailrisk.cli import run_command
-from retailrisk.dataset import dataset_to_csv, design_matrix, embedded_dataset, parse_dataset
+from retailrisk.dataset import (
+    EMBEDDED_CSV,
+    dataset_to_csv,
+    design_matrix,
+    embedded_dataset,
+    parse_dataset,
+)
 from retailrisk.firth import fit_firth
-from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, fit_final_model, probability_table
+from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, fit_final_model, table_from_coefficients
 from retailrisk.report import (
     SIGNIF_LEGEND,
     ReportDocument,
@@ -87,7 +95,7 @@ class TestRender:
 
     def test_probability_section_markers(self):
         ds = embedded_dataset()
-        section = probability_section(probability_table(fit_final_model(ds), ds))
+        section = probability_section(table_from_coefficients(fit_final_model(ds).beta, ds))
         text = render(ReportDocument(sections=(section,), format="csv"))
         first_row = text.splitlines()[2]
         assert first_row.startswith("2013,-")  # BBB not yet observed in 2013
@@ -119,6 +127,7 @@ class TestCli:
         assert status == 0 and err == ""
         assert parse_dataset(out) == embedded_dataset()
         assert out == dataset_to_csv(embedded_dataset())
+        assert out == EMBEDDED_CSV  # integers without ".0", amounts as written
 
     def test_describe_markdown(self):
         status, out, _ = run(["describe"])
@@ -291,6 +300,11 @@ DEGENERATE_INPUTS = {
 }
 
 
+#: The constant inflation column leaves a positive pivot of rounding size.
+SMALL_PIVOT = ("pivot at row 1 below 1e-12 x max diagonal "
+               "(pivot=7.105e-15, max diagonal=3.200e+01)")
+
+
 class TestErrorContract:
     """A schema-valid CSV gives a report or one ``error:`` line with exit
     status 1, never a traceback."""
@@ -306,10 +320,10 @@ class TestErrorContract:
         [
             ("constant_inflation", ["describe"], "Shapiro-Wilk is undefined"),
             ("constant_inflation", ["correlate"], "zero-variance"),
-            ("constant_inflation", ["fit-final"], "non-positive pivot"),
-            ("constant_inflation", ["predict"], "non-positive pivot"),
+            ("constant_inflation", ["fit-final"], SMALL_PIVOT),
+            ("constant_inflation", ["predict"], SMALL_PIVOT),
             ("constant_inflation", ["predict", "--chain", "Rite Aid", "--year", "2015"],
-             "non-positive pivot"),
+             SMALL_PIVOT),
             ("constant_inflation", ["report"], "Shapiro-Wilk is undefined"),
             ("no_failures", ["correlate"], "zero-variance"),
             ("no_failures", ["fit", "--group", "external"], "single class"),
@@ -347,8 +361,12 @@ def _huge_debt(row):
                                   ["report"]])
 def test_overflowing_money_column_gives_no_traceback(tmp_path, argv):
     path = write_variant(tmp_path / "huge_debt.csv", _huge_debt)
-    status, out, err = run([*argv, "--data", str(path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        status, out, err = run([*argv, "--data", str(path)])
     assert status in (0, 1)
+    if status == 0:
+        assert err == ""
     if status == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     if argv == ["fit", "--group", "internal"]:
@@ -400,25 +418,41 @@ def test_default_report_factorization_count(monkeypatch):
     assert counts == [REPORT_FACTORIZATIONS] * 2
 
 
-def test_report_builds_no_records(monkeypatch, tmp_path):
-    """A report reads the columns only; records are built when asked for."""
-    from retailrisk import dataset
-
-    count = 0
-    record = dataset.FirmYearRecord
-
-    def counting_record(*args):
-        nonlocal count
-        count += 1
-        return record(*args)
-
-    monkeypatch.setattr(dataset, "FirmYearRecord", counting_record)
-    path = tmp_path / "panel.csv"
+@pytest.fixture(scope="module")
+def panel_path(tmp_path_factory):
+    """A 275-chain, 1,508-row panel as a CSV file."""
+    path = tmp_path_factory.mktemp("panel") / "panel.csv"
     path.write_text(panel_csv(seed=3, chains=275))
-    assert parse_dataset(path.read_text()).n == 1508
-    for argv in (["report"], ["report", "--data", str(path)]):
-        count = 0
-        assert run(argv)[0] == 0
-        assert count == 0, argv
+    return path
+
+
+@pytest.mark.parametrize("ratios", ["full", "printed"])
+def test_predict_cell_equals_grid_cell(panel_path, ratios):
+    """``predict --chain C --year Y`` prints the text of that cell of the grid."""
+    data = ["--data", str(panel_path), "--ratios", ratios, "--format", "json"]
+    status, out, err = run(["predict", *data])
+    assert status == 0 and err == ""
+    grid = json.loads(out)["sections"][0]
+    chains = grid["columns"][1:]
+    cells = {(chain, int(row[0])): text
+             for row in grid["rows"] for chain, text in zip(chains, row[1:])}
+    observed = sorted(key for key, text in cells.items() if text not in ("-", "*"))
+    assert len(observed) == 1508
+    for chain, year in random.Random(20).sample(observed, 20):
+        status, out, err = run(["predict", "--chain", chain, "--year", str(year), *data])
+        assert status == 0 and err == ""
+        assert json.loads(out)["sections"][0]["rows"] == [[chain, str(year), cells[chain, year]]]
+
+
+def test_predict_cell_error_lines(panel_path):
+    known = ", ".join(f"Chain {c:03d}" for c in range(275))
+    for chain, year, line in [
+        ("Chain 999", 2010, f"unknown chain 'Chain 999'; known: {known}"),
+        ("Chain 004", 2009, "Chain 004: no observation for year 2009 (observed 2010-2016)"),
+        ("Chain 004", 2017, "Chain 004: no observation for year 2017 (observed 2010-2016)"),
+        ("Chain 003", 2004, "Chain 003: no observation for year 2004 (observed 2003-2003)"),
+    ]:
+        argv = ["predict", "--chain", chain, "--year", str(year), "--data", str(panel_path)]
+        assert run(argv) == (1, "", f"error: {line}\n")
     status, out, _ = run(["predict", "--chain", "Rite Aid", "--year", "2015"])
     assert status == 0 and "| Rite Aid | 2015 | 0.020 |" in out
