@@ -20,7 +20,7 @@ from retailrisk.dataset import (
     parse_dataset,
 )
 
-from _ingest_reference import derive_ratios, parse_records, validate_records
+from _ingest_reference import derive_ratios, parse_records, read_records, validate_records
 from _panel import panel_csv
 
 COL = {name: i for i, name in enumerate(CSV_HEADER)}
@@ -160,6 +160,20 @@ def _assert_same_error(text):
     assert _outcome(parse_dataset, text) == expected
 
 
+def _columns(records):
+    """The reference's records as the constructor's row chains and table."""
+    table = [[getattr(r, name) for r in records] for name in NUMERIC_COLUMNS]
+    return [r.chain for r in records], table
+
+
+def _assert_same_records_error(records):
+    with pytest.raises(RetailRiskError) as expected:
+        validate_records(records)
+    with pytest.raises(type(expected.value)) as raised:
+        Dataset(*_columns(records))
+    assert str(raised.value) == str(expected.value)
+
+
 SEEDS = range(8)
 
 
@@ -167,6 +181,12 @@ SEEDS = range(8)
 @pytest.mark.parametrize("name", sorted(ROW_FAULTS) + sorted(CHAIN_FAULTS))
 def test_fault_gives_reference_error(name, seed):
     _assert_same_error(_inject(seed, name))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", sorted(DOMAIN_FAULTS) + sorted(CHAIN_FAULTS))
+def test_records_constructor_gives_reference_error(name, seed):
+    _assert_same_records_error(read_records(_inject(seed, name)))
 
 
 @pytest.mark.parametrize("seed", range(60))
@@ -183,7 +203,9 @@ def test_first_broken_rule_of_a_row_is_reported(first):
     row = rng.choice(rows)
     for name in list(DOMAIN_FAULTS)[first:]:
         DOMAIN_FAULTS[name](row, rng)
-    _assert_same_error(_text(header, rows))
+    text = _text(header, rows)
+    _assert_same_error(text)
+    _assert_same_records_error(read_records(text))
 
 
 def test_empty_dataset_gives_reference_error():
@@ -211,7 +233,6 @@ def test_valid_data_matches_reference(text, precision):
             expected = [float(getattr(r, name)) for r in records]
         assert ds.column(name).tobytes() == np.array(expected).tobytes(), name
     assert parse_dataset(dataset_to_csv(ds), precision) == ds
-    table = [[getattr(r, name) for r in records] for name in NUMERIC_COLUMNS]
-    assert Dataset([r.chain for r in records], table, precision) == ds
+    assert Dataset(*_columns(records), precision) == ds
     other = next(p for p in RATIO_PRECISIONS if p != precision)
     assert ds.with_ratio_precision(other) == parse_dataset(text, other)

@@ -259,7 +259,7 @@ class TestCholeskyFactor:
         assert factor.n == 2
 
 
-#: Invalid inputs and the exact error the factorization raises;
+#: Invalid inputs and the exact error each use of the factor raises;
 #: invalid shape, then non-finite entries, then asymmetry are checked first.
 INVALID_INPUTS = [
     ([[1.0, 0.5], [0.0, 1.0]], ValueError, "matrix is not symmetric"),
@@ -279,10 +279,21 @@ INVALID_INPUTS = [
     ([[-1.0, 0.0], [0.0, -2.0]], SingularMatrixError, "matrix has no positive diagonal entry"),
 ]
 
+#: Every use of a factor: none may reach an invalid matrix unrefused.
+ENTRY_POINTS = {
+    "Cholesky": linalg.Cholesky,
+    "lower": lambda a: linalg.Cholesky(a).lower,
+    "solve": lambda a: linalg.Cholesky(a).solve(np.ones(np.shape(a)[0])),
+    "inverse": lambda a: linalg.Cholesky(a).inverse(),
+    "log_det": lambda a: linalg.Cholesky(a).log_det(),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 @pytest.mark.parametrize("a,cls,message", INVALID_INPUTS)
-def test_invalid_input_errors(a, cls, message):
+def test_invalid_input_errors(entry, a, cls, message):
     with pytest.raises(cls) as info:
-        linalg.Cholesky(a)
+        ENTRY_POINTS[entry](a)
     assert type(info.value) is cls
     assert str(info.value) == message
 
