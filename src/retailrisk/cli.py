@@ -19,9 +19,10 @@ from .dataset import (
 )
 from .errors import RetailRiskError
 from .pipeline import (
-    FINAL_MODEL_PREDICTORS,
+    CELL_PROBABILITY,
     REFERENCE_MODEL_COEFFICIENTS,
-    _probability,
+    SCREEN_GROUPS,
+    PredictionTable,
     fit_final_model,
     run_screen,
     table_from_coefficients,
@@ -80,7 +81,7 @@ def build_parser() -> _Parser:
                         help="full Pearson correlation matrix")
     fit = commands.add_parser("fit", parents=[shared],
                               help="univariate logistic screen for one factor group")
-    fit.add_argument("--group", choices=("external", "internal", "ratios"), required=True)
+    fit.add_argument("--group", choices=tuple(SCREEN_GROUPS), required=True)
     commands.add_parser("fit-final", parents=[shared],
                         help="penalized-likelihood failure prediction model")
     predict = commands.add_parser("predict", parents=[shared, coef],
@@ -101,7 +102,7 @@ def _load_dataset(args) -> Dataset:
 
 def _final_coefficients(args, dataset: Dataset, fit=None):
     """Coefficients for the probability grid; reuses ``fit`` when given."""
-    if getattr(args, "coef", "fitted") == "rounded":
+    if args.coef == "rounded":
         if args.data is not None:
             raise _UsageError("--coef rounded applies to the embedded dataset only")
         return REFERENCE_MODEL_COEFFICIENTS
@@ -110,36 +111,25 @@ def _final_coefficients(args, dataset: Dataset, fit=None):
     return tuple(fit.beta.tolist())
 
 
-def _predict_sections(args, dataset: Dataset) -> list[Section]:
-    if (args.chain is None) != (args.year is None):
-        raise _UsageError("--chain and --year must be given together")
-    beta = _final_coefficients(args, dataset)
-    if args.chain is not None:
-        if args.chain not in dataset.chains:
-            raise KeyError(f"unknown chain {args.chain!r}; known: {', '.join(dataset.chains)}")
-        years = dataset.column("year")
-        rows = [i for i, chain in enumerate(dataset.column("chain")) if chain == args.chain]
-        first, last = int(years[rows[0]]), int(years[rows[-1]])
-        if not first <= args.year <= last:
-            raise DataValidationError(
-                f"{args.chain}: no observation for year {args.year} (observed {first}-{last})"
-            )
-        row = rows[args.year - first]  # a chain's years are contiguous
-        prob = _probability(
-            beta, *(float(dataset.column(name)[row]) for name in FINAL_MODEL_PREDICTORS)
-        )
-        cell = Section(
-            title="Failure probability",
-            columns=("Chain", "Year", "Probability"),
-            rows=((args.chain, str(args.year), fmt_number(prob, 3)),),
-        )
-        return [cell]
-    table = table_from_coefficients(beta, dataset)
-    sections = [probability_section(table)]
+def _grid_sections(table: PredictionTable) -> list[Section]:
+    """The probability grid, then its drift when it holds a published cell."""
     drift = drift_section(table)
-    if drift.rows:
-        sections.append(drift)
-    return sections
+    return [probability_section(table)] + ([drift] if drift.rows else [])
+
+
+def _cell_section(table: PredictionTable, chain: str, year: int) -> Section:
+    """Cell (chain, year) of the grid; a marker cell is an error naming the
+    years the chain has probabilities for."""
+    if chain not in table.chains:
+        raise KeyError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
+    observed = [y for y in table.years if table.cell(chain, y).kind == CELL_PROBABILITY]
+    if year not in observed:
+        raise DataValidationError(
+            f"{chain}: no observation for year {year} (observed {observed[0]}-{observed[-1]})"
+        )
+    prob = table.cell(chain, year).probability
+    return Section(title="Failure probability", columns=("Chain", "Year", "Probability"),
+                   rows=((chain, str(year), fmt_number(prob, 3)),))
 
 
 def _sections_for(args, dataset: Dataset) -> list[Section]:
@@ -153,7 +143,12 @@ def _sections_for(args, dataset: Dataset) -> list[Section]:
     if command == "fit-final":
         return [final_model_section(fit_final_model(dataset), dataset.n)]
     if command == "predict":
-        return _predict_sections(args, dataset)
+        if (args.chain is None) != (args.year is None):
+            raise _UsageError("--chain and --year must be given together")
+        table = table_from_coefficients(_final_coefficients(args, dataset), dataset)
+        if args.chain is None:
+            return _grid_sections(table)
+        return [_cell_section(table, args.chain, args.year)]
     if command == "report":
         sections = [
             describe_section(dataset),
@@ -163,14 +158,8 @@ def _sections_for(args, dataset: Dataset) -> list[Section]:
             screen_section(run_screen(dataset, "ratios")),
         ]
         fit = fit_final_model(dataset)
-        sections.append(final_model_section(fit, dataset.n))
-        beta = _final_coefficients(args, dataset, fit)
-        table = table_from_coefficients(beta, dataset)
-        sections.append(probability_section(table))
-        drift = drift_section(table)
-        if drift.rows:
-            sections.append(drift)
-        return sections
+        table = table_from_coefficients(_final_coefficients(args, dataset, fit), dataset)
+        return [*sections, final_model_section(fit, dataset.n), *_grid_sections(table)]
     raise _UsageError(f"unknown command {command!r}")
 
 
@@ -210,10 +199,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     except _UsageError as exc:
         stderr.write(f"error: {exc}\n")
         return 2
-    except RetailRiskError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
+    except (RetailRiskError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return 1
     except KeyError as exc:

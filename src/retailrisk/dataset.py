@@ -59,10 +59,8 @@ RAW_COLUMNS = (
 
 RATIO_COLUMNS = ("sga_over_rev", "cor_over_rev", "ebitda_over_rev", "ltd_over_rev")
 
-#: Raw column divided by revenue to form each ratio column.
-_RATIO_NUMERATORS = dict(
-    zip(RATIO_COLUMNS, ("sga", "cost_of_revenue", "ebitda", "long_term_debt"))
-)
+#: Raw column divided by revenue to form each ratio column, in that order.
+_RATIO_NUMERATORS = ("sga", "cost_of_revenue", "ebitda", "long_term_debt")
 
 #: Names accepted by :func:`design_matrix` and :meth:`Dataset.column`.
 PREDICTOR_COLUMNS = ("year",) + RAW_COLUMNS + RATIO_COLUMNS
@@ -104,7 +102,7 @@ class Dataset:
                 f"got shape {self._table.shape}"
             )
         self._table.flags.writeable = False
-        self._chains = _validate(self._row_chains, self._table)
+        self._chains, self._ratios = _validate(self._row_chains, self._table)
         self._set_precision(ratio_precision)
 
     def _set_precision(self, precision: str) -> None:
@@ -166,12 +164,11 @@ class Dataset:
         if name == "chain":
             return self._row_chains
         if name in RATIO_COLUMNS:
-            # IEEE division: the same bits as Python's float division.
-            values = self._table[_ROW[_RATIO_NUMERATORS[name]]] / self._table[_ROW["revenue"]]
+            values = self._ratios[RATIO_COLUMNS.index(name)]
             if self._ratio_precision == "printed":
                 # The builtin round, which np.round does not match bit for bit.
                 values = np.array([round(v, 2) for v in values.tolist()])
-            values.flags.writeable = False
+                values.flags.writeable = False
             return values
         if name in _ROW:
             return self._table[_ROW[name]]
@@ -219,25 +216,30 @@ def _first_violation(bad: np.ndarray) -> tuple[int, int] | None:
     return int(bad[:, item].argmax()), item
 
 
-def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[str, ...]:
+def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
     """Check every invariant over the columns; returns the chains in
-    first-occurrence order.
+    first-occurrence order and the read-only full-precision ratio rows, in
+    :data:`RATIO_COLUMNS` order.
 
     Every row rule is checked on all rows before any chain rule, and the
     first row in order that breaks one is reported with the first rule it
     breaks; the chain rules then report the first chain, in first-occurrence
-    order, that breaks one.
+    order, that breaks one. Last, the first row whose recomputed revenue
+    ratio overflows is reported with the first such ratio.
     """
     n = len(row_chains)
     if n == 0:
         raise DataValidationError("empty dataset")
+
+    def row_error(row, message):
+        year = _integer_text(float(table[_ROW["year"], row]))
+        return DataValidationError(f"{row_chains[row]} {year}: {message}")
+
     found = _first_violation(np.array([flag(table[_ROW[c]]) for c, flag, _ in _ROW_RULES]))
     if found is not None:
         rule, row = found
         column, _, message = _ROW_RULES[rule]
-        year = _integer_text(float(table[_ROW["year"], row]))
-        value = float(table[_ROW[column], row])
-        raise DataValidationError(f"{row_chains[row]} {year}: {message(value)}")
+        raise row_error(row, message(float(table[_ROW[column], row])))
 
     chains = tuple(dict.fromkeys(row_chains))
     code_of = {chain: code for code, chain in enumerate(chains)}
@@ -270,7 +272,18 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[str, ...]
     if found is not None:
         rule, chain = found
         raise DataValidationError(chain_rules[rule][1](chain))
-    return chains
+
+    # IEEE division: the same bits as Python's float division. Revenue is
+    # positive, so overflow is the only way to a non-finite ratio.
+    ratios = table[[_ROW[c] for c in _RATIO_NUMERATORS]]  # a copy, divided in place
+    with np.errstate(over="ignore"):
+        ratios /= table[_ROW["revenue"]]
+    found = _first_violation(~np.isfinite(ratios))
+    if found is not None:
+        ratio, row = found
+        raise row_error(row, f"{RATIO_COLUMNS[ratio]} is not finite")
+    ratios.flags.writeable = False
+    return chains, ratios
 
 
 _INTEGER_COLUMNS = ("year", "fail", "pandemic")

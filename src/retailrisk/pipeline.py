@@ -108,15 +108,6 @@ def fit_final_model(dataset: Dataset) -> FirthFit:
     return fit_firth(design_matrix(dataset, list(FINAL_MODEL_PREDICTORS)))
 
 
-def _final_beta(beta) -> tuple[float, ...]:
-    beta = tuple(float(b) for b in beta)
-    if len(beta) != 1 + len(FINAL_MODEL_PREDICTORS):
-        raise ValueError(
-            f"expected {1 + len(FINAL_MODEL_PREDICTORS)} coefficients, got {len(beta)}"
-        )
-    return beta
-
-
 def _probability(beta: tuple[float, ...], inflation, ltd_over_rev, ebitda_over_rev) -> float:
     eta = beta[0] + beta[1] * inflation + beta[2] * ltd_over_rev + beta[3] * ebitda_over_rev
     if eta >= 0:
@@ -141,8 +132,9 @@ class PredictionCell:
 
     def __post_init__(self):
         if self.kind == CELL_PROBABILITY:
-            if self.probability is None or not 0.0 < self.probability < 1.0:
-                raise ValueError(f"probability cell needs a value in (0, 1), got {self.probability}")
+            # A saturated logistic is exactly 0.0 or 1.0; NaN fails both bounds.
+            if self.probability is None or not 0.0 <= self.probability <= 1.0:
+                raise ValueError(f"probability cell needs a value in [0, 1], got {self.probability}")
         elif self.kind in (CELL_NOT_AVAILABLE, CELL_CEASED):
             if self.probability is not None:
                 raise ValueError(f"{self.kind} cell must not carry a probability")
@@ -179,7 +171,11 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     as well). The coefficients are used as given: check ``fit.converged``
     before tabulating a fit.
     """
-    beta = _final_beta(beta)
+    beta = tuple(float(b) for b in beta)
+    if len(beta) != 1 + len(FINAL_MODEL_PREDICTORS):
+        raise ValueError(
+            f"expected {1 + len(FINAL_MODEL_PREDICTORS)} coefficients, got {len(beta)}"
+        )
     chain_of_row = dataset.column("chain")
     year_of_row = dataset.column("year").astype(int).tolist()
     years = tuple(sorted(set(year_of_row)))
@@ -209,12 +205,15 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
 
 def probability_drift(table: PredictionTable) -> list[tuple[str, int, float, float, float]]:
     """Per-cell (chain, year, computed, published, delta) against the
-    published reference grid, for cells present in both."""
+    published reference grid, for cells present in both, in chain order
+    then ascending year."""
+    present = [(table._chain_index[chain], year, chain)
+               for chain, year in REFERENCE_FAILURE_PROBABILITIES
+               if chain in table._chain_index and year in table._year_index]
     out = []
-    for j, chain in enumerate(table.chains):
-        for year, row in zip(table.years, table.cells):
-            cell = row[j]
-            reference = REFERENCE_FAILURE_PROBABILITIES.get((chain, year))
-            if cell.kind == CELL_PROBABILITY and reference is not None:
-                out.append((chain, year, cell.probability, reference, cell.probability - reference))
+    for _, year, chain in sorted(present):
+        cell = table.cell(chain, year)
+        if cell.kind == CELL_PROBABILITY:
+            reference = REFERENCE_FAILURE_PROBABILITIES[chain, year]
+            out.append((chain, year, cell.probability, reference, cell.probability - reference))
     return out

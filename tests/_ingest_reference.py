@@ -111,6 +111,12 @@ def validate_records(records):
             raise DataValidationError(
                 f"{chain} {failures[0].year}: fail=1 must be the chain's final year"
             )
+
+    for rec in records:
+        ratios = derive_ratios(rec)
+        for name in DerivedRatios.__dataclass_fields__:
+            if not math.isfinite(getattr(ratios, name)):
+                raise DataValidationError(f"{rec.chain} {rec.year}: {name} is not finite")
     return tuple(by_chain)
 
 

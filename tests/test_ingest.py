@@ -77,7 +77,17 @@ DOMAIN_FAULTS = {
     "non_finite": _non_finite,
 }
 
-ROW_FAULTS = {**PARSE_FAULTS, **DOMAIN_FAULTS}
+
+def _overflowing_ratio(row, rng):
+    """Every field passes the row rules, but one revenue ratio overflows."""
+    row[COL["revenue"]] = "1e-300"
+    row[COL[rng.choice(("sga", "cost_of_revenue", "ebitda", "long_term_debt"))]] = "1e300"
+
+
+#: A fault that only the ratio rule, checked after every row and chain rule, sees.
+RATIO_FAULTS = {"overflowing_ratio": _overflowing_ratio}
+
+ROW_FAULTS = {**PARSE_FAULTS, **DOMAIN_FAULTS, **RATIO_FAULTS}
 
 
 def _panel_rows(seed):
@@ -184,7 +194,8 @@ def test_fault_gives_reference_error(name, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("name", sorted(DOMAIN_FAULTS) + sorted(CHAIN_FAULTS))
+@pytest.mark.parametrize("name", sorted(DOMAIN_FAULTS) + sorted(RATIO_FAULTS)
+                         + sorted(CHAIN_FAULTS))
 def test_records_constructor_gives_reference_error(name, seed):
     _assert_same_records_error(read_records(_inject(seed, name)))
 

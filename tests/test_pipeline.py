@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from retailrisk import pipeline
 from retailrisk.dataset import (
     CSV_HEADER,
     EMBEDDED_CSV,
@@ -17,8 +18,10 @@ from retailrisk.pipeline import (
     CELL_NOT_AVAILABLE,
     CELL_PROBABILITY,
     FINAL_MODEL_PREDICTORS,
+    REFERENCE_FAILURE_PROBABILITIES,
     REFERENCE_MODEL_COEFFICIENTS,
     SCREEN_GROUPS,
+    PredictionCell,
     _probability,
     fit_final_model,
     odds_ratio,
@@ -26,6 +29,7 @@ from retailrisk.pipeline import (
     run_screen,
     table_from_coefficients,
 )
+from retailrisk.report import probability_section
 
 from _ingest_reference import derive_ratios, parse_records
 from _panel import panel_csv
@@ -222,6 +226,41 @@ class TestProbabilityTable:
         assert table.cell("B", 2016).kind == CELL_NOT_AVAILABLE  # never failed
         assert table.cell("A", 2014).kind == CELL_NOT_AVAILABLE
 
+    @pytest.mark.parametrize("intercept,text", [(40.0, "1.000"), (-800.0, "0.000")])
+    def test_saturated_cells_are_exact(self, intercept, text):
+        table = table_from_coefficients((intercept, 0.0, 0.0, 0.0), embedded_dataset())
+        cells = [cell for row in table.cells for cell in row if cell.kind == CELL_PROBABILITY]
+        assert len(cells) == 32
+        assert {cell.probability for cell in cells} == {float(text)}
+        rendered = probability_section(table).rows
+        assert sum(row.count(text) for row in rendered) == 32
+
+    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5, None])
+    def test_probability_cell_refuses_non_probabilities(self, value):
+        with pytest.raises(ValueError, match=r"needs a value in \[0, 1\]"):
+            PredictionCell(CELL_PROBABILITY, value)
+
+    def test_drift_looks_up_published_cells_only(self, monkeypatch):
+        """The embedded chains beside a 220-chain panel: a grid of 5,824
+        cells, of which the drift looks up only the 32 published ones."""
+        lookups = []
+
+        class CountingDict(dict):
+            def get(self, key, default=None):
+                lookups.append(key)
+                return super().get(key, default)
+
+            def __getitem__(self, key):
+                lookups.append(key)
+                return super().__getitem__(key)
+
+        monkeypatch.setattr(pipeline, "REFERENCE_FAILURE_PROBABILITIES",
+                            CountingDict(REFERENCE_FAILURE_PROBABILITIES))
+        ds = parse_dataset(EMBEDDED_CSV + panel_csv().split("\n", 1)[1])
+        table = table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds)
+        assert len(probability_drift(table)) == 32
+        assert len(lookups) <= len(REFERENCE_FAILURE_PROBABILITIES)
+
     def test_drift_report_covers_all_probability_cells(self):
         ds = embedded_dataset()
         table = table_from_coefficients(fit_final_model(ds).beta, ds)
@@ -229,6 +268,13 @@ class TestProbabilityTable:
         assert len(drift) == 32
         for chain, year, computed, published, delta in drift:
             assert delta == pytest.approx(computed - published, abs=1e-12)
+
+
+def _jcp_first(csv_text):
+    """The CSV with the J.C. Penney rows moved before every other row."""
+    header, *rows = csv_text.splitlines(keepends=True)
+    jcp = [row for row in rows if row.startswith("J.C. Penney,")]
+    return "".join([header, *jcp, *(row for row in rows if row not in jcp)])
 
 
 def _grids():
@@ -281,8 +327,10 @@ class TestGridAgainstPerRecordReference:
                 else:
                     assert kind == CELL_NOT_AVAILABLE
 
-    def test_drift_is_chain_major(self):
-        ds = embedded_dataset()
+    @pytest.mark.parametrize("csv_text", [EMBEDDED_CSV, _jcp_first(EMBEDDED_CSV)],
+                             ids=["embedded", "jcp-first"])
+    def test_drift_is_chain_major(self, csv_text):
+        ds = parse_dataset(csv_text)
         drift = probability_drift(table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds))
         rows = list(zip(ds.column("chain"), ds.column("year").astype(int).tolist()))
         assert [(c, y) for c, y, *_ in drift] == rows

@@ -375,6 +375,27 @@ def test_overflowing_money_column_gives_no_traceback(tmp_path, argv):
         assert se_row.endswith("| NA |")
 
 
+def _overflowing_ratio(row):
+    """Rite Aid 2015 with a long-term debt/revenue ratio beyond the float
+    range; every raw value is finite and passes the row rules."""
+    if (row["chain"], row["year"]) != ("Rite Aid", "2015"):
+        return {}
+    return {"revenue": "1e-300", "cost_of_revenue": "0", "long_term_debt": "1e300"}
+
+
+@pytest.mark.parametrize("argv", [["export-data"], ["describe"], ["correlate"],
+                                  ["fit", "--group", "external"], ["fit", "--group", "internal"],
+                                  ["fit", "--group", "ratios"], ["fit-final"], ["predict"],
+                                  ["predict", "--chain", "Rite Aid", "--year", "2015"],
+                                  ["report"]])
+def test_overflowing_ratio_gives_no_traceback(tmp_path, argv):
+    path = write_variant(tmp_path / "huge_ratio.csv", _overflowing_ratio)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        status, out, err = run([*argv, "--data", str(path)])
+    assert (status, out, err) == (1, "", "error: Rite Aid 2015: ltd_over_rev is not finite\n")
+
+
 DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
 
 
