@@ -121,7 +121,7 @@ def _cell_section(table: PredictionTable, chain: str, year: int) -> Section:
     """Cell (chain, year) of the grid; a marker cell is an error naming the
     years the chain has probabilities for."""
     if chain not in table.chains:
-        raise KeyError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
+        raise DataValidationError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
     observed = [y for y in table.years if table.cell(chain, y).kind == CELL_PROBABILITY]
     if year not in observed:
         raise DataValidationError(
@@ -201,9 +201,6 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         return 2
     except (RetailRiskError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
-        return 1
-    except KeyError as exc:
-        stderr.write(f"error: {exc.args[0] if exc.args else exc}\n")
         return 1
 
 

@@ -13,13 +13,13 @@ matching how such ratios are typically published, and exists so that results
 derived from rounded ratios can be reproduced exactly.
 
 A :class:`Dataset` holds its data as columns only: one float row per numeric
-CSV column plus the chain name of each row, parsed and validated straight
-from the CSV.
+CSV column plus the chain name of each row, parsed from one read of the CSV.
+Its constructor validates them and builds every column, ratio columns at
+the dataset's precision included, once; nothing changes after that.
 """
 
 from __future__ import annotations
 
-import copy
 import csv
 import io
 from dataclasses import dataclass
@@ -44,18 +44,7 @@ CSV_HEADER = (
     "acsi",
 )
 
-RAW_COLUMNS = (
-    "revenue",
-    "cost_of_revenue",
-    "sga",
-    "ebitda",
-    "stores",
-    "us_interest_rate",
-    "us_inflation_rate",
-    "long_term_debt",
-    "pandemic",
-    "acsi",
-)
+RAW_COLUMNS = CSV_HEADER[3:]
 
 RATIO_COLUMNS = ("sga_over_rev", "cor_over_rev", "ebitda_over_rev", "ltd_over_rev")
 
@@ -102,16 +91,21 @@ class Dataset:
                 f"got shape {self._table.shape}"
             )
         self._table.flags.writeable = False
-        self._chains, self._ratios = _validate(self._row_chains, self._table)
-        self._set_precision(ratio_precision)
-
-    def _set_precision(self, precision: str) -> None:
-        if precision not in RATIO_PRECISIONS:
+        self._chains, ratios = _validate(self._row_chains, self._table)
+        if ratio_precision not in RATIO_PRECISIONS:
             raise ValueError(
-                f"unknown ratio precision {precision!r}; use one of {RATIO_PRECISIONS}"
+                f"unknown ratio precision {ratio_precision!r}; use one of {RATIO_PRECISIONS}"
             )
-        self._ratio_precision = precision
-        self._columns = {}
+        if ratio_precision == "printed":
+            # The builtin round, which np.round does not match bit for bit.
+            ratios = np.array([[round(v, 2) for v in row] for row in ratios.tolist()])
+            ratios.flags.writeable = False
+        self._ratio_precision = ratio_precision
+        self._columns = {
+            "chain": self._row_chains,
+            **dict(zip(NUMERIC_COLUMNS, self._table)),
+            **dict(zip(RATIO_COLUMNS, ratios)),
+        }
 
     @property
     def ratio_precision(self) -> str:
@@ -140,41 +134,16 @@ class Dataset:
     def __repr__(self):
         return f"Dataset(n={self.n}, chains={self._chains!r}, ratio_precision={self._ratio_precision!r})"
 
-    def with_ratio_precision(self, precision: str) -> "Dataset":
-        """The same validated table with ratio columns at ``precision``."""
-        other = copy.copy(self)
-        other._set_precision(precision)
-        return other
-
     def column(self, name: str):
         """Column by name: a read-only float array for ``fail`` and every
-        predictor (ratio columns honor ``ratio_precision``), or the tuple of
-        chain names for ``chain``.
-
-        Each column is built once per dataset and returned as the same
-        object on every call.
-        """
+        predictor (ratio columns at ``ratio_precision``), or the tuple of
+        chain names for ``chain``; the same object on every call."""
         values = self._columns.get(name)
         if values is None:
-            values = self._build_column(name)
-            self._columns[name] = values
+            raise KeyError(
+                f"unknown column {name!r}; known: chain, fail, {', '.join(PREDICTOR_COLUMNS)}"
+            )
         return values
-
-    def _build_column(self, name: str):
-        if name == "chain":
-            return self._row_chains
-        if name in RATIO_COLUMNS:
-            values = self._ratios[RATIO_COLUMNS.index(name)]
-            if self._ratio_precision == "printed":
-                # The builtin round, which np.round does not match bit for bit.
-                values = np.array([round(v, 2) for v in values.tolist()])
-                values.flags.writeable = False
-            return values
-        if name in _ROW:
-            return self._table[_ROW[name]]
-        raise KeyError(
-            f"unknown column {name!r}; known: chain, fail, {', '.join(PREDICTOR_COLUMNS)}"
-        )
 
 
 def _integer_text(value: float) -> str:
@@ -302,40 +271,19 @@ def _parse_number(text: str, column: str, line_no: int) -> float:
     return value
 
 
-def _walk_rows(reader) -> tuple[list[str], list[list[float]]]:
-    """Parse row by row, raising :class:`DataParseError` for the first bad
-    line in file order and, within it, its first bad column."""
-    chains, rows = [], []
-    for line_no, row in enumerate(reader, start=2):
-        if not row:
-            continue
+def _raise_first_bad_line(lines: list[tuple[int, list[str]]]) -> None:
+    """Raise :class:`DataParseError` for the first bad line in file order
+    and, within it, its first bad column."""
+    for line_no, row in lines:
         if len(row) != len(CSV_HEADER):
             raise DataParseError(
                 f"line {line_no}: expected {len(CSV_HEADER)} fields, got {len(row)}"
             )
-        chain = row[0].strip()
-        if not chain:
+        if not row[0].strip():
             raise DataParseError(f"line {line_no}: empty chain name")
-        chains.append(chain)
-        rows.append([_parse_number(text, column, line_no)
-                     for column, text in zip(NUMERIC_COLUMNS, row[1:])])
-    return chains, rows
-
-
-def _read_table(rows: list[list[str]], chains: list[str]) -> np.ndarray | None:
-    """The ``(n, len(NUMERIC_COLUMNS))`` float table of well-formed rows, or
-    None when some row is malformed."""
-    if not all(chains) or any(len(row) != len(CSV_HEADER) for row in rows):
-        return None
-    try:
-        table = np.array([row[1:] for row in rows], dtype=float)
-    except ValueError:
-        return None
-    table = table.reshape(len(rows), len(NUMERIC_COLUMNS))
-    whole = table[:, _INTEGER_ROWS]
-    if not np.all(np.isfinite(whole) & (whole == np.trunc(whole))):
-        return None
-    return table
+        for column, text in zip(NUMERIC_COLUMNS, row[1:]):
+            _parse_number(text, column, line_no)
+    raise AssertionError("the bulk conversion failed on lines that each parse")
 
 
 def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
@@ -354,15 +302,19 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
         raise DataParseError(
             f"unexpected header {header!r}; expected {','.join(CSV_HEADER)}"
         )
-    rows = [row for row in reader if row]
-    chains = [row[0].strip() for row in rows]
-    table = _read_table(rows, chains)
-    if table is None:
-        # Some row is bad: the row walk names the first one in file order.
-        reader = csv.reader(io.StringIO(csv_text))
-        next(reader)
-        chains, values = _walk_rows(reader)
-        table = np.array(values, dtype=float).reshape(len(chains), len(NUMERIC_COLUMNS))
+    lines = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+    chains = [row[0].strip() for _, row in lines]
+    # numpy converts each field with Python's float(), as _parse_number does;
+    # a row of the wrong arity makes the array ragged or the reshape fail.
+    try:
+        table = np.array([row[1:] for _, row in lines], dtype=float)
+        table = table.reshape(len(lines), len(NUMERIC_COLUMNS))
+        whole = table[:, _INTEGER_ROWS]
+        parsed = all(chains) and np.all(np.isfinite(whole) & (whole == np.trunc(whole)))
+    except ValueError:
+        parsed = False
+    if not parsed:
+        _raise_first_bad_line(lines)
     return Dataset(chains, table.T, ratio_precision)
 
 

@@ -184,18 +184,17 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None,
     return beta, value, w, h, NewtonTrace(steps, halvings, max_score, converged)
 
 
-def fit_logistic(dm: DesignMatrix, max_iter: int = 50, tol: float = 1e-8,
-                 score_tol: float = 1e-6) -> MleFit:
-    """Fit ``y ~ X`` by IRLS from beta = 0.
+def fit_logistic(dm: DesignMatrix) -> MleFit:
+    """Fit ``y ~ X`` by IRLS from beta = 0, with :func:`newton`'s defaults.
 
-    Converged means both the largest coefficient change fell below ``tol``
-    and the score's max-norm fell below ``score_tol``. Non-convergence (or a
-    singular or overflowed information matrix) is reported through
+    Converged means that within 50 steps the largest coefficient change
+    fell below 1e-8 and the score's max-norm below 1e-6. Non-convergence (or
+    a singular or overflowed information matrix) is reported through
     ``converged=False`` plus the ``separation`` diagnosis, never silently.
     """
     check_fittable(dm, "logistic MLE")
     X, p = dm.X, dm.p
-    beta, ll, w, _, trace = newton(X, dm.y, max_iter=max_iter, tol=tol, score_tol=score_tol)
+    beta, ll, w, _, trace = newton(X, dm.y)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             cov = linalg.Cholesky(_information(X, w)).inverse()

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 
 from .dataset import Dataset
-from .descriptive import CorrelationMatrix, correlation_matrix, describe
+from .descriptive import correlation_matrix, describe
 from .firth import FirthFit
 from .logistic import SEPARATION_NONE, significance_code
 from .pipeline import (
@@ -121,8 +121,8 @@ def describe_section(dataset: Dataset) -> Section:
     )
 
 
-def correlation_section(dataset: Dataset, matrix: CorrelationMatrix | None = None) -> Section:
-    matrix = matrix if matrix is not None else correlation_matrix(dataset)
+def correlation_section(dataset: Dataset) -> Section:
+    matrix = correlation_matrix(dataset)
     labels = [COLUMN_LABELS.get(name, name) for name in matrix.labels]
     rows = []
     for i, label in enumerate(labels):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import retailrisk.dataset as dataset_module
 from retailrisk.dataset import (
     CSV_HEADER,
     NUMERIC_COLUMNS,
@@ -206,6 +207,29 @@ class TestParseErrors:
         with pytest.raises(DataParseError, match="'fail' must be an integer"):
             parse_dataset(text)
 
+    def test_bad_input_is_diagnosed_from_one_read(self, monkeypatch):
+        readers = []
+
+        def counting_reader(*args, **kwargs):
+            readers.append(args)
+            return real_reader(*args, **kwargs)
+
+        real_reader = dataset_module.csv.reader
+        monkeypatch.setattr(dataset_module.csv, "reader", counting_reader)
+        good = "A,{},0,100,70,20,5,10,2,1.5,30,0,75"
+        text = "\n".join([
+            HEADER,
+            good.format(2015),
+            good.format(2016),
+            "A,2017,0,abc,70,20,5,10,2,1.5,30,0,75",
+            good.format(2018),
+            "A,2019,0,100",
+        ]) + "\n"
+        with pytest.raises(DataParseError) as caught:
+            parse_dataset(text)
+        assert str(caught.value) == "line 4: non-numeric value 'abc' in column 'revenue'"
+        assert len(readers) == 1
+
 
 class TestRoundTrip:
     def test_embedded_roundtrip_is_identical(self):
@@ -217,9 +241,9 @@ class TestRoundTrip:
         again = parse_dataset(dataset_to_csv(ds), ratio_precision="printed")
         assert again == ds
 
-    def test_with_ratio_precision_switches_columns(self):
+    def test_printed_precision_switches_columns(self):
         ds = embedded_dataset()
-        printed = ds.with_ratio_precision("printed")
+        printed = embedded_dataset("printed")
         np.testing.assert_array_equal(
             printed.column("sga_over_rev"), np.round(ds.column("sga_over_rev"), 2)
         )
@@ -273,7 +297,7 @@ def _datasets():
 
 
 class TestColumnarDataset:
-    """Cached columns and the chain index against per-record scans."""
+    """Fixed columns and the chain index against per-record scans."""
 
     @pytest.mark.parametrize("ds", _datasets())
     def test_columns_equal_per_record_values(self, ds):
@@ -286,7 +310,7 @@ class TestColumnarDataset:
             np.testing.assert_array_equal(ds.column(name), np.array(expected), err_msg=name)
 
     @pytest.mark.parametrize("ds", _datasets())
-    def test_columns_are_cached_and_read_only(self, ds):
+    def test_columns_are_fixed_and_read_only(self, ds):
         for name in ("fail", *PREDICTOR_COLUMNS):
             values = ds.column(name)
             assert not values.flags.writeable
@@ -300,9 +324,9 @@ class TestColumnarDataset:
         assert ds.chains == tuple(dict.fromkeys(r.chain for r in records))
         assert ds.column("chain") == tuple(r.chain for r in records)
 
-    def test_column_cache_is_per_dataset(self):
+    def test_columns_are_per_dataset(self):
         ds = embedded_dataset()
-        printed = ds.with_ratio_precision("printed")
+        printed = embedded_dataset("printed")
         assert printed.column("sga_over_rev") is not ds.column("sga_over_rev")
         assert printed == embedded_dataset("printed")
 

@@ -245,5 +245,3 @@ def test_valid_data_matches_reference(text, precision):
         assert ds.column(name).tobytes() == np.array(expected).tobytes(), name
     assert parse_dataset(dataset_to_csv(ds), precision) == ds
     assert Dataset(*_columns(records), precision) == ds
-    other = next(p for p in RATIO_PRECISIONS if p != precision)
-    assert ds.with_ratio_precision(other) == parse_dataset(text, other)

@@ -465,6 +465,15 @@ def test_predict_cell_equals_grid_cell(panel_path, ratios):
         assert json.loads(out)["sections"][0]["rows"] == [[chain, str(year), cells[chain, year]]]
 
 
+def test_stray_key_error_is_not_reported_as_bad_input(monkeypatch):
+    def broken_screen(dataset, group):
+        raise KeyError("boom")
+
+    monkeypatch.setattr("retailrisk.cli.run_screen", broken_screen)
+    with pytest.raises(KeyError, match="boom"):
+        run_command(["fit", "--group", "external"], stdout=io.StringIO(), stderr=io.StringIO())
+
+
 def test_predict_cell_error_lines(panel_path):
     known = ", ".join(f"Chain {c:03d}" for c in range(275))
     for chain, year, line in [
