@@ -29,6 +29,7 @@ from .pipeline import (
 )
 from .report import (
     FORMATS,
+    ROUNDING,
     ReportDocument,
     Section,
     correlation_section,
@@ -96,7 +97,8 @@ def build_parser() -> _Parser:
 def _load_dataset(args) -> Dataset:
     if args.data is None:
         return embedded_dataset(ratio_precision=args.ratios)
-    with open(args.data, "r", encoding="utf-8") as handle:
+    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" writes.
+    with open(args.data, "r", encoding="utf-8-sig") as handle:
         return parse_dataset(handle.read(), ratio_precision=args.ratios)
 
 
@@ -129,7 +131,7 @@ def _cell_section(table: PredictionTable, chain: str, year: int) -> Section:
         )
     prob = table.cell(chain, year).probability
     return Section(title="Failure probability", columns=("Chain", "Year", "Probability"),
-                   rows=((chain, str(year), fmt_number(prob, 3)),))
+                   rows=((chain, str(year), fmt_number(prob, ROUNDING["probability"])),))
 
 
 def _sections_for(args, dataset: Dataset) -> list[Section]:
@@ -149,18 +151,12 @@ def _sections_for(args, dataset: Dataset) -> list[Section]:
         if args.chain is None:
             return _grid_sections(table)
         return [_cell_section(table, args.chain, args.year)]
-    if command == "report":
-        sections = [
-            describe_section(dataset),
-            correlation_section(dataset),
-            screen_section(run_screen(dataset, "external")),
-            screen_section(run_screen(dataset, "internal")),
-            screen_section(run_screen(dataset, "ratios")),
-        ]
-        fit = fit_final_model(dataset)
-        table = table_from_coefficients(_final_coefficients(args, dataset, fit), dataset)
-        return [*sections, final_model_section(fit, dataset.n), *_grid_sections(table)]
-    raise _UsageError(f"unknown command {command!r}")
+    # report: the sections are built in order, so the first error is the first section's.
+    sections = [describe_section(dataset), correlation_section(dataset)]
+    sections += [screen_section(run_screen(dataset, group)) for group in SCREEN_GROUPS]
+    fit = fit_final_model(dataset)
+    table = table_from_coefficients(_final_coefficients(args, dataset, fit), dataset)
+    return [*sections, final_model_section(fit, dataset.n), *_grid_sections(table)]
 
 
 def _emit(text: str, args, stdout) -> None:

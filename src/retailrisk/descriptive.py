@@ -169,7 +169,8 @@ def pearson_corr(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise DegenerateDataError("need two 1-d series of equal length >= 2")
-    with np.errstate(over="ignore"):
+    # An overflowed mean leaves a NaN correlation, printed NA.
+    with np.errstate(over="ignore", invalid="ignore"):
         return _centred_corr(x - x.mean(), y - y.mean())
 
 
@@ -185,16 +186,16 @@ def _centred_corr(dx: np.ndarray, dy: np.ndarray) -> float:
     return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
-def correlation_matrix(dataset: Dataset, columns=None) -> CorrelationMatrix:
-    """Pairwise Pearson correlations; exactly symmetric with unit diagonal.
-    Each column is centred once; each pair is then :func:`pearson_corr`'s
-    arithmetic, so the values are the same bits."""
-    labels = tuple(columns) if columns is not None else CORRELATION_COLUMNS
+def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
+    """Pearson correlations of the CORRELATION_COLUMNS; exactly symmetric
+    with unit diagonal. Each column is centred once; each pair is then
+    :func:`pearson_corr`'s arithmetic, so the values are the same bits."""
+    labels = CORRELATION_COLUMNS
     k = len(labels)
-    if k > 1 and dataset.n < 2:
+    if dataset.n < 2:
         raise DegenerateDataError("need two 1-d series of equal length >= 2")
     r = np.eye(k)
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         centred = [x - x.mean() for x in map(dataset.column, labels)]
         for i in range(k):
             for j in range(i + 1, k):

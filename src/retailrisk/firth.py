@@ -32,7 +32,7 @@ import numpy as np
 from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
-from .logistic import _evaluate, _information, check_fittable, newton
+from .logistic import _coefficients, _evaluate, _information, check_fittable, newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,34 +55,28 @@ class FirthFit:
     iterations: int
     converged: bool
 
-    def coef(self, label: str) -> float:
-        return float(self.beta[self.labels.index(label)])
-
 
 def hat_diagonals(beta, dm: DesignMatrix) -> np.ndarray:
     """Diagonal of H = W^(1/2) X (X'WX)^-1 X' W^(1/2) at beta."""
-    _, _, w, _, q, _ = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
+    _, _, w, _, q, _ = _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)
     return w * q
 
 
 def penalized_loglik(beta, dm: DesignMatrix) -> float:
     """l(beta) + 0.5*log det X'WX (the Jeffreys-prior penalty)."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (dm.p,):
-        raise ValueError(f"expected {dm.p} coefficients, got shape {beta.shape}")
-    return _evaluate(dm.X, dm.y, beta, True)[0]
+    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)[0]
 
 
 def firth_score(beta, dm: DesignMatrix) -> np.ndarray:
     """Modified score U*(beta): gradient of the penalized log-likelihood."""
-    return _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)[3]
+    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)[3]
 
 
-def fit_firth(dm: DesignMatrix, max_iter: int = 100, tol: float = 1e-8) -> FirthFit:
-    """Fit the penalized-likelihood logistic model on a design matrix."""
+def fit_firth(dm: DesignMatrix) -> FirthFit:
+    """Fit the penalized-likelihood logistic model on a design matrix, under
+    the Firth stopping rule of :func:`logistic.newton` (the null refit too)."""
     check_fittable(dm, "the failure model")
-    options = dict(penalized=True, max_iter=max_iter, tol=tol, score_tol=10.0 * tol)
-    beta, pen_ll, w, h, trace = newton(dm.X, dm.y, **options)
+    beta, pen_ll, w, h, trace = newton(dm.X, dm.y, penalized=True)
 
     augmented = _information(dm.X, w * (1.0 + h))
     cov = linalg.Cholesky(augmented).inverse()
@@ -92,7 +86,7 @@ def fit_firth(dm: DesignMatrix, max_iter: int = 100, tol: float = 1e-8) -> Firth
 
     df = dm.p - 1
     if df > 0:
-        null_ll = newton(dm.X, dm.y, free_idx=[0], **options)[1]
+        null_ll = newton(dm.X, dm.y, penalized=True, free_idx=[0])[1]
         lr_stat = max(0.0, 2.0 * (pen_ll - null_ll))
         lr_p = chi2_sf(lr_stat, df)
         wald_stat = float(beta @ augmented @ beta)

@@ -101,16 +101,13 @@ class Cholesky:
         return np.array([row + [0.0] * (n - len(row)) for row in self._rows])
 
     def solve(self, b) -> np.ndarray:
-        """x with a @ x == b; b may be a vector or a matrix of columns."""
+        """x with a @ x == b for a vector b of length n."""
         b = np.asarray(b, dtype=float)
-        if b.shape[0] != self.n:
-            raise ValueError(f"dimension mismatch: {self.n}x{self.n} vs {b.shape}")
-        # The same substitutions serve a vector (rows are floats) and a
-        # matrix (rows are arrays).
-        rows = b.tolist() if b.ndim == 1 else list(b)
+        if b.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}, got shape {b.shape}")
         lower = self._rows
         z = []
-        for l_i, b_i in zip(lower, rows):  # L z = b
+        for l_i, b_i in zip(lower, b.tolist()):  # L z = b
             dot = 0.0
             for l_ik, z_k in zip(l_i, z):
                 dot += l_ik * z_k

@@ -28,6 +28,14 @@ SEPARATION_COMPLETE = "complete"
 # |slope| * sd(column) beyond this is treated as divergence of the MLE.
 DIVERGENCE_BOUND = 15.0
 
+# Stopping rules of :func:`newton`, one per objective. A fit has converged
+# when a step moved no coefficient by more than STEP_TOL and the max |score|
+# at the new beta is within the objective's score tolerance; it stops
+# unconverged after the objective's step cap.
+STEP_TOL = 1e-8
+MLE_MAX_STEPS, MLE_SCORE_TOL = 50, 1e-6           # the log-likelihood l
+FIRTH_MAX_STEPS, FIRTH_SCORE_TOL = 100, 1e-7      # Firth's l*
+
 
 class DegenerateResponseError(RetailRiskError):
     """Response vector contains a single class; the MLE does not exist."""
@@ -49,16 +57,18 @@ class MleFit:
     converged: bool
     separation: str = SEPARATION_NONE
 
-    def coef(self, label: str) -> float:
-        return float(self.beta[self.labels.index(label)])
+
+def _coefficients(beta, dm: DesignMatrix) -> np.ndarray:
+    """beta as a float vector of the design's p coefficients, else ValueError."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (dm.p,):
+        raise ValueError(f"expected {dm.p} coefficients, got shape {beta.shape}")
+    return beta
 
 
 def log_likelihood(beta, dm: DesignMatrix) -> float:
     """Bernoulli log-likelihood at beta, overflow-safe for large |eta|."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (dm.p,):
-        raise ValueError(f"expected {dm.p} coefficients, got shape {beta.shape}")
-    return _log_likelihood(dm.X, dm.y, beta)[0]
+    return _log_likelihood(dm.X, dm.y, _coefficients(beta, dm))[0]
 
 
 def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
@@ -137,18 +147,19 @@ def _step_factor(X, prob, w, q, z, free) -> linalg.Cholesky:
 # An information matrix that overflows is refused by linalg as non-finite;
 # numpy's own overflow warnings would only repeat that on stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None,
-           max_iter: int = 50, tol: float = 1e-8, score_tol: float = 1e-6):
+def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None):
     """Damped Newton from beta = 0 on the log-likelihood l or, if
     ``penalized``, on Firth's l* = l + 0.5*log det X'WX.
 
     Only the ``free_idx`` coefficients (default: all) move; the others stay
     at zero but still enter the penalty. A step is halved up to 10 times
-    while the objective falls. Converged means the step moved no coefficient
-    by more than ``tol`` and the score at the new beta is at most
-    ``score_tol``; a singular or overflowed step matrix stops the fit.
+    while the objective falls. The objective's stopping rule (STEP_TOL and
+    the MLE_* or FIRTH_* constants) decides convergence; a singular or
+    overflowed step matrix stops the fit.
     Returns (beta, objective, w = p(1-p), hat diagonals h or None, trace).
     """
+    max_steps, score_tol = ((FIRTH_MAX_STEPS, FIRTH_SCORE_TOL) if penalized
+                            else (MLE_MAX_STEPS, MLE_SCORE_TOL))
     p = X.shape[1]
     free = slice(None) if free_idx is None else list(free_idx)
     beta = np.zeros(p)
@@ -156,7 +167,7 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None,
     value, prob, w, score, q, z = _evaluate(X, y, beta, penalized)
     converged = False
     steps = halvings = 0
-    for steps in range(1, max_iter + 1):
+    for steps in range(1, max_steps + 1):
         try:
             step = _step_factor(X, prob, w, q, z, free)
         except FACTOR_ERRORS:
@@ -176,7 +187,7 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None,
         moved = float(np.abs(new - beta).max())
         beta = new
         value, prob, w, score, q, z = trial
-        if moved <= tol and float(np.abs(score[free]).max()) <= score_tol:
+        if moved <= STEP_TOL and float(np.abs(score[free]).max()) <= score_tol:
             converged = True
             break
     h = None if q is None else w * q
@@ -185,12 +196,11 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None,
 
 
 def fit_logistic(dm: DesignMatrix) -> MleFit:
-    """Fit ``y ~ X`` by IRLS from beta = 0, with :func:`newton`'s defaults.
+    """Fit ``y ~ X`` by IRLS from beta = 0 under the MLE stopping rule.
 
-    Converged means that within 50 steps the largest coefficient change
-    fell below 1e-8 and the score's max-norm below 1e-6. Non-convergence (or
-    a singular or overflowed information matrix) is reported through
-    ``converged=False`` plus the ``separation`` diagnosis, never silently.
+    Non-convergence (or a singular or overflowed information matrix) is
+    reported through ``converged=False`` plus the ``separation`` diagnosis,
+    never silently.
     """
     check_fittable(dm, "logistic MLE")
     X, p = dm.X, dm.p

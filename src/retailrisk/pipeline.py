@@ -88,9 +88,6 @@ class ScreenReport:
                 return fit
         raise KeyError(f"no fit for predictor {predictor!r} in group {self.group!r}")
 
-    def lowest_aic(self) -> str:
-        return min(self.fits, key=lambda item: item[1].aic)[0]
-
 
 def run_screen(dataset: Dataset, group: str) -> ScreenReport:
     """Fit fail ~ intercept + x for every predictor x in the group."""

@@ -208,14 +208,17 @@ def final_model_section(fit: FirthFit, n: int) -> Section:
     )
 
 
+#: Text and meaning of each marker cell kind of the probability grid.
+CELL_MARKERS = {
+    CELL_NOT_AVAILABLE: ("-", "not available"),
+    CELL_CEASED: ("*", "firm has ceased operations"),
+}
+
+
 def _cell_text(cell) -> str:
     if cell.kind == CELL_PROBABILITY:
         return fmt_number(cell.probability, ROUNDING["probability"])
-    if cell.kind == CELL_NOT_AVAILABLE:
-        return "-"
-    if cell.kind == CELL_CEASED:
-        return "*"
-    raise ValueError(f"unknown cell kind {cell.kind!r}")
+    return CELL_MARKERS[cell.kind][0]
 
 
 def probability_section(table: PredictionTable) -> Section:
@@ -227,7 +230,7 @@ def probability_section(table: PredictionTable) -> Section:
         title="Failure probability by chain and year",
         columns=("Year", *table.chains),
         rows=rows,
-        notes=("'-': not available", "'*': firm has ceased operations"),
+        notes=tuple(f"'{text}': {meaning}" for text, meaning in CELL_MARKERS.values()),
     )
 
 

@@ -27,6 +27,7 @@ from retailrisk.logistic import (
     _evaluate,
     _negative_hessian,
     fit_logistic,
+    log_likelihood,
     newton,
 )
 
@@ -117,6 +118,24 @@ class TestPenalizedLoglik:
         # Weights underflow at this beta: information is numerically singular.
         with pytest.raises(SingularMatrixError):
             penalized_loglik([0.0, 100.0], dm)
+
+
+#: The coefficient-vector evaluators: each refuses a beta that is not p floats.
+EVALUATORS = {
+    "log_likelihood": log_likelihood,
+    "penalized_loglik": penalized_loglik,
+    "firth_score": firth_score,
+    "hat_diagonals": hat_diagonals,
+}
+
+
+@pytest.mark.parametrize("shape", [(3,), (5,), (4, 1)])
+@pytest.mark.parametrize("name", sorted(EVALUATORS))
+def test_evaluators_refuse_wrong_coefficient_shapes(name, shape):
+    with pytest.raises(ValueError) as info:
+        EVALUATORS[name](np.zeros(shape), final_design())
+    assert type(info.value) is ValueError
+    assert str(info.value) == f"expected 4 coefficients, got shape {shape}"
 
 
 class TestFirthScore:
@@ -224,8 +243,7 @@ class TestExactHessian:
     def test_trace_of_the_final_fit(self):
         dm = final_design()
         fit = fit_firth(dm)
-        beta, pen_ll, _, _, trace = newton(dm.X, dm.y, penalized=True, max_iter=100,
-                                           tol=1e-8, score_tol=1e-7)
+        beta, pen_ll, _, _, trace = newton(dm.X, dm.y, penalized=True)
         np.testing.assert_array_equal(beta, fit.beta)
         assert pen_ll == fit.pen_log_lik
         assert (trace.steps, trace.converged) == (fit.iterations, True)

@@ -204,9 +204,6 @@ class TestCholeskyFactor:
             b = rng.standard_normal(size)
             factor = linalg.Cholesky(a)
             np.testing.assert_allclose(factor.solve(b), gauss_solve(a, b), rtol=0, atol=1e-10)
-            columns = rng.standard_normal((size, 3))
-            expected = np.column_stack([gauss_solve(a, col) for col in columns.T])
-            np.testing.assert_allclose(factor.solve(columns), expected, rtol=0, atol=1e-10)
 
     def test_inverse_matches_oracles(self):
         rng = np.random.default_rng(43)
@@ -278,6 +275,21 @@ INVALID_INPUTS = [
     (np.zeros((2, 2)), SingularMatrixError, "matrix has no positive diagonal entry"),
     ([[-1.0, 0.0], [0.0, -2.0]], SingularMatrixError, "matrix has no positive diagonal entry"),
 ]
+
+#: Right-hand sides that solve refuses: it takes only a vector of length n.
+INVALID_RIGHT_HAND_SIDES = [
+    (np.ones((3, 1)), "expected a vector of length 3, got shape (3, 1)"),
+    (np.float64(1.0), "expected a vector of length 3, got shape ()"),
+]
+
+
+@pytest.mark.parametrize("b,message", INVALID_RIGHT_HAND_SIDES)
+def test_invalid_right_hand_side_errors(b, message):
+    with pytest.raises(ValueError) as info:
+        linalg.Cholesky(np.eye(3)).solve(b)
+    assert type(info.value) is ValueError
+    assert str(info.value) == message
+
 
 #: Every use of a factor: none may reach an invalid matrix unrefused.
 ENTRY_POINTS = {

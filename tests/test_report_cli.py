@@ -1,6 +1,8 @@
 import csv
+import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import random
 import warnings
@@ -76,7 +78,8 @@ class TestRender:
         ds = embedded_dataset()
         dm = design_matrix(ds, list(FINAL_MODEL_PREDICTORS))
         note = "Failure model: not converged; estimates are not reliable"
-        stalled = final_model_section(fit_firth(dm, max_iter=2), ds.n)
+        stalled = dataclasses.replace(fit_firth(dm), converged=False)
+        stalled = final_model_section(stalled, ds.n)
         assert stalled.notes[2:] == (note, SIGNIF_LEGEND)
         healthy = final_model_section(fit_firth(dm), ds.n)
         assert healthy.notes[2:] == (SIGNIF_LEGEND,)
@@ -394,6 +397,45 @@ def test_overflowing_ratio_gives_no_traceback(tmp_path, argv):
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
         status, out, err = run([*argv, "--data", str(path)])
     assert (status, out, err) == (1, "", "error: Rite Aid 2015: ltd_over_rev is not finite\n")
+
+
+def _overflowing_ratio_mean(path):
+    """The embedded data with revenue near 1e-4 and EBITDA near 1e304: every
+    ratio is finite, but the mean of EBITDA/revenue overflows."""
+    index = itertools.count()
+
+    def change(row):
+        i = next(index)
+        return {"revenue": repr(1e-4 * (1 + (i % 3) / 10)),
+                "ebitda": repr(1e304 * (1 + (i % 8) / 10))}
+
+    return write_variant(path, change)
+
+
+def test_overflowing_ratio_mean_prints_na_correlations(tmp_path):
+    path = _overflowing_ratio_mean(tmp_path / "huge_mean.csv")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
+        status, out, err = run(["correlate", "--data", str(path), "--format", "json"])
+        report = run(["report", "--data", str(path)])
+    assert (status, err) == (0, "")
+    section = json.loads(out)["sections"][0]
+    ratio = "EBITDA/Revenue"
+    for row in section["rows"]:
+        for column, text in zip(section["columns"][1:], row[1:]):
+            assert (text == "NA") == ((row[0] == ratio) != (column == ratio)), (row[0], column)
+    assert report == (1, "", "error: matrix has non-finite entries\n")
+
+
+def test_byte_order_mark_is_ignored(tmp_path):
+    plain = tmp_path / "plain.csv"
+    plain.write_text(dataset_to_csv(embedded_dataset()), encoding="utf-8")
+    marked = tmp_path / "marked.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for command in ("describe", "report"):
+        expected = run([command, "--data", str(plain)])
+        assert expected[0] == 0 and expected[2] == ""
+        assert run([command, "--data", str(marked)]) == expected
 
 
 DIGESTS = json.loads((Path(__file__).parent / "report_digests.json").read_text())
