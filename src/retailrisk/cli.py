@@ -122,16 +122,17 @@ def _grid_sections(table: PredictionTable) -> list[Section]:
 def _cell_section(table: PredictionTable, chain: str, year: int) -> Section:
     """Cell (chain, year) of the grid; a marker cell is an error naming the
     years the chain has probabilities for."""
-    if chain not in table.chains:
+    if chain not in table.probabilities:
         raise DataValidationError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
-    observed = [y for y in table.years if table.cell(chain, y).kind == CELL_PROBABILITY]
-    if year not in observed:
+    cell = table.cell(chain, year)
+    if cell.kind != CELL_PROBABILITY:
+        observed = list(table.probabilities[chain])
         raise DataValidationError(
             f"{chain}: no observation for year {year} (observed {observed[0]}-{observed[-1]})"
         )
-    prob = table.cell(chain, year).probability
+    text = fmt_number(cell.probability, ROUNDING["probability"])
     return Section(title="Failure probability", columns=("Chain", "Year", "Probability"),
-                   rows=((chain, str(year), fmt_number(prob, ROUNDING["probability"])),))
+                   rows=((chain, str(year), text),))
 
 
 def _sections_for(args, dataset: Dataset) -> list[Section]:

@@ -293,6 +293,14 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
     line number) and :class:`DataValidationError` for invariant violations
     (naming the chain and year).
     """
+    # The per-row strings die with _csv_table's frame, before Dataset
+    # copies and validates the table.
+    chains, table = _csv_table(csv_text)
+    return Dataset(chains, table.T, ratio_precision)
+
+
+def _csv_table(csv_text: str) -> tuple[list[str], np.ndarray]:
+    """(chain of each row, the numeric fields as an n x 12 float array)."""
     reader = csv.reader(io.StringIO(csv_text))
     try:
         header = next(reader)
@@ -315,7 +323,7 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
         parsed = False
     if not parsed:
         _raise_first_bad_line(lines)
-    return Dataset(chains, table.T, ratio_precision)
+    return chains, table
 
 
 def _format_number(value: float) -> str:

@@ -33,6 +33,9 @@ DIVERGENCE_BOUND = 15.0
 # at the new beta is within the objective's score tolerance; it stops
 # unconverged after the objective's step cap.
 STEP_TOL = 1e-8
+# A step is halved only while the trial objective is below the current one by
+# more than this share of |objective|, the rounding noise of an n-term sum.
+HALVING_RTOL = 1e-12
 MLE_MAX_STEPS, MLE_SCORE_TOL = 50, 1e-6           # the log-likelihood l
 FIRTH_MAX_STEPS, FIRTH_SCORE_TOL = 100, 1e-7      # Firth's l*
 
@@ -153,9 +156,10 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None)
 
     Only the ``free_idx`` coefficients (default: all) move; the others stay
     at zero but still enter the penalty. A step is halved up to 10 times
-    while the objective falls. The objective's stopping rule (STEP_TOL and
-    the MLE_* or FIRTH_* constants) decides convergence; a singular or
-    overflowed step matrix stops the fit.
+    while the objective falls by more than rounding noise (HALVING_RTOL).
+    The objective's stopping rule (STEP_TOL and the MLE_* or FIRTH_*
+    constants) decides convergence; a singular or overflowed step matrix
+    stops the fit.
     Returns (beta, objective, w = p(1-p), hat diagonals h or None, trace).
     """
     max_steps, score_tol = ((FIRTH_MAX_STEPS, FIRTH_SCORE_TOL) if penalized
@@ -178,7 +182,7 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None)
         new = beta + delta
         trial = _evaluate(X, y, new, penalized)
         halved = 0
-        while trial[0] < value and halved < 10:
+        while trial[0] < value - HALVING_RTOL * abs(value) and halved < 10:
             delta = delta / 2.0
             new = beta + delta
             trial = _evaluate(X, y, new, penalized)

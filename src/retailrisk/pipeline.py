@@ -10,7 +10,10 @@ grid with explicit markers for years outside a chain's observed window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -120,41 +123,35 @@ def odds_ratio(coef: float) -> float:
     return math.exp(coef)
 
 
-@dataclass(frozen=True)
-class PredictionCell:
-    """Exactly one of: a probability, 'not available', or 'ceased operations'."""
+class PredictionCell(NamedTuple):
+    """One grid cell: its kind, and the probability of a probability cell."""
 
     kind: str
     probability: float | None = None
 
-    def __post_init__(self):
-        if self.kind == CELL_PROBABILITY:
-            # A saturated logistic is exactly 0.0 or 1.0; NaN fails both bounds.
-            if self.probability is None or not 0.0 <= self.probability <= 1.0:
-                raise ValueError(f"probability cell needs a value in [0, 1], got {self.probability}")
-        elif self.kind in (CELL_NOT_AVAILABLE, CELL_CEASED):
-            if self.probability is not None:
-                raise ValueError(f"{self.kind} cell must not carry a probability")
-        else:
-            raise ValueError(f"unknown cell kind {self.kind!r}")
-
 
 @dataclass(frozen=True)
 class PredictionTable:
-    """Year-by-chain grid of failure probabilities with marker cells."""
+    """Year-by-chain grid of failure probabilities.
+
+    ``probabilities[chain]`` maps each observed year of the chain, ascending,
+    to its failure probability; ``failure_years[chain]`` is the chain's
+    failure year, or None. The marker of every other cell follows from them.
+    Both mappings are read-only.
+    """
 
     years: tuple[int, ...]
     chains: tuple[str, ...]
-    cells: tuple[tuple[PredictionCell, ...], ...]  # cells[year_index][chain_index]
-    _year_index: dict = field(init=False, repr=False, compare=False)
-    _chain_index: dict = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_year_index", {y: i for i, y in enumerate(self.years)})
-        object.__setattr__(self, "_chain_index", {c: i for i, c in enumerate(self.chains)})
+    probabilities: Mapping[str, Mapping[int, float]]
+    failure_years: Mapping[str, int | None]
 
     def cell(self, chain: str, year: int) -> PredictionCell:
-        return self.cells[self._year_index[year]][self._chain_index[chain]]
+        prob = self.probabilities[chain].get(year)
+        if prob is not None:
+            return PredictionCell(CELL_PROBABILITY, prob)
+        failed = self.failure_years[chain]
+        return PredictionCell(CELL_CEASED if failed is not None and year > failed
+                              else CELL_NOT_AVAILABLE)
 
 
 def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
@@ -166,7 +163,8 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     available'; years after a failure year are 'ceased operations' (after
     the last observation of a never-failing chain they are 'not available'
     as well). The coefficients are used as given: check ``fit.converged``
-    before tabulating a fit.
+    before tabulating a fit. A probability outside [0, 1] (NaN, from a
+    non-finite coefficient) is a ValueError.
     """
     beta = tuple(float(b) for b in beta)
     if len(beta) != 1 + len(FINAL_MODEL_PREDICTORS):
@@ -175,42 +173,37 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
         )
     chain_of_row = dataset.column("chain")
     year_of_row = dataset.column("year").astype(int).tolist()
-    years = tuple(sorted(set(year_of_row)))
-    row_of = {key: i for i, key in enumerate(zip(chain_of_row, year_of_row))}
-    failure_year = dict.fromkeys(dataset.chains)
-    for i in np.flatnonzero(dataset.column("fail") == 1).tolist():
-        failure_year[chain_of_row[i]] = year_of_row[i]
     inflation, ltd, ebitda = (dataset.column(name).tolist() for name in FINAL_MODEL_PREDICTORS)
-    ceased, not_available = PredictionCell(CELL_CEASED), PredictionCell(CELL_NOT_AVAILABLE)
-
-    rows = []
-    for year in years:
-        row = []
-        for chain in dataset.chains:
-            failed = failure_year[chain]
-            i = row_of.get((chain, year))
-            if i is not None:
-                prob = _probability(beta, inflation[i], ltd[i], ebitda[i])
-                row.append(PredictionCell(CELL_PROBABILITY, prob))
-            elif failed is not None and year > failed:
-                row.append(ceased)
-            else:
-                row.append(not_available)
-        rows.append(tuple(row))
-    return PredictionTable(years=years, chains=tuple(dataset.chains), cells=tuple(rows))
+    probs = [_probability(beta, *x) for x in zip(inflation, ltd, ebitda)]
+    # A saturated logistic is exactly 0.0 or 1.0; NaN fails both bounds.
+    bad = [prob for prob in probs if not 0.0 <= prob <= 1.0]
+    if bad:
+        raise ValueError(f"failure probability must be in [0, 1], got {bad[0]}")
+    # A chain's years ascend in file order, so each chain's dict is in year order.
+    probabilities = {chain: {} for chain in dataset.chains}
+    for chain, year, prob in zip(chain_of_row, year_of_row, probs):
+        probabilities[chain][year] = prob
+    failure_years = dict.fromkeys(dataset.chains)
+    for i in np.flatnonzero(dataset.column("fail") == 1).tolist():
+        failure_years[chain_of_row[i]] = year_of_row[i]
+    return PredictionTable(
+        years=tuple(sorted(set(year_of_row))),
+        chains=tuple(dataset.chains),
+        probabilities=MappingProxyType({c: MappingProxyType(p) for c, p in probabilities.items()}),
+        failure_years=MappingProxyType(failure_years),
+    )
 
 
 def probability_drift(table: PredictionTable) -> list[tuple[str, int, float, float, float]]:
     """Per-cell (chain, year, computed, published, delta) against the
     published reference grid, for cells present in both, in chain order
     then ascending year."""
-    present = [(table._chain_index[chain], year, chain)
-               for chain, year in REFERENCE_FAILURE_PROBABILITIES
-               if chain in table._chain_index and year in table._year_index]
+    order = {chain: i for i, chain in enumerate(table.chains)}
+    present = sorted((order[chain], year, chain) for chain, year in REFERENCE_FAILURE_PROBABILITIES
+                     if year in table.probabilities.get(chain, ()))
     out = []
-    for _, year, chain in sorted(present):
-        cell = table.cell(chain, year)
-        if cell.kind == CELL_PROBABILITY:
-            reference = REFERENCE_FAILURE_PROBABILITIES[chain, year]
-            out.append((chain, year, cell.probability, reference, cell.probability - reference))
+    for _, year, chain in present:
+        computed = table.probabilities[chain][year]
+        reference = REFERENCE_FAILURE_PROBABILITIES[chain, year]
+        out.append((chain, year, computed, reference, computed - reference))
     return out

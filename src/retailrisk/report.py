@@ -21,7 +21,6 @@ from .logistic import SEPARATION_NONE, significance_code
 from .pipeline import (
     CELL_CEASED,
     CELL_NOT_AVAILABLE,
-    CELL_PROBABILITY,
     PredictionTable,
     ScreenReport,
     probability_drift,
@@ -215,21 +214,25 @@ CELL_MARKERS = {
 }
 
 
-def _cell_text(cell) -> str:
-    if cell.kind == CELL_PROBABILITY:
-        return fmt_number(cell.probability, ROUNDING["probability"])
-    return CELL_MARKERS[cell.kind][0]
-
-
 def probability_section(table: PredictionTable) -> Section:
-    rows = tuple(
-        (str(year), *(_cell_text(cell) for cell in row))
-        for year, row in zip(table.years, table.cells)
-    )
+    """The grid, built one chain column at a time from the chain's window:
+    'not available' before its first year, its probabilities, then 'ceased
+    operations' after a failure year or 'not available' after a last year."""
+    nd = ROUNDING["probability"]
+    position = {year: i for i, year in enumerate(table.years)}
+    not_available, ceased = CELL_MARKERS[CELL_NOT_AVAILABLE][0], CELL_MARKERS[CELL_CEASED][0]
+    columns = []
+    for chain in table.chains:
+        by_year = table.probabilities[chain]
+        start = position[next(iter(by_year))]
+        after = not_available if table.failure_years[chain] is None else ceased
+        columns.append([not_available] * start
+                       + [fmt_number(prob, nd) for prob in by_year.values()]
+                       + [after] * (len(table.years) - start - len(by_year)))
     return Section(
         title="Failure probability by chain and year",
         columns=("Year", *table.chains),
-        rows=rows,
+        rows=tuple((str(year), *row) for year, row in zip(table.years, zip(*columns))),
         notes=tuple(f"'{text}': {meaning}" for text, meaning in CELL_MARKERS.values()),
     )
 

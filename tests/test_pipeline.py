@@ -21,7 +21,6 @@ from retailrisk.pipeline import (
     REFERENCE_FAILURE_PROBABILITIES,
     REFERENCE_MODEL_COEFFICIENTS,
     SCREEN_GROUPS,
-    PredictionCell,
     _probability,
     fit_final_model,
     odds_ratio,
@@ -29,7 +28,7 @@ from retailrisk.pipeline import (
     run_screen,
     table_from_coefficients,
 )
-from retailrisk.report import probability_section
+from retailrisk.report import CELL_MARKERS, ROUNDING, fmt_number, probability_section
 
 from _ingest_reference import derive_ratios, parse_records
 from _panel import panel_csv
@@ -50,6 +49,22 @@ def record_probability(beta, record, precision):
         return 1.0 / (1.0 + math.exp(-eta))
     z = math.exp(eta)
     return z / (1.0 + z)
+
+
+def probability_cells(table):
+    """Every probability cell of the grid, read one cell at a time."""
+    cells = (table.cell(chain, year) for year in table.years for chain in table.chains)
+    return [cell for cell in cells if cell.kind == CELL_PROBABILITY]
+
+
+def rendered_cells(table):
+    """The grid's rows as text, read one cell at a time."""
+    def text(cell):
+        if cell.kind == CELL_PROBABILITY:
+            return fmt_number(cell.probability, ROUNDING["probability"])
+        return CELL_MARKERS[cell.kind][0]
+    return tuple((str(year), *(text(table.cell(chain, year)) for chain in table.chains))
+                 for year in table.years)
 
 
 def chain_years(ds, chain):
@@ -185,10 +200,7 @@ class TestProbabilityTable:
             assert table.cell("Sears Holdings", year).kind == CELL_CEASED
         for year in (2021, 2022):
             assert table.cell("J.C. Penney", year).kind == CELL_CEASED
-        probability_cells = [
-            cell for row in table.cells for cell in row if cell.kind == CELL_PROBABILITY
-        ]
-        assert len(probability_cells) == 32
+        assert len(probability_cells(table)) == 32
 
     def test_early_warning_properties(self):
         ds = embedded_dataset()
@@ -226,19 +238,39 @@ class TestProbabilityTable:
         assert table.cell("B", 2016).kind == CELL_NOT_AVAILABLE  # never failed
         assert table.cell("A", 2014).kind == CELL_NOT_AVAILABLE
 
+    def test_grid_with_a_gap_between_chain_windows(self):
+        rows = (
+            "A,2000,0,100,70,20,5,10,2,1.5,30,0,75\n"
+            "B,2010,0,200,140,40,10,20,2,1.5,60,0,80\n"
+            "A,2001,1,90,65,20,5,10,2,1.5,30,0,75\n"
+            "B,2011,0,210,150,42,11,20,2,1.5,60,0,80\n"
+        )
+        ds = parse_dataset(",".join(CSV_HEADER) + "\n" + rows)
+        table = table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds)
+        assert table.years == (2000, 2001, 2010, 2011)
+        rendered = probability_section(table).rows
+        assert rendered == rendered_cells(table)
+        shape = [[text if text in ("-", "*") else "p" for text in row[1:]] for row in rendered]
+        assert shape == [["p", "-"], ["p", "-"], ["*", "p"], ["*", "p"]]
+        assert dict(table.failure_years) == {"A": 2001, "B": None}
+        with pytest.raises(TypeError):
+            table.probabilities["A"][2002] = 0.5
+
     @pytest.mark.parametrize("intercept,text", [(40.0, "1.000"), (-800.0, "0.000")])
     def test_saturated_cells_are_exact(self, intercept, text):
         table = table_from_coefficients((intercept, 0.0, 0.0, 0.0), embedded_dataset())
-        cells = [cell for row in table.cells for cell in row if cell.kind == CELL_PROBABILITY]
+        cells = probability_cells(table)
         assert len(cells) == 32
         assert {cell.probability for cell in cells} == {float(text)}
         rendered = probability_section(table).rows
         assert sum(row.count(text) for row in rendered) == 32
 
-    @pytest.mark.parametrize("value", [math.nan, -0.1, 1.5, None])
-    def test_probability_cell_refuses_non_probabilities(self, value):
-        with pytest.raises(ValueError, match=r"needs a value in \[0, 1\]"):
-            PredictionCell(CELL_PROBABILITY, value)
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_coefficient_is_refused(self, index):
+        beta = list(REFERENCE_MODEL_COEFFICIENTS)
+        beta[index] = math.nan
+        with pytest.raises(ValueError, match=r"must be in \[0, 1\], got nan"):
+            table_from_coefficients(beta, embedded_dataset())
 
     def test_drift_looks_up_published_cells_only(self, monkeypatch):
         """The embedded chains beside a 220-chain panel: a grid of 5,824
@@ -302,14 +334,11 @@ class TestGridAgainstPerRecordReference:
             assert cell.probability == record_probability(beta, r, ds.ratio_precision)
 
     @pytest.mark.parametrize("ds,beta", _grids())
-    def test_cell_equals_linear_scan(self, ds, beta):
+    def test_rendered_grid_equals_cells(self, ds, beta):
         table = table_from_coefficients(beta, ds)
         assert table.chains == ds.chains
         assert table.years == tuple(sorted(set(ds.column("year").astype(int).tolist())))
-        for chain in table.chains:
-            for year in table.years:
-                expected = table.cells[table.years.index(year)][table.chains.index(chain)]
-                assert table.cell(chain, year) is expected
+        assert probability_section(table).rows == rendered_cells(table)
 
     @pytest.mark.parametrize("ds,beta", _grids())
     def test_marker_cells_follow_each_chain_window(self, ds, beta):

@@ -455,9 +455,11 @@ class TestGoldenReports:
 
 
 #: Cholesky factorizations in one default ``report`` on the embedded data (the
-#: kernel factored 179 matrices before each Newton step reused its factors, and
-#: 162 before the Firth steps used the exact Hessian, 7 steps instead of 12).
-REPORT_FACTORIZATIONS = 149
+#: kernel factored 179 matrices before each Newton step reused its factors,
+#: 162 before the Firth steps used the exact Hessian, 7 steps instead of 12,
+#: and 149 before rounding noise stopped setting off step-halvings, which cut
+#: the cost_of_revenue screen from 11 steps to 7).
+REPORT_FACTORIZATIONS = 145
 
 
 def test_default_report_factorization_count(monkeypatch):
@@ -479,6 +481,28 @@ def test_default_report_factorization_count(monkeypatch):
         assert run(["report"])[0] == 0
         counts.append(count)
     assert counts == [REPORT_FACTORIZATIONS] * 2
+
+
+def test_default_report_newton_runs_never_halve(monkeypatch):
+    """The 14 screens, the Firth fit and its null refit each take full Newton
+    steps on the embedded data: no step there lowers the objective by more
+    than rounding noise."""
+    from retailrisk import firth, logistic
+
+    traces = []
+    newton = logistic.newton
+
+    def recording_newton(*args, **kwargs):
+        result = newton(*args, **kwargs)
+        traces.append(result[-1])
+        return result
+
+    monkeypatch.setattr(logistic, "newton", recording_newton)
+    monkeypatch.setattr(firth, "newton", recording_newton)
+    assert run(["report"])[0] == 0
+    assert len(traces) == 16
+    assert all(trace.converged for trace in traces)
+    assert [trace.halvings for trace in traces] == [0] * 16
 
 
 @pytest.fixture(scope="module")
