@@ -1,7 +1,7 @@
 """Firm-year dataset: CSV parsing, validation, revenue ratios, design matrices.
 
 The canonical CSV schema carries one row per chain-year with raw financials in
-millions of USD plus macro indicators:
+one money unit (millions of USD in the embedded data) plus macro indicators:
 
     chain,year,fail,revenue,cost_of_revenue,sga,ebitda,stores,
     us_interest_rate,us_inflation_rate,long_term_debt,pandemic,acsi

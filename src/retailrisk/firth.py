@@ -56,12 +56,6 @@ class FirthFit:
     converged: bool
 
 
-def hat_diagonals(beta, dm: DesignMatrix) -> np.ndarray:
-    """Diagonal of H = W^(1/2) X (X'WX)^-1 X' W^(1/2) at beta."""
-    _, _, w, _, q, _ = _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)
-    return w * q
-
-
 def penalized_loglik(beta, dm: DesignMatrix) -> float:
     """l(beta) + 0.5*log det X'WX (the Jeffreys-prior penalty)."""
     return _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)[0]
@@ -69,7 +63,7 @@ def penalized_loglik(beta, dm: DesignMatrix) -> float:
 
 def firth_score(beta, dm: DesignMatrix) -> np.ndarray:
     """Modified score U*(beta): gradient of the penalized log-likelihood."""
-    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)[3]
+    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)[4]
 
 
 def fit_firth(dm: DesignMatrix) -> FirthFit:

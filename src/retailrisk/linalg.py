@@ -23,7 +23,9 @@ import numpy as np
 
 from .errors import RetailRiskError
 
-# A pivot this small relative to the largest diagonal entry is treated as zero.
+# A pivot this small relative to its own diagonal entry is treated as zero: all
+# of that row's mass lies in the span of the rows before it. The test is the
+# same for D a D with any positive diagonal D, so column units do not matter.
 PIVOT_RTOL = 1e-12
 
 # Allowed relative asymmetry in the input (floating-point noise from X.T @ X).
@@ -65,11 +67,6 @@ class Cholesky:
 
     def __init__(self, a):
         rows = _validated_rows(a)
-        n = len(rows)
-        max_diag = max(map(list.__getitem__, rows, range(n)))
-        if max_diag <= 0.0:
-            raise SingularMatrixError("matrix has no positive diagonal entry")
-        tol = PIVOT_RTOL * max_diag
         lower: list[list[float]] = []
         for i, a_i in enumerate(rows):
             l_i: list[float] = []
@@ -82,23 +79,17 @@ class Cholesky:
             for v in l_i:
                 dot += v * v
             pivot = a_i[i] - dot
-            if pivot <= tol:
+            if pivot <= PIVOT_RTOL * a_i[i]:
                 if pivot <= 0.0:
                     raise SingularMatrixError(f"non-positive pivot at row {i} (pivot={pivot:.3e})")
                 raise SingularMatrixError(
-                    f"pivot at row {i} below {PIVOT_RTOL:g} x max diagonal "
-                    f"(pivot={pivot:.3e}, max diagonal={max_diag:.3e})"
+                    f"pivot at row {i} below {PIVOT_RTOL:g} x its diagonal "
+                    f"(pivot={pivot:.3e}, diagonal={a_i[i]:.3e})"
                 )
             l_i.append(math.sqrt(pivot))
             lower.append(l_i)
-        self.n = n
+        self.n = len(rows)
         self._rows = lower
-
-    @property
-    def lower(self) -> np.ndarray:
-        """L as an n x n array, zeros above the diagonal."""
-        n = self.n
-        return np.array([row + [0.0] * (n - len(row)) for row in self._rows])
 
     def solve(self, b) -> np.ndarray:
         """x with a @ x == b for a vector b of length n."""

@@ -16,7 +16,6 @@ from retailrisk.dataset import CSV_HEADER
 from retailrisk.firth import (
     fit_firth,
     firth_score,
-    hat_diagonals,
     penalized_loglik,
 )
 from retailrisk.errors import DegenerateDataError
@@ -69,6 +68,12 @@ def separated_panel(seed, n=32, noise=2):
     X = np.column_stack([np.ones(n), x, rng.standard_normal((n, noise))])
     labels = ("intercept", "x") + tuple(f"z{k}" for k in range(noise))
     return DesignMatrix(y=y, X=X, labels=labels)
+
+
+def hat_diagonals(beta, dm):
+    """h = w*q, from the kernel's evaluation of l* at beta."""
+    _, _, _, w, _, q, _ = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
+    return w * q
 
 
 def explicit_hat(beta, dm):
@@ -125,7 +130,6 @@ EVALUATORS = {
     "log_likelihood": log_likelihood,
     "penalized_loglik": penalized_loglik,
     "firth_score": firth_score,
-    "hat_diagonals": hat_diagonals,
 }
 
 
@@ -190,7 +194,7 @@ class TestFirthScore:
 
 def analytic_negative_hessian(beta, dm):
     """The kernel's exact negative Hessian of l* at beta."""
-    _, prob, w, _, q, z = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
+    _, _, prob, w, _, q, z = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
     return _negative_hessian(dm.X, prob, w, q, z)
 
 
@@ -239,6 +243,13 @@ class TestExactHessian:
         fit = fit_firth(separated_panel(seed))
         assert fit.converged
         assert fit.iterations <= 15
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_mle_on_separated_panels_never_converges(self, seed):
+        # The diverging MLE moves the fitted x'beta by O(1) every step, so the
+        # stopping rule never passes; a rule on the Newton decrement would.
+        fit = fit_logistic(separated_panel(seed))
+        assert (fit.converged, fit.separation) == (False, "complete")
 
     def test_trace_of_the_final_fit(self):
         dm = final_design()

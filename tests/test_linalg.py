@@ -54,14 +54,27 @@ def adjugate_inverse(a):
     return cof.T / det
 
 
+def factor_of(a):
+    """L^T = L^-1 a, read back from a factor's whitening of a itself."""
+    return linalg.Cholesky(a).whiten(np.asarray(a, dtype=float)).T
+
+
 class TestCholesky:
     def test_identity(self):
-        assert np.array_equal(linalg.Cholesky(np.eye(3)).lower, np.eye(3))
+        factor = linalg.Cholesky(np.eye(3))
+        b = np.array([3.0, -1.0, 2.0])
+        assert np.array_equal(factor.solve(b), b)
+        assert np.array_equal(factor.inverse(), np.eye(3))
+        assert factor.log_det() == 0.0
 
     def test_hand_checked_2x2(self):
-        lower = linalg.Cholesky(np.array([[4.0, 2.0], [2.0, 3.0]])).lower
-        expected = np.array([[2.0, 0.0], [1.0, math.sqrt(2.0)]])
-        np.testing.assert_allclose(lower, expected, rtol=0, atol=1e-12)
+        # L = [[2, 0], [1, sqrt(2)]]: det 8, inverse [[3, -2], [-2, 4]] / 8.
+        factor = linalg.Cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
+        np.testing.assert_allclose(factor.solve(np.array([6.0, 5.0])), [1.0, 1.0],
+                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(factor.inverse(), [[0.375, -0.25], [-0.25, 0.5]],
+                                   rtol=0, atol=1e-15)
+        assert factor.log_det() == pytest.approx(math.log(8.0), abs=1e-15)
 
     def test_final_model_gram_matrix_is_full_rank(self):
         dm = dataset.design_matrix(
@@ -72,18 +85,17 @@ class TestCholesky:
         for row in dm.X:  # brute-force Gram accumulation
             gram += np.outer(row, row)
         assert np.linalg.matrix_rank(gram) == dm.p
-        lower = linalg.Cholesky(gram).lower
-        rel = np.max(np.abs(lower @ lower.T - gram)) / np.max(np.abs(gram))
-        assert rel <= 1e-10
+        np.testing.assert_allclose(gram @ linalg.Cholesky(gram).inverse(), np.eye(dm.p),
+                                   rtol=0, atol=1e-10)
 
     def test_reconstruction_random_spd(self):
         rng = np.random.default_rng(7)
         for size in range(1, 9):
             a = random_spd(rng, size)
-            lower = linalg.Cholesky(a).lower
-            rel = np.max(np.abs(lower @ lower.T - a)) / np.max(np.abs(a))
-            assert rel <= 1e-10
-            assert np.array_equal(lower, np.tril(lower))
+            factor = linalg.Cholesky(a)
+            b = rng.standard_normal(size)
+            assert np.linalg.norm(a @ factor.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+            np.testing.assert_allclose(a @ factor.inverse(), np.eye(size), rtol=0, atol=1e-10)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(SingularMatrixError):
@@ -189,12 +201,13 @@ class TestCholeskyFactor:
 
     SIZES = range(1, 9)
 
-    def test_lower_reconstructs_input(self):
+    def test_factor_reconstructs_input(self):
         rng = np.random.default_rng(37)
         for size in self.SIZES:
             a = random_spd(rng, size)
-            lower = linalg.Cholesky(a).lower
-            assert np.array_equal(lower, np.tril(lower))
+            inv_lower = linalg.Cholesky(a).whiten(np.eye(size))
+            assert np.array_equal(inv_lower, np.tril(inv_lower))
+            lower = factor_of(a)
             np.testing.assert_allclose(lower @ lower.T, a, rtol=0, atol=1e-10 * np.max(a))
 
     def test_solve_matches_gaussian_elimination(self):
@@ -230,8 +243,8 @@ class TestCholeskyFactor:
     def test_whiten_inverts_the_factor(self):
         rng = np.random.default_rng(53)
         for size in self.SIZES:
-            factor = linalg.Cholesky(random_spd(rng, size))
-            lower = factor.lower
+            a = random_spd(rng, size)
+            factor, lower = linalg.Cholesky(a), factor_of(a)
             b = rng.standard_normal((size, 32))
             z = factor.whiten(b)
             assert z.shape == b.shape
@@ -251,8 +264,8 @@ class TestCholeskyFactor:
 
     def test_accepts_nested_lists(self):
         factor = linalg.Cholesky([[4.0, 2.0], [2.0, 3.0]])
-        np.testing.assert_allclose(factor.lower, [[2.0, 0.0], [1.0, math.sqrt(2.0)]],
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(factor.solve([6.0, 5.0]), [1.0, 1.0], rtol=0, atol=1e-15)
+        assert factor.log_det() == pytest.approx(math.log(8.0), abs=1e-15)
         assert factor.n == 2
 
 
@@ -270,10 +283,13 @@ INVALID_INPUTS = [
     ([[1.0, 2.0], [2.0, 1.0]], SingularMatrixError,
      "non-positive pivot at row 1 (pivot=-3.000e+00)"),
     (np.ones((3, 3)), SingularMatrixError, "non-positive pivot at row 1 (pivot=0.000e+00)"),
-    ([[1.0, 0.0], [0.0, 1e-13]], SingularMatrixError,
-     "pivot at row 1 below 1e-12 x max diagonal (pivot=1.000e-13, max diagonal=1.000e+00)"),
-    (np.zeros((2, 2)), SingularMatrixError, "matrix has no positive diagonal entry"),
-    ([[-1.0, 0.0], [0.0, -2.0]], SingularMatrixError, "matrix has no positive diagonal entry"),
+    ([[1.0, 1.0], [1.0, 1.0 + 1e-13]], SingularMatrixError,
+     "pivot at row 1 below 1e-12 x its diagonal (pivot=9.992e-14, diagonal=1.000e+00)"),
+    ([[1.0, 1e6], [1e6, 1e12 + 0.125]], SingularMatrixError,
+     "pivot at row 1 below 1e-12 x its diagonal (pivot=1.250e-01, diagonal=1.000e+12)"),
+    (np.zeros((2, 2)), SingularMatrixError, "non-positive pivot at row 0 (pivot=0.000e+00)"),
+    ([[-1.0, 0.0], [0.0, -2.0]], SingularMatrixError,
+     "non-positive pivot at row 0 (pivot=-1.000e+00)"),
 ]
 
 #: Right-hand sides that solve refuses: it takes only a vector of length n.
@@ -294,7 +310,6 @@ def test_invalid_right_hand_side_errors(b, message):
 #: Every use of a factor: none may reach an invalid matrix unrefused.
 ENTRY_POINTS = {
     "Cholesky": linalg.Cholesky,
-    "lower": lambda a: linalg.Cholesky(a).lower,
     "solve": lambda a: linalg.Cholesky(a).solve(np.ones(np.shape(a)[0])),
     "inverse": lambda a: linalg.Cholesky(a).inverse(),
     "log_det": lambda a: linalg.Cholesky(a).log_det(),
@@ -311,5 +326,29 @@ def test_invalid_input_errors(entry, a, cls, message):
 
 
 def test_asymmetry_within_tolerance_is_accepted():
-    lower = linalg.Cholesky([[1.0, 1e-11], [0.0, 1.0]]).lower
-    assert lower[1, 1] == pytest.approx(1.0, abs=1e-12)
+    factor = linalg.Cholesky([[1.0, 1e-11], [0.0, 1.0]])
+    assert factor.log_det() == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(factor.solve([1.0, 2.0]), [1.0, 2.0], rtol=0, atol=1e-12)
+
+
+def test_small_diagonal_entry_is_not_a_small_pivot():
+    # diag(1, 1e-13) is the identity once its diagonal is scaled to 1.
+    factor = linalg.Cholesky([[1.0, 0.0], [0.0, 1e-13]])
+    np.testing.assert_allclose(factor.solve([2.0, 3e-13]), [2.0, 3.0], rtol=1e-15, atol=0)
+    np.testing.assert_allclose(factor.inverse(), np.diag([1.0, 1e13]), rtol=1e-15, atol=0)
+    assert factor.log_det() == pytest.approx(math.log(1e-13), abs=1e-14)
+
+
+@pytest.mark.parametrize("k", [-150, -60, -20, 0, 20, 60, 150])
+def test_pivot_test_is_invariant_to_diagonal_scaling(k):
+    """D a D factors exactly when a does, for D = diag(1, 2**k, 2**-k): each
+    pivot is compared with its own diagonal entry, never with another's."""
+    d = np.array([1.0, 2.0**k, 2.0**-k])
+    well_posed = np.array([[4.0, 2.0, 1.0], [2.0, 3.0, 0.5], [1.0, 0.5, 2.0]])
+    collinear = np.array([[1.0, 1.0, 1.0], [1.0, 1.0 + 1e-13, 1.0], [1.0, 1.0, 2.0]])
+    b = np.array([1.0, -2.0, 3.0])
+    # Powers of two scale exactly: the factor of D a D is D L, bit for bit.
+    x = linalg.Cholesky(d[:, None] * well_posed * d).solve(d * b)
+    assert np.array_equal(x, linalg.Cholesky(well_posed).solve(b) / d)
+    with pytest.raises(SingularMatrixError, match=r"^pivot at row 1 below 1e-12 x its diagonal"):
+        linalg.Cholesky(d[:, None] * collinear * d)

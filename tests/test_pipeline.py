@@ -140,6 +140,59 @@ class TestFinalModel:
             fit_final_model(ds)  # inflation column is constant
 
 
+#: The columns in a money unit (millions of USD in the embedded data).
+MONEY_COLUMNS = ("revenue", "cost_of_revenue", "sga", "ebitda", "long_term_debt")
+
+
+def _rescaled(factor, columns=MONEY_COLUMNS, precision="full"):
+    """The embedded data with ``columns`` multiplied by ``factor``, as a CSV
+    in those units would give it."""
+    rows = list(csv.DictReader(io.StringIO(EMBEDDED_CSV)))
+    for row in rows:
+        row.update({name: repr(float(row[name]) * factor) for name in columns})
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=CSV_HEADER, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    return parse_dataset(out.getvalue(), ratio_precision=precision)
+
+
+class TestUnits:
+    """No conclusion depends on the unit of a column: the fitted values of a
+    logistic model, MLE or Firth, do not change when a column is rescaled."""
+
+    @pytest.mark.parametrize("k", range(-12, 13))
+    def test_raw_screens_agree_in_every_money_unit(self, k):
+        reference = run_screen(embedded_dataset(), "internal")
+        for (name, fit), (_, ref) in zip(run_screen(_rescaled(10.0**k), "internal").fits,
+                                         reference.fits):
+            assert fit.converged, name
+            assert fit.p_values[1] == pytest.approx(ref.p_values[1], rel=0, abs=1e-12), name
+
+    @pytest.mark.parametrize("precision", ["full", "printed"])
+    @pytest.mark.parametrize("k", [10, -20, 300])
+    def test_ratio_fits_are_bit_identical_in_binary_money_units(self, k, precision):
+        # A power of two scales numerator and revenue exactly, so every ratio,
+        # and every fit on ratios alone, is unchanged bit for bit.
+        ds, scaled = embedded_dataset(precision), _rescaled(2.0**k, precision=precision)
+        pairs = list(zip(run_screen(scaled, "ratios").fits, run_screen(ds, "ratios").fits))
+        pairs.append(((None, fit_final_model(scaled)), (None, fit_final_model(ds))))
+        for (_, fit), (_, ref) in pairs:
+            for field in ("beta", "se", "p_values"):
+                assert np.array_equal(getattr(fit, field), getattr(ref, field)), field
+            assert fit.iterations == ref.iterations
+
+    @pytest.mark.parametrize("factor", [0.01, 100.0])
+    def test_final_model_grid_is_free_of_the_inflation_unit(self, factor):
+        # The Jeffreys penalty is invariant under reparametrization (Firth 1993).
+        ds, scaled = embedded_dataset(), _rescaled(factor, ("us_inflation_rate",))
+        grid = table_from_coefficients(fit_final_model(ds).beta, ds)
+        scaled_grid = table_from_coefficients(fit_final_model(scaled).beta, scaled)
+        expected = [cell.probability for cell in probability_cells(grid)]
+        got = [cell.probability for cell in probability_cells(scaled_grid)]
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
+
+
 def _bumped_rite_aid_2017(**change):
     """The embedded data with Rite Aid's 2017 row changed by ``change``."""
     rows = list(csv.DictReader(io.StringIO(EMBEDDED_CSV)))
