@@ -26,14 +26,12 @@ from .linalg import SingularMatrixError
 from .logistic import (
     DegenerateResponseError,
     MleFit,
-    detect_separation,
     fit_logistic,
     log_likelihood,
     significance_code,
 )
 from .pipeline import (
     FINAL_MODEL_PREDICTORS,
-    PredictionCell,
     PredictionTable,
     ScreenReport,
     fit_final_model,
@@ -57,7 +55,6 @@ __all__ = [
     "FINAL_MODEL_PREDICTORS",
     "FirthFit",
     "MleFit",
-    "PredictionCell",
     "PredictionTable",
     "ReportDocument",
     "RetailRiskError",
@@ -68,7 +65,6 @@ __all__ = [
     "dataset_to_csv",
     "describe",
     "design_matrix",
-    "detect_separation",
     "embedded_dataset",
     "firth_score",
     "fit_final_model",

@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from .dataset import (
+    DataParseError,
     DataValidationError,
     Dataset,
     dataset_to_csv,
@@ -19,7 +20,6 @@ from .dataset import (
 )
 from .errors import RetailRiskError
 from .pipeline import (
-    CELL_PROBABILITY,
     REFERENCE_MODEL_COEFFICIENTS,
     SCREEN_GROUPS,
     PredictionTable,
@@ -97,9 +97,15 @@ def build_parser() -> _Parser:
 def _load_dataset(args) -> Dataset:
     if args.data is None:
         return embedded_dataset(ratio_precision=args.ratios)
-    # utf-8-sig drops the byte-order mark that spreadsheet "CSV UTF-8" writes.
-    with open(args.data, "r", encoding="utf-8-sig") as handle:
-        return parse_dataset(handle.read(), ratio_precision=args.ratios)
+    # One read() decodes the whole file, so a bad byte's offset is the file's.
+    with open(args.data, encoding="utf-8") as handle:
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise DataParseError(f"{args.data}: not UTF-8 text (byte 0x{exc.object[exc.start]:02x}"
+                                 f" at offset {exc.start})") from None
+    # Drop the byte-order mark that spreadsheet "CSV UTF-8" writes.
+    return parse_dataset(text.removeprefix("\ufeff"), ratio_precision=args.ratios)
 
 
 def _final_coefficients(args, dataset: Dataset, fit=None):
@@ -124,13 +130,13 @@ def _cell_section(table: PredictionTable, chain: str, year: int) -> Section:
     years the chain has probabilities for."""
     if chain not in table.probabilities:
         raise DataValidationError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
-    cell = table.cell(chain, year)
-    if cell.kind != CELL_PROBABILITY:
+    prob = table.probabilities[chain].get(year)
+    if prob is None:
         observed = list(table.probabilities[chain])
         raise DataValidationError(
             f"{chain}: no observation for year {year} (observed {observed[0]}-{observed[-1]})"
         )
-    text = fmt_number(cell.probability, ROUNDING["probability"])
+    text = fmt_number(prob, ROUNDING["probability"])
     return Section(title="Failure probability", columns=("Chain", "Year", "Probability"),
                    rows=((chain, str(year), text),))
 

@@ -189,7 +189,8 @@ def _centred_corr(dx: np.ndarray, dy: np.ndarray) -> float:
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Pearson correlations of the CORRELATION_COLUMNS; exactly symmetric
     with unit diagonal. Each column is centred once; each pair is then
-    :func:`pearson_corr`'s arithmetic, so the values are the same bits."""
+    :func:`pearson_corr`'s arithmetic, so the values are the same bits. A
+    zero-variance column is an error that names it first."""
     labels = CORRELATION_COLUMNS
     k = len(labels)
     if dataset.n < 2:
@@ -197,6 +198,10 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     r = np.eye(k)
     with np.errstate(over="ignore", invalid="ignore"):
         centred = [x - x.mean() for x in map(dataset.column, labels)]
+        for name, dx in zip(labels, centred):
+            if not dx.any():
+                raise DegenerateDataError(
+                    f"{name}: correlation is undefined for a zero-variance series")
         for i in range(k):
             for j in range(i + 1, k):
                 r[i, j] = r[j, i] = _centred_corr(centred[i], centred[j])
@@ -204,11 +209,15 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
 
 
 def describe(dataset: Dataset) -> list[ColumnSummary]:
-    """Mean, sample SD, and Shapiro-Wilk test for every summary column."""
+    """Mean, sample SD, and Shapiro-Wilk test for every summary column; an
+    error names its column first."""
     rows = []
     for name in SUMMARY_COLUMNS:
         values = dataset.column(name)
-        mean, std = mean_std(values)
-        w, p = shapiro_wilk(values)
+        try:
+            mean, std = mean_std(values)
+            w, p = shapiro_wilk(values)
+        except DegenerateDataError as exc:
+            raise DegenerateDataError(f"{name}: {exc}") from None
         rows.append(ColumnSummary(name=name, mean=mean, std=std, sw_w=w, sw_p=p))
     return rows

@@ -32,6 +32,7 @@ import numpy as np
 from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
+from .errors import RetailRiskError
 from .logistic import _coefficients, _evaluate, _information, check_fittable, newton
 
 
@@ -68,8 +69,21 @@ def firth_score(beta, dm: DesignMatrix) -> np.ndarray:
 
 def fit_firth(dm: DesignMatrix) -> FirthFit:
     """Fit the penalized-likelihood logistic model on a design matrix, under
-    the Firth stopping rule of :func:`logistic.newton` (the null refit too)."""
-    check_fittable(dm, "the failure model")
+    the Firth stopping rule of :func:`logistic.newton` (the null refit too).
+    Errors start with ``failure model:``; every matrix factored here spans the
+    whole design, so a failed pivot's row names its design column."""
+    try:
+        return _fit_firth(dm)
+    except linalg.SingularMatrixError as exc:
+        cause = (f"{dm.labels[exc.row]} is collinear with earlier design columns ({exc})"
+                 if exc.row else exc)
+        raise linalg.SingularMatrixError(f"failure model: {cause}", exc.row) from None
+    except RetailRiskError as exc:
+        raise type(exc)(f"failure model: {exc}") from None
+
+
+def _fit_firth(dm: DesignMatrix) -> FirthFit:
+    check_fittable(dm, "the Firth fit")
     beta, pen_ll, w, h, trace = newton(dm.X, dm.y, penalized=True)
 
     augmented = _information(dm.X, w * (1.0 + h))

@@ -33,7 +33,12 @@ SYMMETRY_RTOL = 1e-10
 
 
 class SingularMatrixError(RetailRiskError):
-    """Matrix is not positive definite (collinear design or separation)."""
+    """Matrix is not positive definite (collinear design or separation) at
+    the pivot of ``row``."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
 
 
 class NonFiniteMatrixError(RetailRiskError):
@@ -80,12 +85,10 @@ class Cholesky:
                 dot += v * v
             pivot = a_i[i] - dot
             if pivot <= PIVOT_RTOL * a_i[i]:
-                if pivot <= 0.0:
-                    raise SingularMatrixError(f"non-positive pivot at row {i} (pivot={pivot:.3e})")
                 raise SingularMatrixError(
+                    f"non-positive pivot at row {i} (pivot={pivot:.3e})" if pivot <= 0.0 else
                     f"pivot at row {i} below {PIVOT_RTOL:g} x its diagonal "
-                    f"(pivot={pivot:.3e}, diagonal={a_i[i]:.3e})"
-                )
+                    f"(pivot={pivot:.3e}, diagonal={a_i[i]:.3e})", i)
             l_i.append(math.sqrt(pivot))
             lower.append(l_i)
         self.n = len(rows)

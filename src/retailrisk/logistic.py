@@ -11,7 +11,7 @@ damped-Newton kernel :func:`newton`, exists for exactly these designs).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +64,7 @@ class MleFit:
     cov: np.ndarray
     iterations: int
     converged: bool
-    separation: str = SEPARATION_NONE
+    separation: str
 
 
 def _coefficients(beta, dm: DesignMatrix) -> np.ndarray:
@@ -226,7 +226,7 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
         z = beta / se
     p_values = 2.0 * norm_sf(np.abs(z))
     aic = 2.0 * p - 2.0 * ll
-    fit = MleFit(
+    return MleFit(
         labels=dm.labels,
         beta=beta,
         se=se,
@@ -237,19 +237,18 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
         cov=cov,
         iterations=trace.steps,
         converged=trace.converged,
+        separation=_separation(dm, beta, trace.converged),
     )
-    return replace(fit, separation=detect_separation(dm, fit))
 
 
-def detect_separation(dm: DesignMatrix, fit: MleFit) -> str:
-    """Diagnose complete/quasi separation from a fitted (or stalled) model.
+def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool) -> str:
+    """Diagnose complete/quasi separation from fitted (or stalled) coefficients.
 
     Divergence is flagged when any slope exceeds the bound on the column's
     standard-deviation scale, or when an unconverged fit has pushed fitted
     probabilities onto the 0/1 boundary. Diverged fits are ``complete`` when
     every observation is classified to within 1e-4, otherwise ``quasi``.
     """
-    beta = fit.beta
     if not np.all(np.isfinite(beta)):
         diverged = True
     else:
@@ -259,7 +258,7 @@ def detect_separation(dm: DesignMatrix, fit: MleFit) -> str:
             scales = np.std(dm.X[:, 1:], axis=0, ddof=1) if dm.p > 1 else np.array([])
             standardized = np.abs(beta[1:]) * scales
         diverged = bool(np.any(standardized > DIVERGENCE_BOUND))
-        if not diverged and not fit.converged:
+        if not diverged and not converged:
             prob = expit(dm.X @ beta)
             diverged = bool(np.any((prob < 1e-8) | (prob > 1.0 - 1e-8)))
     if not diverged:

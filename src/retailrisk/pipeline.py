@@ -3,8 +3,8 @@
 The final failure model is fixed to three predictors -- the annual average US
 inflation rate, long-term debt/revenue, and EBITDA/revenue -- fitted by Firth
 penalized likelihood (plain maximum likelihood diverges on this design). The
-probability table lays fitted failure probabilities out on a year-by-chain
-grid with explicit markers for years outside a chain's observed window.
+probability table holds the fitted failure probability of every observed
+chain-year and each chain's failure year.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import NamedTuple
 
 import numpy as np
 
@@ -33,10 +32,6 @@ FINAL_MODEL_PREDICTORS = ("us_inflation_rate", "ltd_over_rev", "ebitda_over_rev"
 #: dataset (intercept, inflation, LTD/revenue, EBITDA/revenue). Used by the
 #: forensics mode that reproduces arithmetic from the rounded published values.
 REFERENCE_MODEL_COEFFICIENTS = (-4.349, 0.592, 1.374, -1.606)
-
-CELL_PROBABILITY = "probability"
-CELL_NOT_AVAILABLE = "not_available"
-CELL_CEASED = "ceased_operations"
 
 #: Published failure-probability estimates for the embedded dataset, keyed by
 #: (chain, year). Kept for drift reporting only -- the published grid is not
@@ -123,21 +118,15 @@ def odds_ratio(coef: float) -> float:
     return math.exp(coef)
 
 
-class PredictionCell(NamedTuple):
-    """One grid cell: its kind, and the probability of a probability cell."""
-
-    kind: str
-    probability: float | None = None
-
-
 @dataclass(frozen=True)
 class PredictionTable:
     """Year-by-chain grid of failure probabilities.
 
     ``probabilities[chain]`` maps each observed year of the chain, ascending,
     to its failure probability; ``failure_years[chain]`` is the chain's
-    failure year, or None. The marker of every other cell follows from them.
-    Both mappings are read-only.
+    failure year, or None. The marker of every other cell follows from them
+    and is decided by ``report.probability_section`` alone. Both mappings are
+    read-only.
     """
 
     years: tuple[int, ...]
@@ -145,26 +134,15 @@ class PredictionTable:
     probabilities: Mapping[str, Mapping[int, float]]
     failure_years: Mapping[str, int | None]
 
-    def cell(self, chain: str, year: int) -> PredictionCell:
-        prob = self.probabilities[chain].get(year)
-        if prob is not None:
-            return PredictionCell(CELL_PROBABILITY, prob)
-        failed = self.failure_years[chain]
-        return PredictionCell(CELL_CEASED if failed is not None and year > failed
-                              else CELL_NOT_AVAILABLE)
-
 
 def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     """Grid of failure probabilities over observed years x chains.
 
     ``beta`` is the final model's (intercept, inflation, long-term
     debt/revenue, EBITDA/revenue); the ratios honor the dataset's
-    ``ratio_precision``. Years before a chain's first observation are 'not
-    available'; years after a failure year are 'ceased operations' (after
-    the last observation of a never-failing chain they are 'not available'
-    as well). The coefficients are used as given: check ``fit.converged``
-    before tabulating a fit. A probability outside [0, 1] (NaN, from a
-    non-finite coefficient) is a ValueError.
+    ``ratio_precision``. The coefficients are used as given: check
+    ``fit.converged`` before tabulating a fit. A probability outside [0, 1]
+    (NaN, from a non-finite coefficient) is a ValueError.
     """
     beta = tuple(float(b) for b in beta)
     if len(beta) != 1 + len(FINAL_MODEL_PREDICTORS):

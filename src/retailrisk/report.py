@@ -18,13 +18,7 @@ from .dataset import Dataset
 from .descriptive import correlation_matrix, describe
 from .firth import FirthFit
 from .logistic import SEPARATION_NONE, significance_code
-from .pipeline import (
-    CELL_CEASED,
-    CELL_NOT_AVAILABLE,
-    PredictionTable,
-    ScreenReport,
-    probability_drift,
-)
+from .pipeline import PredictionTable, ScreenReport, probability_drift
 
 SCHEMA_VERSION = 1
 
@@ -207,20 +201,19 @@ def final_model_section(fit: FirthFit, n: int) -> Section:
     )
 
 
-#: Text and meaning of each marker cell kind of the probability grid.
-CELL_MARKERS = {
-    CELL_NOT_AVAILABLE: ("-", "not available"),
-    CELL_CEASED: ("*", "firm has ceased operations"),
-}
+#: Text and meaning of the probability grid's two marker cells: 'not
+#: available', then 'ceased operations'.
+CELL_MARKERS = {"-": "not available", "*": "firm has ceased operations"}
 
 
 def probability_section(table: PredictionTable) -> Section:
     """The grid, built one chain column at a time from the chain's window:
     'not available' before its first year, its probabilities, then 'ceased
-    operations' after a failure year or 'not available' after a last year."""
+    operations' after a failure year or 'not available' after a last year.
+    This is the only place that decides a marker cell."""
     nd = ROUNDING["probability"]
     position = {year: i for i, year in enumerate(table.years)}
-    not_available, ceased = CELL_MARKERS[CELL_NOT_AVAILABLE][0], CELL_MARKERS[CELL_CEASED][0]
+    not_available, ceased = CELL_MARKERS
     columns = []
     for chain in table.chains:
         by_year = table.probabilities[chain]
@@ -233,7 +226,7 @@ def probability_section(table: PredictionTable) -> Section:
         title="Failure probability by chain and year",
         columns=("Year", *table.chains),
         rows=tuple((str(year), *row) for year, row in zip(table.years, zip(*columns))),
-        notes=tuple(f"'{text}': {meaning}" for text, meaning in CELL_MARKERS.values()),
+        notes=tuple(f"'{text}': {meaning}" for text, meaning in CELL_MARKERS.items()),
     )
 
 

@@ -30,13 +30,13 @@ from retailrisk.logistic import (
     log_likelihood,
 )
 from retailrisk.pipeline import (
-    CELL_PROBABILITY,
     REFERENCE_MODEL_COEFFICIENTS,
     fit_final_model,
     odds_ratio,
     run_screen,
     table_from_coefficients,
 )
+from retailrisk.report import probability_section
 
 import _reference as ref
 
@@ -177,21 +177,22 @@ def test_criterion_6_probability_table(data, data_printed, final_fit):
         assert final_fit.converged
         table = table_from_coefficients(final_fit.beta, data)
 
-        # Marker cells match the published "-"/"*" pattern exactly.
+        # The rendered grid's marker cells match the published "-"/"*" pattern
+        # exactly; every other published cell holds a probability.
+        grid = probability_section(table)
+        rendered = {(chain, int(row[0])): text
+                    for row in grid.rows for chain, text in zip(grid.columns[1:], row[1:])}
         for (chain, year), expected in ref.PROBABILITIES.items():
-            cell = table.cell(chain, year)
-            if expected == "-":
-                assert cell.kind == "not_available", (chain, year)
-            elif expected == "*":
-                assert cell.kind == "ceased_operations", (chain, year)
+            if isinstance(expected, str):
+                assert rendered[chain, year] == expected, (chain, year)
             else:
-                assert cell.kind == CELL_PROBABILITY, (chain, year)
+                assert year in table.probabilities[chain], (chain, year)
 
         # Hand-derivable cells from the published rounded coefficients.
         rounded = table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, data_printed)
-        sears = rounded.cell("Sears Holdings", 2015).probability
+        sears = rounded.probabilities["Sears Holdings"][2015]
         assert round(sears, 4) == 0.0160
-        bbb = rounded.cell("Bed Bath & Beyond", 2022).probability
+        bbb = rounded.probabilities["Bed Bath & Beyond"][2022]
         assert round(bbb, 3) == 0.830
 
         # Full-table equality is not reproducible from the published printed
@@ -200,13 +201,13 @@ def test_criterion_6_probability_table(data, data_printed, final_fit):
         for (chain, year), expected in ref.PROBABILITIES.items():
             if isinstance(expected, str):
                 continue
-            got = table.cell(chain, year).probability
+            got = table.probabilities[chain][year]
             if abs(got - expected) > abs(worst[2]):
                 worst = (chain, year, got - expected)
         print(f"  note: worst probability delta vs published: {worst[0]} {worst[1]} {worst[2]:+.3f}")
 
         def prob(chain, year):
-            return table.cell(chain, year).probability
+            return table.probabilities[chain][year]
 
         for chain in ("Bed Bath & Beyond", "Rite Aid"):
             observed = [int(year) for c, year in zip(data.column("chain"), data.column("year"))

@@ -347,6 +347,17 @@ class TestFitFirth:
         with pytest.raises(SingularMatrixError):
             fit_firth(dm)
 
+    def test_collinear_column_is_named_by_its_pivot_row(self):
+        dm = final_design()
+        X = dm.X.copy()
+        X[:, 3] = 2.0 * X[:, 1] - 1.0  # an affine copy of the inflation column
+        with pytest.raises(SingularMatrixError) as info:
+            fit_firth(DesignMatrix(y=dm.y, X=X, labels=dm.labels))
+        assert info.value.row == 3
+        assert str(info.value).startswith(
+            "failure model: ebitda_over_rev is collinear with earlier design columns (")
+        assert "pivot at row 3 " in str(info.value)
+
     def test_affine_invariance_of_probabilities(self):
         dm = final_design()
         fit = fit_firth(dm)

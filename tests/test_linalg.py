@@ -323,6 +323,8 @@ def test_invalid_input_errors(entry, a, cls, message):
         ENTRY_POINTS[entry](a)
     assert type(info.value) is cls
     assert str(info.value) == message
+    if cls is SingularMatrixError:
+        assert f"pivot at row {info.value.row} " in message
 
 
 def test_asymmetry_within_tolerance_is_accepted():

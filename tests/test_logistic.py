@@ -9,7 +9,6 @@ from retailrisk.logistic import (
     SEPARATION_NONE,
     SEPARATION_QUASI,
     DegenerateResponseError,
-    detect_separation,
     fit_logistic,
     log_likelihood,
     newton,
@@ -208,7 +207,6 @@ class TestSeparation:
         fit = fit_logistic(dm)
         assert not fit.converged
         assert fit.separation in (SEPARATION_QUASI, SEPARATION_COMPLETE)
-        assert detect_separation(dm, fit) == fit.separation
 
 
 class TestSignificanceCode:

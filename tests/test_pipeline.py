@@ -14,9 +14,6 @@ from retailrisk.dataset import (
     parse_dataset,
 )
 from retailrisk.pipeline import (
-    CELL_CEASED,
-    CELL_NOT_AVAILABLE,
-    CELL_PROBABILITY,
     FINAL_MODEL_PREDICTORS,
     REFERENCE_FAILURE_PROBABILITIES,
     REFERENCE_MODEL_COEFFICIENTS,
@@ -28,7 +25,7 @@ from retailrisk.pipeline import (
     run_screen,
     table_from_coefficients,
 )
-from retailrisk.report import CELL_MARKERS, ROUNDING, fmt_number, probability_section
+from retailrisk.report import ROUNDING, fmt_number, probability_section
 
 from _ingest_reference import derive_ratios, parse_records
 from _panel import panel_csv
@@ -36,7 +33,7 @@ from _panel import panel_csv
 
 def embedded_cell(beta, chain, year, precision="full"):
     """The probability of one cell of the grid on the embedded data."""
-    return table_from_coefficients(beta, embedded_dataset(precision)).cell(chain, year).probability
+    return table_from_coefficients(beta, embedded_dataset(precision)).probabilities[chain][year]
 
 
 def record_probability(beta, record, precision):
@@ -51,20 +48,16 @@ def record_probability(beta, record, precision):
     return z / (1.0 + z)
 
 
-def probability_cells(table):
-    """Every probability cell of the grid, read one cell at a time."""
-    cells = (table.cell(chain, year) for year in table.years for chain in table.chains)
-    return [cell for cell in cells if cell.kind == CELL_PROBABILITY]
+def all_probabilities(table):
+    """Every probability of the grid, chain by chain in year order."""
+    return [prob for chain in table.chains for prob in table.probabilities[chain].values()]
 
 
-def rendered_cells(table):
-    """The grid's rows as text, read one cell at a time."""
-    def text(cell):
-        if cell.kind == CELL_PROBABILITY:
-            return fmt_number(cell.probability, ROUNDING["probability"])
-        return CELL_MARKERS[cell.kind][0]
-    return tuple((str(year), *(text(table.cell(chain, year)) for chain in table.chains))
-                 for year in table.years)
+def rendered_grid(table):
+    """The rendered grid's text, keyed by (chain, year)."""
+    section = probability_section(table)
+    return {(chain, int(row[0])): text
+            for row in section.rows for chain, text in zip(section.columns[1:], row[1:])}
 
 
 def chain_years(ds, chain):
@@ -72,6 +65,21 @@ def chain_years(ds, chain):
     return [(int(year), int(fail))
             for c, year, fail in zip(ds.column("chain"), ds.column("year"), ds.column("fail"))
             if c == chain]
+
+
+def window_rows(ds, table):
+    """The grid's rows as text, from each chain's window in the data: '-'
+    before its first year, its probabilities over its years, '*' after a
+    failure year and '-' after the last year of a chain that never failed."""
+    windows = {chain: dict(chain_years(ds, chain)) for chain in ds.chains}
+
+    def text(chain, year):
+        rows = windows[chain]
+        if year in rows:
+            return fmt_number(table.probabilities[chain][year], ROUNDING["probability"])
+        failed = max(rows) if rows[max(rows)] == 1 else None
+        return "*" if failed is not None and year > failed else "-"
+    return tuple((str(year), *(text(chain, year) for chain in ds.chains)) for year in table.years)
 
 
 class TestScreens:
@@ -188,8 +196,8 @@ class TestUnits:
         ds, scaled = embedded_dataset(), _rescaled(factor, ("us_inflation_rate",))
         grid = table_from_coefficients(fit_final_model(ds).beta, ds)
         scaled_grid = table_from_coefficients(fit_final_model(scaled).beta, scaled)
-        expected = [cell.probability for cell in probability_cells(grid)]
-        got = [cell.probability for cell in probability_cells(scaled_grid)]
+        expected = all_probabilities(grid)
+        got = all_probabilities(scaled_grid)
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-15)
 
 
@@ -233,7 +241,7 @@ class TestCellProbability:
         beta = fit_final_model(embedded_dataset()).beta
 
         def p(ds):
-            return table_from_coefficients(beta, ds).cell("Rite Aid", 2017).probability
+            return table_from_coefficients(beta, ds).probabilities["Rite Aid"][2017]
 
         p0 = p(embedded_dataset())
         assert p(_bumped_rite_aid_2017(us_inflation_rate=lambda v: v + 1)) > p0
@@ -247,20 +255,22 @@ class TestProbabilityTable:
         table = table_from_coefficients(fit_final_model(ds).beta, ds)
         assert table.years == tuple(range(2013, 2023))
         assert table.chains == ds.chains
-        assert table.cell("Bed Bath & Beyond", 2013).kind == CELL_NOT_AVAILABLE
-        assert table.cell("Bed Bath & Beyond", 2014).kind == CELL_NOT_AVAILABLE
+        rendered = rendered_grid(table)
+        assert rendered["Bed Bath & Beyond", 2013] == "-"
+        assert rendered["Bed Bath & Beyond", 2014] == "-"
         for year in range(2019, 2023):
-            assert table.cell("Sears Holdings", year).kind == CELL_CEASED
+            assert rendered["Sears Holdings", year] == "*"
         for year in (2021, 2022):
-            assert table.cell("J.C. Penney", year).kind == CELL_CEASED
-        assert len(probability_cells(table)) == 32
+            assert rendered["J.C. Penney", year] == "*"
+        assert sum(text in ("-", "*") for text in rendered.values()) == 8
+        assert len(all_probabilities(table)) == 32
 
     def test_early_warning_properties(self):
         ds = embedded_dataset()
         table = table_from_coefficients(fit_final_model(ds).beta, ds)
 
         def prob(chain, year):
-            return table.cell(chain, year).probability
+            return table.probabilities[chain][year]
 
         for chain in ("Bed Bath & Beyond", "Rite Aid"):
             years = [year for year, _ in chain_years(ds, chain)]
@@ -276,8 +286,8 @@ class TestProbabilityTable:
         for chain in ds.chains:
             years = [year for year, _ in chain_years(ds, chain)]
             failure_year = years[-1]
-            values = [table.cell(chain, year).probability for year in years]
-            assert table.cell(chain, failure_year).probability > min(values)
+            values = [table.probabilities[chain][year] for year in years]
+            assert table.probabilities[chain][failure_year] > min(values)
 
     def test_never_failing_chain_gets_not_available_after_last_year(self):
         rows = (
@@ -288,8 +298,9 @@ class TestProbabilityTable:
         )
         ds = parse_dataset(",".join(CSV_HEADER) + "\n" + rows)
         table = table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds)
-        assert table.cell("B", 2016).kind == CELL_NOT_AVAILABLE  # never failed
-        assert table.cell("A", 2014).kind == CELL_NOT_AVAILABLE
+        rendered = rendered_grid(table)
+        assert rendered["B", 2016] == "-"  # never failed
+        assert rendered["A", 2014] == "-"
 
     def test_grid_with_a_gap_between_chain_windows(self):
         rows = (
@@ -302,7 +313,7 @@ class TestProbabilityTable:
         table = table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds)
         assert table.years == (2000, 2001, 2010, 2011)
         rendered = probability_section(table).rows
-        assert rendered == rendered_cells(table)
+        assert rendered == window_rows(ds, table)
         shape = [[text if text in ("-", "*") else "p" for text in row[1:]] for row in rendered]
         assert shape == [["p", "-"], ["p", "-"], ["*", "p"], ["*", "p"]]
         assert dict(table.failure_years) == {"A": 2001, "B": None}
@@ -312,9 +323,9 @@ class TestProbabilityTable:
     @pytest.mark.parametrize("intercept,text", [(40.0, "1.000"), (-800.0, "0.000")])
     def test_saturated_cells_are_exact(self, intercept, text):
         table = table_from_coefficients((intercept, 0.0, 0.0, 0.0), embedded_dataset())
-        cells = probability_cells(table)
-        assert len(cells) == 32
-        assert {cell.probability for cell in cells} == {float(text)}
+        probabilities = all_probabilities(table)
+        assert len(probabilities) == 32
+        assert set(probabilities) == {float(text)}
         rendered = probability_section(table).rows
         assert sum(row.count(text) for row in rendered) == 32
 
@@ -381,33 +392,18 @@ class TestGridAgainstPerRecordReference:
     @pytest.mark.parametrize("ds,beta", _grids())
     def test_probabilities_are_bit_identical(self, ds, beta):
         table = table_from_coefficients(beta, ds)
-        for r in parse_records(dataset_to_csv(ds)):
-            cell = table.cell(r.chain, r.year)
-            assert cell.kind == CELL_PROBABILITY
-            assert cell.probability == record_probability(beta, r, ds.ratio_precision)
-
-    @pytest.mark.parametrize("ds,beta", _grids())
-    def test_rendered_grid_equals_cells(self, ds, beta):
-        table = table_from_coefficients(beta, ds)
-        assert table.chains == ds.chains
-        assert table.years == tuple(sorted(set(ds.column("year").astype(int).tolist())))
-        assert probability_section(table).rows == rendered_cells(table)
+        records = parse_records(dataset_to_csv(ds))
+        assert len(all_probabilities(table)) == len(records)
+        for r in records:
+            prob = table.probabilities[r.chain][r.year]
+            assert prob == record_probability(beta, r, ds.ratio_precision)
 
     @pytest.mark.parametrize("ds,beta", _grids())
     def test_marker_cells_follow_each_chain_window(self, ds, beta):
         table = table_from_coefficients(beta, ds)
-        for chain in ds.chains:
-            rows = chain_years(ds, chain)
-            (first, _), (last, last_fail) = rows[0], rows[-1]
-            failed = last if last_fail == 1 else None
-            for year in table.years:
-                kind = table.cell(chain, year).kind
-                if first <= year <= last:
-                    assert kind == CELL_PROBABILITY
-                elif failed is not None and year > failed:
-                    assert kind == CELL_CEASED
-                else:
-                    assert kind == CELL_NOT_AVAILABLE
+        assert table.chains == ds.chains
+        assert table.years == tuple(sorted(set(ds.column("year").astype(int).tolist())))
+        assert probability_section(table).rows == window_rows(ds, table)
 
     @pytest.mark.parametrize("csv_text", [EMBEDDED_CSV, _jcp_first(EMBEDDED_CSV)],
                              ids=["embedded", "jcp-first"])

@@ -297,6 +297,7 @@ class TestCli:
 #: Schema-valid inputs on which an analysis is undefined.
 DEGENERATE_INPUTS = {
     "constant_inflation": {"change": lambda row: {"us_inflation_rate": "2"}},
+    "constant_stores": {"change": lambda row: {"stores": "100"}},
     "no_failures": {"change": lambda row: {"fail": "0"}},
     # The last two Sears Holdings rows: fewer rows than model coefficients.
     "two_rows": {"select": lambda rows: [r for r in rows if r["chain"] == "Sears Holdings"][-2:]},
@@ -304,8 +305,9 @@ DEGENERATE_INPUTS = {
 
 
 #: The constant inflation column leaves a positive pivot of rounding size.
-SMALL_PIVOT = ("pivot at row 1 below 1e-12 x its diagonal "
-               "(pivot=7.105e-15, diagonal=3.200e+01)")
+SMALL_PIVOT = ("failure model: us_inflation_rate is collinear with earlier design columns "
+               "(pivot at row 1 below 1e-12 x its diagonal "
+               "(pivot=7.105e-15, diagonal=3.200e+01))")
 
 
 class TestErrorContract:
@@ -321,26 +323,34 @@ class TestErrorContract:
     @pytest.mark.parametrize(
         "variant,argv,message",
         [
-            ("constant_inflation", ["describe"], "Shapiro-Wilk is undefined"),
-            ("constant_inflation", ["correlate"], "zero-variance"),
+            ("constant_inflation", ["describe"],
+             "us_inflation_rate: Shapiro-Wilk is undefined for a constant series"),
+            ("constant_inflation", ["correlate"],
+             "us_inflation_rate: correlation is undefined for a zero-variance series"),
             ("constant_inflation", ["fit-final"], SMALL_PIVOT),
             ("constant_inflation", ["predict"], SMALL_PIVOT),
             ("constant_inflation", ["predict", "--chain", "Rite Aid", "--year", "2015"],
              SMALL_PIVOT),
-            ("constant_inflation", ["report"], "Shapiro-Wilk is undefined"),
-            ("no_failures", ["correlate"], "zero-variance"),
-            ("no_failures", ["fit", "--group", "external"], "single class"),
-            ("no_failures", ["fit", "--group", "internal"], "single class"),
-            ("no_failures", ["fit", "--group", "ratios"], "single class"),
-            ("no_failures", ["report"], "zero-variance"),
-            ("no_failures", ["fit-final"], "single class"),
-            ("no_failures", ["predict"], "single class"),
-            ("no_failures", ["predict", "--chain", "Rite Aid", "--year", "2015"], "single class"),
-            ("two_rows", ["fit-final"], "need n >= p to fit, got n=2, p=4"),
-            ("two_rows", ["predict"], "need n >= p to fit, got n=2, p=4"),
+            ("constant_inflation", ["report"], "us_inflation_rate: Shapiro-Wilk is undefined"),
+            ("constant_stores", ["describe"],
+             "stores: Shapiro-Wilk is undefined for a constant series"),
+            ("constant_stores", ["correlate"],
+             "stores: correlation is undefined for a zero-variance series"),
+            ("constant_stores", ["report"], "stores: Shapiro-Wilk is undefined"),
+            ("no_failures", ["correlate"], "fail: correlation is undefined"),
+            ("no_failures", ["fit", "--group", "external"], "single class; logistic MLE"),
+            ("no_failures", ["fit", "--group", "internal"], "single class; logistic MLE"),
+            ("no_failures", ["fit", "--group", "ratios"], "single class; logistic MLE"),
+            ("no_failures", ["report"], "fail: correlation is undefined"),
+            ("no_failures", ["fit-final"], "failure model: response contains a single class"),
+            ("no_failures", ["predict"], "failure model: response contains a single class"),
+            ("no_failures", ["predict", "--chain", "Rite Aid", "--year", "2015"],
+             "failure model: response contains a single class"),
+            ("two_rows", ["fit-final"], "failure model: need n >= p to fit, got n=2, p=4"),
+            ("two_rows", ["predict"], "failure model: need n >= p to fit, got n=2, p=4"),
             ("two_rows", ["predict", "--chain", "Sears Holdings", "--year", "2018"],
-             "need n >= p to fit"),
-            ("two_rows", ["describe"], "Shapiro-Wilk requires 3 <= n <= 5000, got 2"),
+             "failure model: need n >= p to fit"),
+            ("two_rows", ["describe"], "revenue: Shapiro-Wilk requires 3 <= n <= 5000, got 2"),
         ],
     )
     def test_degenerate_input_gives_one_error_line(self, tmp_path, variant, argv, message):
@@ -351,6 +361,17 @@ class TestErrorContract:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["describe"], ["report"]])
+    @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_non_utf8_file_gives_one_error_line(self, tmp_path, argv, prefix):
+        path = tmp_path / "latin1.csv"
+        text = dataset_to_csv(embedded_dataset()).encode("utf-8")
+        offset = text.index(b"Rite Aid")
+        path.write_bytes(prefix + text[:offset] + b"\xff" + text[offset:])
+        expected = (f"error: {path}: not UTF-8 text "
+                    f"(byte 0xff at offset {len(prefix) + offset})\n")
+        assert run([*argv, "--data", str(path)]) == (1, "", expected)
 
 
 def _huge_debt(row):
@@ -424,7 +445,10 @@ def test_overflowing_ratio_mean_prints_na_correlations(tmp_path):
     for row in section["rows"]:
         for column, text in zip(section["columns"][1:], row[1:]):
             assert (text == "NA") == ((row[0] == ratio) != (column == ratio)), (row[0], column)
-    assert report == (1, "", "error: matrix has non-finite entries\n")
+    message = "error: failure model: matrix has non-finite entries\n"
+    assert report == (1, "", message)
+    for argv in (["fit-final"], ["predict"]):
+        assert run([*argv, "--data", str(path)]) == (1, "", message)
 
 
 def test_byte_order_mark_is_ignored(tmp_path):
