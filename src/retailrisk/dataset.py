@@ -77,9 +77,10 @@ class Dataset:
 
     ``table`` holds one float row per numeric CSV column (in
     :data:`NUMERIC_COLUMNS` order) and ``row_chains`` the chain name of each
-    row. Chains appear in first-occurrence order; within a chain, years are
-    strictly ascending and contiguous, and a ``fail=1`` row (if any) is
-    unique and last.
+    row. Chains appear in first-occurrence order, and a chain's name is one
+    non-empty line with no surrounding whitespace; within a chain, years are
+    integers, strictly ascending and contiguous, and a ``fail=1`` row (if
+    any) is unique and last.
     """
 
     def __init__(self, row_chains, table, ratio_precision: str = "full"):
@@ -161,6 +162,7 @@ _ROW_RULES = (
      lambda v: f"pandemic must be 0 or 1, got {_integer_text(v)}"),
     ("year", lambda v: ~((YEAR_RANGE[0] <= v) & (v <= YEAR_RANGE[1])),
      lambda v: f"year outside plausible range {YEAR_RANGE}"),
+    ("year", lambda v: v != np.trunc(v), lambda v: "year must be an integer"),
     ("revenue", lambda v: v <= 0, lambda v: f"revenue must be > 0, got {v}"),
     ("stores", lambda v: v <= 0, lambda v: f"stores must be > 0, got {v}"),
     ("cost_of_revenue", lambda v: v < 0, lambda v: "cost_of_revenue must be >= 0"),
@@ -192,12 +194,13 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[tuple[str
 
     Every row rule is checked on all rows before any chain rule, and the
     first row in order that breaks one is reported with the first rule it
-    breaks; the chain rules then report the first chain, in first-occurrence
-    order, that breaks one. Last, the first row whose recomputed revenue
-    ratio overflows is reported with the first such ratio.
+    breaks. The chains are then checked one by one in first-occurrence
+    order, and the first that breaks a chain rule is reported with the first
+    rule it breaks: its name, then its years, then its fail=1 records. Last,
+    the first row whose recomputed revenue ratio overflows is reported with
+    the first such ratio.
     """
-    n = len(row_chains)
-    if n == 0:
+    if not row_chains:
         raise DataValidationError("empty dataset")
 
     def row_error(row, message):
@@ -210,37 +213,26 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[tuple[str
         column, _, message = _ROW_RULES[rule]
         raise row_error(row, message(float(table[_ROW[column], row])))
 
-    chains = tuple(dict.fromkeys(row_chains))
-    code_of = {chain: code for code, chain in enumerate(chains)}
-    codes = np.fromiter(map(code_of.__getitem__, row_chains), np.intp, n)
-    # Rows grouped by chain, each group in file order.
-    order = np.argsort(codes, kind="stable")
-    grouped = codes[order]
-    year = table[_ROW["year"]][order]
-    fail = table[_ROW["fail"]][order]
-    starts = np.ones(n, bool)
-    starts[1:] = grouped[1:] != grouped[:-1]
-    ends = np.roll(starts, -1)
-    gaps = ~starts
-    gaps[1:] &= year[1:] != year[:-1] + 1
-    failures = np.bincount(codes, weights=table[_ROW["fail"]], minlength=len(chains))
-
-    def first_year(flags, chain, offset=0):
-        position = int(np.flatnonzero(flags & (grouped == chain))[0]) + offset
-        return int(year[position])
-
-    chain_rules = (
-        (np.bincount(grouped[gaps], minlength=len(chains)) > 0,
-         lambda c: f"{chains[c]}: years must be strictly ascending and contiguous "
-                   f"({first_year(gaps, c, -1)} followed by {first_year(gaps, c)})"),
-        (failures > 1, lambda c: f"{chains[c]}: more than one fail=1 record"),
-        ((failures == 1) & (fail[ends] != 1),
-         lambda c: f"{chains[c]} {first_year(fail == 1, c)}: fail=1 must be the chain's final year"),
-    )
-    found = _first_violation(np.array([flags for flags, _ in chain_rules]))
-    if found is not None:
-        rule, chain = found
-        raise DataValidationError(chain_rules[rule][1](chain))
+    # The row rules passed, so every year is a whole number and fail is 0 or 1.
+    years_of, failures_of = {}, {}
+    for chain, year, fail in zip(row_chains, table[_ROW["year"]].astype(int).tolist(),
+                                 table[_ROW["fail"]].tolist()):
+        years_of.setdefault(chain, []).append(year)
+        if fail:
+            failures_of.setdefault(chain, []).append(year)
+    for chain, years in years_of.items():
+        if not chain or chain != chain.strip() or "\n" in chain or "\r" in chain:
+            raise DataValidationError(f"chain name {chain!r} must be one non-empty line "
+                                      f"with no leading or trailing whitespace")
+        for before, after in zip(years, years[1:]):
+            if after != before + 1:
+                raise DataValidationError(f"{chain}: years must be strictly ascending and "
+                                          f"contiguous ({before} followed by {after})")
+        failures = failures_of.get(chain, [])
+        if len(failures) > 1:
+            raise DataValidationError(f"{chain}: more than one fail=1 record")
+        if failures and failures[0] != years[-1]:
+            raise DataValidationError(f"{chain} {failures[0]}: fail=1 must be the chain's final year")
 
     # IEEE division: the same bits as Python's float division. Revenue is
     # positive, so overflow is the only way to a non-finite ratio.
@@ -252,7 +244,7 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[tuple[str
         ratio, row = found
         raise row_error(row, f"{RATIO_COLUMNS[ratio]} is not finite")
     ratios.flags.writeable = False
-    return chains, ratios
+    return tuple(years_of), ratios
 
 
 _INTEGER_COLUMNS = ("year", "fail", "pandemic")
@@ -301,16 +293,20 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
 
 def _csv_table(csv_text: str) -> tuple[list[str], np.ndarray]:
     """(chain of each row, the numeric fields as an n x 12 float array)."""
-    reader = csv.reader(io.StringIO(csv_text))
+    # Line endings reach the reader as they are, as the csv module expects,
+    # so a lone CR ends a line too.
+    reader = csv.reader(io.StringIO(csv_text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise DataParseError("empty input: missing header") from None
+        header = next(reader, None)
+        lines = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
+    except csv.Error as exc:  # such as a field over the module's size limit
+        raise DataParseError(f"line {reader.line_num}: {exc}") from None
+    if header is None:
+        raise DataParseError("empty input: missing header")
     if tuple(h.strip() for h in header) != CSV_HEADER:
         raise DataParseError(
             f"unexpected header {header!r}; expected {','.join(CSV_HEADER)}"
         )
-    lines = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
     chains = [row[0].strip() for _, row in lines]
     # numpy converts each field with Python's float(), as _parse_number does;
     # a row of the wrong arity makes the array ragged or the reshape fail.

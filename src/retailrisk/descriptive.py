@@ -136,8 +136,12 @@ def shapiro_wilk(series) -> tuple[float, float]:
         raise DegenerateDataError("Shapiro-Wilk is undefined for a constant series")
 
     a = _sw_weights(n)
-    # Overflowed sums of squares give W = NaN, and a NaN p-value, printed NA.
+    # W does not depend on the unit, and a power-of-two rescale is exact:
+    # with the largest magnitude in [0.5, 1) no square below overflows, and
+    # the sum of squares cannot underflow to 0. A non-finite input gives
+    # W = NaN, and a NaN p-value, printed NA.
     with np.errstate(over="ignore", invalid="ignore"):
+        x = np.ldexp(x, -np.frexp(max(-x[0], x[-1]))[1])
         centered = x - np.mean(x)
         w = float((a @ x) ** 2 / (centered @ centered))
     w = min(w, 1.0)

@@ -68,13 +68,14 @@ def _chi2_sf(x: float, df: int) -> float:
     if math.isinf(x):
         return 0.0
     half = 0.5 * x
+    # Both series sum positive terms; near x = 0 the rounded sum can pass 1.
     if df % 2 == 0:
         # exp(-x/2) * sum_{i<df/2} (x/2)^i / i!
         term = total = math.exp(-half)
         for i in range(1, df // 2):
             term *= half / i
             total += term
-        return total
+        return min(total, 1.0)
     # erfc(sqrt(x/2)) + sqrt(2x/pi) exp(-x/2) * sum_{i<(df-1)/2} x^i / (1*3*...*(2i+1))
     root = math.sqrt(x)
     term = _SQRT_2_OVER_PI * root * math.exp(-half)
@@ -82,7 +83,7 @@ def _chi2_sf(x: float, df: int) -> float:
     for i in range(1, (df + 1) // 2):
         total += term
         term *= x / (2 * i + 1)
-    return total
+    return min(total, 1.0)
 
 
 def chi2_sf(x, df: int):

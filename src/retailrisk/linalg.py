@@ -128,9 +128,15 @@ class Cholesky:
         return np.array(inv)
 
     def inverse(self) -> np.ndarray:
-        """a^-1 = L^-T L^-1, exactly symmetric."""
+        """a^-1 = L^-T L^-1, exactly symmetric. An entry beyond the float
+        range, as for a column in units so small that the variance of its
+        coefficient overflows, is a :class:`NonFiniteMatrixError`."""
         inv_lower = self._inverse_lower()
-        return inv_lower.T @ inv_lower
+        with np.errstate(over="ignore", invalid="ignore"):
+            inverse = inv_lower.T @ inv_lower
+        if not np.all(np.isfinite(inverse)):
+            raise NonFiniteMatrixError("inverse has non-finite entries")
+        return inverse
 
     def log_det(self) -> float:
         """log(det(a)) = 2*sum(log(diag(L)))."""

@@ -241,6 +241,10 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
     )
 
 
+# A column near the float limit has an infinite SD, and a diverged slope can
+# be near the float limit itself: products with either, X @ beta included,
+# may be inf or NaN, and the comparisons below give the diagnosis anyway.
+@np.errstate(over="ignore", invalid="ignore")
 def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool) -> str:
     """Diagnose complete/quasi separation from fitted (or stalled) coefficients.
 
@@ -252,11 +256,9 @@ def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool) -> str:
     if not np.all(np.isfinite(beta)):
         diverged = True
     else:
-        # A column near the float limit has an infinite SD: the product is
-        # inf or NaN, and only an inf above the bound counts as divergence.
-        with np.errstate(over="ignore", invalid="ignore"):
-            scales = np.std(dm.X[:, 1:], axis=0, ddof=1) if dm.p > 1 else np.array([])
-            standardized = np.abs(beta[1:]) * scales
+        # Only an inf above the bound counts as divergence.
+        scales = np.std(dm.X[:, 1:], axis=0, ddof=1) if dm.p > 1 else np.array([])
+        standardized = np.abs(beta[1:]) * scales
         diverged = bool(np.any(standardized > DIVERGENCE_BOUND))
         if not diverged and not converged:
             prob = expit(dm.X @ beta)

@@ -1,0 +1,162 @@
+"""A property-based net over the command line and the dataset constructor.
+
+On any schema-valid panel, every subcommand exits 0 or 1 without raising,
+writes nothing to stderr on success and one ``error:`` line otherwise, and
+the exported CSV parses back to the same dataset. Halving or doubling the
+five money columns changes no byte of what rests on revenue ratios alone.
+"""
+
+import csv
+import io
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, strategies as st
+
+from retailrisk.cli import run_command
+from retailrisk.dataset import (
+    CSV_HEADER,
+    NUMERIC_COLUMNS,
+    RATIO_PRECISIONS,
+    YEAR_RANGE,
+    DataValidationError,
+    Dataset,
+    dataset_to_csv,
+    parse_dataset,
+)
+from retailrisk.pipeline import SCREEN_GROUPS
+from retailrisk.report import FORMATS
+
+MONEY_COLUMNS = ("revenue", "cost_of_revenue", "sga", "ebitda", "long_term_debt")
+
+CHAIN_NAMES = ("Bed Bath & Beyond", "Rite Aid", "Sears Holdings", "J.C. Penney",
+               'Toys "R" Us, Inc.')
+
+#: Each drawn column's values as (low, high) multiples of its magnitude.
+#: The money columns share one magnitude, so their ratios stay near 1;
+#: ``acsi`` keeps magnitude 1, for its range [0, 100].
+MULTIPLES = {
+    "revenue": (1.0, 10.0),
+    "cost_of_revenue": (0.0, 10.0),
+    "sga": (0.0, 10.0),
+    "ebitda": (-10.0, 10.0),
+    "long_term_debt": (0.0, 10.0),
+    "stores": (1.0, 10.0),
+    "us_interest_rate": (-10.0, 10.0),
+    "us_inflation_rate": (-10.0, 10.0),
+    "acsi": (0.0, 100.0),
+}
+
+#: A column's magnitude: 1, or a power of ten from 1e-300 to 1e300.
+MAGNITUDES = st.one_of(st.just(1.0), st.integers(-300, 300).map(lambda k: 10.0 ** k))
+
+
+@st.composite
+def panels(draw):
+    """(chain of each row, values of each numeric column) of a panel with
+    one to four chains of one to eight contiguous years, each failing in its
+    final year or never. About half the panels hold one or two constant
+    columns; the other drawn columns have distinct values."""
+    chains = draw(st.lists(st.sampled_from(CHAIN_NAMES), min_size=1, max_size=4, unique=True))
+    row_chains, years, fails = [], [], []
+    for chain in chains:
+        length = draw(st.integers(1, 8))
+        start = draw(st.integers(YEAR_RANGE[0], YEAR_RANGE[1] - length + 1))
+        row_chains += [chain] * length
+        years += range(start, start + length)
+        fails += [0] * (length - 1) + [int(draw(st.booleans()))]
+    n = len(row_chains)
+    columns = {"year": years, "fail": fails,
+               "pandemic": draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))}
+    magnitudes = {"acsi": 1.0, **dict.fromkeys(MONEY_COLUMNS, draw(MAGNITUDES))}
+    constant = draw(st.one_of(st.just(set()),
+                              st.sets(st.sampled_from(tuple(MULTIPLES)), min_size=1, max_size=2)))
+    for name, (low, high) in MULTIPLES.items():
+        magnitude = magnitudes[name] if name in magnitudes else draw(MAGNITUDES)
+        values = st.floats(low, high).map(lambda v, m=magnitude: v * m)
+        if name in constant:
+            columns[name] = [draw(values)] * n
+        else:
+            columns[name] = draw(st.lists(values, min_size=n, max_size=n, unique=True))
+    return row_chains, columns
+
+
+def _csv(row_chains, columns):
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    writer.writerows(zip(row_chains, *(columns[name] for name in NUMERIC_COLUMNS)))
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "panel.csv"
+
+
+def _cli(data_path, text, *argv):
+    """(exit code, stdout, stderr) of one in-process run on ``text``."""
+    data_path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command([*argv, "--data", str(data_path)], out, err)
+    return code, out.getvalue(), err.getvalue()
+
+
+INVOCATIONS = (
+    ("export-data",), ("describe",), ("correlate",),
+    *(("fit", "--group", group) for group in SCREEN_GROUPS),
+    ("fit-final",), ("predict",), ("report",),
+)
+
+
+@given(panel=panels(), bom=st.booleans(), ratios=st.sampled_from(RATIO_PRECISIONS),
+       fmt=st.sampled_from(FORMATS))
+def test_every_subcommand_keeps_the_error_contract(panel, bom, ratios, fmt, data_path):
+    row_chains, columns = panel
+    text = _csv(row_chains, columns)
+    cell = ("predict", "--chain", row_chains[0], "--year", str(columns["year"][0]))
+    results = [
+        _cli(data_path, "\ufeff" * bom + text, *argv, "--ratios", ratios, "--format", fmt)
+        for argv in (*INVOCATIONS, cell)
+    ]
+    for code, _, err in results:
+        assert code in (0, 1)
+        if code == 0:
+            assert err == ""
+        else:
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    code, exported, _ = results[0]
+    if code == 0:
+        dataset = parse_dataset(text, ratios)
+        assert parse_dataset(exported, ratios) == dataset
+        assert dataset_to_csv(parse_dataset(exported)) == exported
+    else:  # the data did not load, so nothing ran
+        assert all(result == results[0] for result in results)
+
+
+@given(panel=panels(), factor=st.sampled_from((2.0, 0.5)),
+       ratios=st.sampled_from(RATIO_PRECISIONS))
+def test_money_units_change_no_ratio_result(panel, factor, ratios, data_path):
+    row_chains, columns = panel
+    scaled = {**columns, **{name: [v * factor for v in columns[name]] for name in MONEY_COLUMNS}}
+    money = np.array([side[name] for side in (columns, scaled) for name in MONEY_COLUMNS])
+    # Scaling by a power of two is exact for finite normal numbers only.
+    assume(np.all(np.isfinite(money) & ((money == 0) | (abs(money) >= np.finfo(float).tiny))))
+    for argv in (("fit", "--group", "ratios"), ("fit-final",), ("predict",)):
+        assert (_cli(data_path, _csv(row_chains, scaled), *argv, "--ratios", ratios)
+                == _cli(data_path, _csv(row_chains, columns), *argv, "--ratios", ratios))
+
+
+@given(panel=panels(), names=st.lists(st.text(max_size=6), min_size=4, max_size=4),
+       ratios=st.sampled_from(RATIO_PRECISIONS))
+def test_what_the_constructor_accepts_round_trips(panel, names, ratios):
+    """Any chain names, padded or empty ones included: a dataset that the
+    constructor accepts comes back unchanged through the CSV."""
+    row_chains, columns = panel
+    rename = dict(zip(dict.fromkeys(row_chains), names))
+    try:
+        dataset = Dataset([rename[chain] for chain in row_chains],
+                          [columns[name] for name in NUMERIC_COLUMNS], ratios)
+    except DataValidationError:
+        return
+    assert parse_dataset(dataset_to_csv(dataset), ratios) == dataset

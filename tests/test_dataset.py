@@ -230,6 +230,17 @@ class TestParseErrors:
         assert str(caught.value) == "line 4: non-numeric value 'abc' in column 'revenue'"
         assert len(readers) == 1
 
+    def test_field_over_the_csv_size_limit_is_a_parse_error(self):
+        text = dataset_to_csv(embedded_dataset()).replace("Rite Aid", "R" * 200_000, 1)
+        with pytest.raises(DataParseError) as caught:
+            parse_dataset(text)
+        assert str(caught.value) == "line 10: field larger than field limit (131072)"
+
+    @pytest.mark.parametrize("ending", ["\r", "\r\n"])
+    def test_any_line_ending_parses(self, ending):
+        text = dataset_to_csv(embedded_dataset())
+        assert parse_dataset(text.replace("\n", ending)) == embedded_dataset()
+
 
 class TestRoundTrip:
     def test_embedded_roundtrip_is_identical(self):
@@ -348,6 +359,26 @@ def test_constructor_copies_the_table():
     again = Dataset(ds.column("chain"), table)
     table[:] = 0.0
     assert again == ds
+
+
+@pytest.mark.parametrize("rename,year,message", [
+    ("Rite Aid", 2015.5, "Rite Aid 2015.5: year must be an integer"),
+    ("", 2015, "chain name '' must be one non-empty line with no leading or trailing whitespace"),
+    (" Rite Aid", 2015,
+     "chain name ' Rite Aid' must be one non-empty line with no leading or trailing whitespace"),
+    ("Rite\rAid", 2015,
+     "chain name 'Rite\\rAid' must be one non-empty line with no leading or trailing whitespace"),
+])
+def test_constructor_refuses_what_parsing_refuses(rename, year, message):
+    """A fractional year, and an empty, padded or multi-line chain name, none
+    of which the CSV carries back unchanged, in Rite Aid's 2015 row."""
+    ds = embedded_dataset()
+    chains = [rename if chain == "Rite Aid" else chain for chain in ds.column("chain")]
+    table = _table(ds)
+    table[0, chains.index(rename) + 2] = year
+    with pytest.raises(DataValidationError) as raised:
+        Dataset(chains, table)
+    assert str(raised.value) == message
 
 
 def test_dataset_rejects_unknown_precision():

@@ -89,6 +89,15 @@ class TestShapiroWilk:
         w_scaled, _ = shapiro_wilk(3.7 * x + 11.0)
         assert w_scaled == pytest.approx(w, abs=1e-10)
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-160, 2.0 ** -1000, 1e154, 1e300])
+    def test_any_unit_gives_the_same_test(self, scale):
+        # At 1e-160 the squares underflow and at 1e154 their sum overflows,
+        # unless the series is first brought near 1; a power of two is exact.
+        revenue = embedded_dataset().column("revenue")
+        expected = shapiro_wilk(revenue)
+        got = shapiro_wilk(revenue * scale)
+        assert got == (expected if scale == 2.0 ** -1000 else pytest.approx(expected, rel=1e-13))
+
     def test_rejects_bad_sizes_and_constant_input(self):
         with pytest.raises(DegenerateDataError):
             shapiro_wilk([1.0, 2.0])

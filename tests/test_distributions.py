@@ -97,6 +97,12 @@ class TestChi2Sf:
     def test_scalar_path(self, df):
         check_scalar_path(lambda x: chi2_sf(x, df), np.concatenate([self.grid, self.edges]))
 
+    @pytest.mark.parametrize("df", range(1, 16))
+    def test_is_a_probability_near_zero(self, df):
+        near_zero = np.concatenate([np.logspace(-300, 0, 40_000), np.linspace(0.0, 1.0, 10_001)])
+        values = chi2_sf(near_zero, df)
+        assert np.all((0.0 <= values) & (values <= 1.0))
+
     @pytest.mark.parametrize("df", [0, -1, 1.5])
     def test_rejects_non_integer_df(self, df):
         with pytest.raises(ValueError):

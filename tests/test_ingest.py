@@ -2,7 +2,9 @@
 same values in bit-equal columns, and the same error class and message for
 every parse and validation fault, including which of two faults is named."""
 
+import functools
 import random
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -90,8 +92,13 @@ RATIO_FAULTS = {"overflowing_ratio": _overflowing_ratio}
 ROW_FAULTS = {**PARSE_FAULTS, **DOMAIN_FAULTS, **RATIO_FAULTS}
 
 
+@functools.cache
+def _panel_text(seed):
+    return panel_csv(seed, chains=30)
+
+
 def _panel_rows(seed):
-    lines = panel_csv(seed, chains=30).splitlines()
+    lines = _panel_text(seed).splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
@@ -141,14 +148,27 @@ CHAIN_FAULTS = {
 }
 
 
-def _inject(seed, *names):
+def _interleaved(rows):
+    """The rows dealt round-robin over the chains: every chain's first row in
+    chain order, then every second row, and so on."""
+    ranks = zip_longest(*(rows[start:stop] for start, stop in _chain_spans(rows)))
+    return [row for rank in ranks for row in rank if row is not None]
+
+
+LAYOUTS = ("contiguous", "interleaved")
+
+
+def _inject(seed, *names, layout="contiguous"):
     """A seeded panel with each named fault put into a random row or chain
-    (row faults into different rows)."""
+    (row faults into different rows), with each chain's rows together or
+    interleaved with the other chains' rows."""
     rng = random.Random(f"{seed}-{names}")
     header, rows = _panel_rows(seed)
     for name in names:
         if name in CHAIN_FAULTS:
             CHAIN_FAULTS[name](rows, rng)
+    if layout == "interleaved":
+        rows = _interleaved(rows)
     targets = rng.sample(range(len(rows)), len(names))
     for name, i in zip(names, targets):
         if name in ROW_FAULTS:
@@ -187,24 +207,27 @@ def _assert_same_records_error(records):
 SEEDS = range(8)
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(ROW_FAULTS) + sorted(CHAIN_FAULTS))
-def test_fault_gives_reference_error(name, seed):
-    _assert_same_error(_inject(seed, name))
+def test_fault_gives_reference_error(name, seed, layout):
+    _assert_same_error(_inject(seed, name, layout=layout))
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(DOMAIN_FAULTS) + sorted(RATIO_FAULTS)
                          + sorted(CHAIN_FAULTS))
-def test_records_constructor_gives_reference_error(name, seed):
-    _assert_same_records_error(read_records(_inject(seed, name)))
+def test_records_constructor_gives_reference_error(name, seed, layout):
+    _assert_same_records_error(read_records(_inject(seed, name, layout=layout)))
 
 
+@pytest.mark.parametrize("layout", LAYOUTS)
 @pytest.mark.parametrize("seed", range(60))
-def test_first_of_two_faults_is_reported(seed):
+def test_first_of_two_faults_is_reported(seed, layout):
     rng = random.Random(seed)
     names = rng.choices(sorted(ROW_FAULTS) + sorted(CHAIN_FAULTS), k=2)
-    _assert_same_error(_inject(seed % len(SEEDS), *names))
+    _assert_same_error(_inject(seed % len(SEEDS), *names, layout=layout))
 
 
 @pytest.mark.parametrize("first", range(len(DOMAIN_FAULTS) - 1))

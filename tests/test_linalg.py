@@ -327,6 +327,14 @@ def test_invalid_input_errors(entry, a, cls, message):
         assert f"pivot at row {info.value.row} " in message
 
 
+@pytest.mark.parametrize("a", [[[1e-310]], [[1.0, 0.0], [0.0, 1e-310]]])
+def test_inverse_beyond_the_float_range_is_refused(a):
+    """The factor is finite, but 1 / 1e-310 is not a float."""
+    factor = linalg.Cholesky(a)
+    with pytest.raises(NonFiniteMatrixError, match="^inverse has non-finite entries$"):
+        factor.inverse()
+
+
 def test_asymmetry_within_tolerance_is_accepted():
     factor = linalg.Cholesky([[1.0, 1e-11], [0.0, 1.0]])
     assert factor.log_det() == pytest.approx(0.0, abs=1e-12)

@@ -9,6 +9,7 @@ from retailrisk.logistic import (
     SEPARATION_NONE,
     SEPARATION_QUASI,
     DegenerateResponseError,
+    _separation,
     fit_logistic,
     log_likelihood,
     newton,
@@ -186,6 +187,12 @@ class TestSeparation:
         fit = fit_logistic(toy_design(x, y))
         assert not fit.converged
         assert fit.separation == SEPARATION_QUASI
+
+    def test_diverged_slope_beyond_the_float_range_is_diagnosed_quietly(self):
+        # A screen stalled on a column near 1e111 can leave a slope near
+        # -4e290, as a 23-row panel did: X @ beta overflows, without a warning.
+        dm = toy_design([1e111, 2e111, 3e111, 4e-89], [0.0, 0.0, 0.0, 1.0])
+        assert _separation(dm, np.array([1e202, -1e290]), False) == SEPARATION_COMPLETE
 
     def test_pandemic_model_not_separated(self):
         # Both pandemic cells hold mixed outcomes: 3/7 and 1/25 failures.

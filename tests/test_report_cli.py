@@ -293,6 +293,14 @@ class TestCli:
         assert ("US inflation rate (%): not converged, complete separation; "
                 "estimates are not reliable") in out
 
+    def test_overflowing_slope_variance_reads_na(self, tmp_path):
+        # The inflation slope's variance is beyond the float range: its
+        # p-value reads NA, not the 1.000 of an infinite standard error.
+        path = write_variant(tmp_path / "tiny_inflation.csv", **DEGENERATE_INPUTS["tiny_inflation"])
+        status, out, err = run(["fit", "--group", "external", "--data", str(path)])
+        assert status == 0 and err == ""
+        assert "| Slope (p-value) | 0.760 | 0.023 | 0.286 | NA |" in out
+
 
 #: Schema-valid inputs on which an analysis is undefined.
 DEGENERATE_INPUTS = {
@@ -301,6 +309,10 @@ DEGENERATE_INPUTS = {
     "no_failures": {"change": lambda row: {"fail": "0"}},
     # The last two Sears Holdings rows: fewer rows than model coefficients.
     "two_rows": {"select": lambda rows: [r for r in rows if r["chain"] == "Sears Holdings"][-2:]},
+    # Inflation in units of 1e-156 %: the failure model's slope has a finite
+    # standard error near 3e155, but its variance is beyond the float range.
+    "tiny_inflation": {"change": lambda row: {
+        "us_inflation_rate": repr(float(row["us_inflation_rate"]) * 1e-156)}},
 }
 
 
@@ -351,6 +363,8 @@ class TestErrorContract:
             ("two_rows", ["predict", "--chain", "Sears Holdings", "--year", "2018"],
              "failure model: need n >= p to fit"),
             ("two_rows", ["describe"], "revenue: Shapiro-Wilk requires 3 <= n <= 5000, got 2"),
+            ("tiny_inflation", ["fit-final"], "failure model: inverse has non-finite entries"),
+            ("tiny_inflation", ["predict"], "failure model: inverse has non-finite entries"),
         ],
     )
     def test_degenerate_input_gives_one_error_line(self, tmp_path, variant, argv, message):
@@ -397,6 +411,17 @@ def test_overflowing_money_column_gives_no_traceback(tmp_path, argv):
         assert "Long-term debt (M$): not converged; estimates are not reliable" in out
         se_row = next(line for line in out.splitlines() if line.startswith("| Slope [s.e.] |"))
         assert se_row.endswith("| NA |")
+
+
+@pytest.mark.parametrize("scale", [1e-165, 1e-170])
+def test_tiny_stores_unit_keeps_the_normality_test(tmp_path, scale):
+    # Stores counted in units of 1e165 or 1e170: Shapiro-Wilk's squares
+    # underflow unless the series is rescaled first, and W is unit-free.
+    path = write_variant(tmp_path / "tiny_stores.csv",
+                         lambda row: {"stores": repr(float(row["stores"]) * scale)})
+    status, out, err = run(["describe", "--data", str(path)])
+    assert (status, err) == (0, "")
+    assert "| Stores | 0.0000 | 0.0000 | 0.815 | <0.001 |" in out
 
 
 def _overflowing_ratio(row):
