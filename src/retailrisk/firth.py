@@ -13,14 +13,15 @@ line up with published fits:
   exact negative Hessian of l*, so they converge quadratically even near
   separation; where it is not positive definite, with the hat-augmented
   information X' diag(w*(1+h)) X.
-* The variance-covariance matrix is the inverse of the hat-augmented
-  information at the solution; per-coefficient Wald chi-squares are
+* The standard errors are the square roots of the diagonal of the inverse
+  of the hat-augmented information at the solution, read from its Cholesky
+  factor without forming the inverse; per-coefficient Wald chi-squares are
   (beta/se)^2 on one degree of freedom.
 * The likelihood-ratio test refits with the slopes pinned at zero (the
   penalty still uses the full design) and compares penalized likelihoods on
   p-1 degrees of freedom.
 * The global Wald statistic is the quadratic form of the full coefficient
-  vector in the inverse covariance, reported on p-1 degrees of freedom.
+  vector in the hat-augmented information, reported on p-1 degrees of freedom.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
 from .errors import RetailRiskError
-from .logistic import _coefficients, _evaluate, _information, check_fittable, newton
+from .logistic import _coefficients, _evaluate, _information, _wald, check_fittable, newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,7 +53,6 @@ class FirthFit:
     wald_stat: float
     wald_df: int
     wald_p: float
-    cov: np.ndarray
     iterations: int
     converged: bool
 
@@ -87,10 +87,9 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
     beta, pen_ll, w, h, trace = newton(dm.X, dm.y, penalized=True)
 
     augmented = _information(dm.X, w * (1.0 + h))
-    cov = linalg.Cholesky(augmented).inverse()
-    se = np.sqrt(np.diag(cov))
-    chisq = (beta / se) ** 2
-    p_values = chi2_sf(chisq, 1)
+    se, z, p_values = _wald(augmented, beta)
+    # sqrt(z*z) == |z| in floating point: p_values == chi2_sf(chisq, 1) bit for bit.
+    chisq = z * z
 
     df = dm.p - 1
     if df > 0:
@@ -117,7 +116,6 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
         wald_stat=wald_stat,
         wald_df=df,
         wald_p=wald_p,
-        cov=cov,
         iterations=trace.steps,
         converged=trace.converged,
     )

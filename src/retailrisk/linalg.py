@@ -4,13 +4,13 @@ Everything here goes through one object, :class:`Cholesky`: it validates a
 matrix once (square, finite, symmetric) and computes its unpivoted Cholesky
 factor in scalar Python arithmetic, which for the 1x1 to 4x4 Fisher
 informations of this package is far cheaper than a numpy call per element.
-The factor then serves solves, the inverse, the log-determinant and the
-whitening ``L^-1 B`` that gives hat diagonals, so a Newton step that needs
-several of them factors its matrix once. The matrices are symmetric positive
-definite whenever the design has full rank and the fit is away from
-separation; a failed pivot is therefore itself a useful diagnostic and is
-reported as :class:`SingularMatrixError`; an infinite or NaN entry (an
-overflowed product) as :class:`NonFiniteMatrixError`.
+The factor then serves solves, the log-determinant, the whitening ``L^-1 B``
+that gives hat diagonals and the square roots of diag(a^-1) that give standard
+errors, so a Newton step that needs several of them factors its matrix once.
+The matrices are symmetric positive definite whenever the design has full rank
+and the fit is away from separation; a failed pivot is therefore itself a
+useful diagnostic and is reported as :class:`SingularMatrixError`; an infinite
+or NaN entry (an overflowed product) as :class:`NonFiniteMatrixError`.
 """
 
 from __future__ import annotations
@@ -114,8 +114,8 @@ class Cholesky:
             x[i] = (z[i] - dot) / lower[i][i]
         return np.array(x)
 
-    def _inverse_lower(self) -> np.ndarray:
-        """L^-1 (lower triangular), by forward substitution on the identity."""
+    def _inverse_lower(self) -> list[list[float]]:
+        """The rows of L^-1 (lower triangular), by forward substitution on I."""
         n, lower = self.n, self._rows
         inv = [[0.0] * n for _ in range(n)]
         for j in range(n):
@@ -125,18 +125,16 @@ class Cholesky:
                 for k in range(j, i):
                     dot += l_i[k] * inv[k][j]
                 inv[i][j] = ((1.0 if i == j else 0.0) - dot) / l_i[i]
-        return np.array(inv)
+        return inv
 
-    def inverse(self) -> np.ndarray:
-        """a^-1 = L^-T L^-1, exactly symmetric. An entry beyond the float
-        range, as for a column in units so small that the variance of its
-        coefficient overflows, is a :class:`NonFiniteMatrixError`."""
-        inv_lower = self._inverse_lower()
-        with np.errstate(over="ignore", invalid="ignore"):
-            inverse = inv_lower.T @ inv_lower
-        if not np.all(np.isfinite(inverse)):
+    def inverse_diag_sqrt(self) -> np.ndarray:
+        """sqrt(diag(a^-1)), the norms of the columns of L^-1 since a^-1 =
+        L^-T L^-1. No entry of a^-1 is formed, so a root is refused only when
+        it is itself beyond the float range (a :class:`NonFiniteMatrixError`)."""
+        roots = np.array([math.hypot(*column) for column in zip(*self._inverse_lower())])
+        if not np.all(np.isfinite(roots)):
             raise NonFiniteMatrixError("inverse has non-finite entries")
-        return inverse
+        return roots
 
     def log_det(self) -> float:
         """log(det(a)) = 2*sum(log(diag(L)))."""
@@ -147,4 +145,4 @@ class Cholesky:
 
     def whiten(self, b) -> np.ndarray:
         """L^-1 @ b for a matrix b of columns (n rows)."""
-        return self._inverse_lower() @ b
+        return np.array(self._inverse_lower()) @ b

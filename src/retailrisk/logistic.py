@@ -61,7 +61,6 @@ class MleFit:
     p_values: np.ndarray
     log_lik: float
     aic: float
-    cov: np.ndarray
     iterations: int
     converged: bool
     separation: str
@@ -206,6 +205,14 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None)
     return beta, value, w, h, NewtonTrace(steps, halvings, max_score, converged)
 
 
+def _wald(info: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wald (se, z, two-sided p) of beta under the information ``info``: se
+    are the square roots of diag(info^-1), taken from info's Cholesky factor."""
+    se = linalg.Cholesky(info).inverse_diag_sqrt()
+    z = beta / se
+    return se, z, 2.0 * norm_sf(np.abs(z))
+
+
 def fit_logistic(dm: DesignMatrix) -> MleFit:
     """Fit ``y ~ X`` by IRLS from beta = 0 under the MLE stopping rule.
 
@@ -218,13 +225,9 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
     beta, ll, w, _, trace = newton(X, dm.y)
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            cov = linalg.Cholesky(_information(X, w)).inverse()
-            se = np.sqrt(np.diag(cov))
+            se, z, p_values = _wald(_information(X, w), beta)
         except FACTOR_ERRORS:
-            cov = np.full((p, p), np.nan)
-            se = np.full(p, np.nan)
-        z = beta / se
-    p_values = 2.0 * norm_sf(np.abs(z))
+            se, z, p_values = np.full((3, p), np.nan)
     aic = 2.0 * p - 2.0 * ll
     return MleFit(
         labels=dm.labels,
@@ -234,7 +237,6 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
         p_values=p_values,
         log_lik=ll,
         aic=aic,
-        cov=cov,
         iterations=trace.steps,
         converged=trace.converged,
         separation=_separation(dm, beta, trace.converged),

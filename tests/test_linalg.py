@@ -59,12 +59,18 @@ def factor_of(a):
     return linalg.Cholesky(a).whiten(np.asarray(a, dtype=float)).T
 
 
+def inverse_of(factor):
+    """a^-1 = L^-T L^-1, from a factor's whitening of the identity."""
+    inv_lower = factor.whiten(np.eye(factor.n))
+    return inv_lower.T @ inv_lower
+
+
 class TestCholesky:
     def test_identity(self):
         factor = linalg.Cholesky(np.eye(3))
         b = np.array([3.0, -1.0, 2.0])
         assert np.array_equal(factor.solve(b), b)
-        assert np.array_equal(factor.inverse(), np.eye(3))
+        assert np.array_equal(factor.inverse_diag_sqrt(), np.ones(3))
         assert factor.log_det() == 0.0
 
     def test_hand_checked_2x2(self):
@@ -72,7 +78,7 @@ class TestCholesky:
         factor = linalg.Cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
         np.testing.assert_allclose(factor.solve(np.array([6.0, 5.0])), [1.0, 1.0],
                                    rtol=0, atol=1e-15)
-        np.testing.assert_allclose(factor.inverse(), [[0.375, -0.25], [-0.25, 0.5]],
+        np.testing.assert_allclose(factor.inverse_diag_sqrt(), np.sqrt([0.375, 0.5]),
                                    rtol=0, atol=1e-15)
         assert factor.log_det() == pytest.approx(math.log(8.0), abs=1e-15)
 
@@ -85,7 +91,7 @@ class TestCholesky:
         for row in dm.X:  # brute-force Gram accumulation
             gram += np.outer(row, row)
         assert np.linalg.matrix_rank(gram) == dm.p
-        np.testing.assert_allclose(gram @ linalg.Cholesky(gram).inverse(), np.eye(dm.p),
+        np.testing.assert_allclose(gram @ inverse_of(linalg.Cholesky(gram)), np.eye(dm.p),
                                    rtol=0, atol=1e-10)
 
     def test_reconstruction_random_spd(self):
@@ -95,7 +101,7 @@ class TestCholesky:
             factor = linalg.Cholesky(a)
             b = rng.standard_normal(size)
             assert np.linalg.norm(a @ factor.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
-            np.testing.assert_allclose(a @ factor.inverse(), np.eye(size), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(a @ inverse_of(factor), np.eye(size), rtol=0, atol=1e-10)
 
     def test_rejects_non_positive_definite(self):
         with pytest.raises(SingularMatrixError):
@@ -143,22 +149,26 @@ class TestSolveSpd:
 
 class TestInverseSpd:
     def test_identity(self):
-        np.testing.assert_array_equal(linalg.Cholesky(np.eye(4)).inverse(), np.eye(4))
+        np.testing.assert_array_equal(linalg.Cholesky(np.eye(4)).inverse_diag_sqrt(), np.ones(4))
 
     def test_diagonal(self):
         np.testing.assert_allclose(
-            linalg.Cholesky(np.diag([2.0, 5.0])).inverse(), np.diag([0.5, 0.2]), atol=1e-14
+            linalg.Cholesky(np.diag([2.0, 5.0])).inverse_diag_sqrt(), np.sqrt([0.5, 0.2]),
+            atol=1e-14
         )
 
     def test_matches_adjugate_oracle(self):
         rng = np.random.default_rng(17)
         a = random_spd(rng, 4)
-        np.testing.assert_allclose(linalg.Cholesky(a).inverse(), adjugate_inverse(a), atol=1e-8)
+        factor = linalg.Cholesky(a)
+        np.testing.assert_allclose(inverse_of(factor), adjugate_inverse(a), atol=1e-8)
+        np.testing.assert_allclose(factor.inverse_diag_sqrt(),
+                                   np.sqrt(np.diag(adjugate_inverse(a))), atol=1e-8)
 
     def test_product_is_identity(self):
         rng = np.random.default_rng(19)
         a = random_spd(rng, 7)
-        np.testing.assert_allclose(a @ linalg.Cholesky(a).inverse(), np.eye(7), atol=1e-8)
+        np.testing.assert_allclose(a @ inverse_of(linalg.Cholesky(a)), np.eye(7), atol=1e-8)
 
 
 class TestLogDetSpd:
@@ -180,7 +190,7 @@ class TestLogDetSpd:
         for _ in range(5):
             a = random_spd(rng, 5)
             factor = linalg.Cholesky(a)
-            total = factor.log_det() + linalg.Cholesky(factor.inverse()).log_det()
+            total = factor.log_det() + linalg.Cholesky(inverse_of(factor)).log_det()
             assert abs(total) <= 1e-8
 
     def test_singular(self):
@@ -193,7 +203,7 @@ def test_solve_and_inverse_agree():
     a = random_spd(rng, 5)
     b = rng.standard_normal(5)
     factor = linalg.Cholesky(a)
-    np.testing.assert_allclose(factor.inverse() @ b, factor.solve(b), atol=1e-8)
+    np.testing.assert_allclose(inverse_of(factor) @ b, factor.solve(b), atol=1e-8)
 
 
 class TestCholeskyFactor:
@@ -222,10 +232,13 @@ class TestCholeskyFactor:
         rng = np.random.default_rng(43)
         for size in self.SIZES:
             a = random_spd(rng, size)
-            inverse = linalg.Cholesky(a).inverse()
+            factor = linalg.Cholesky(a)
+            inverse = inverse_of(factor)
             assert np.array_equal(inverse, inverse.T)
             by_columns = np.column_stack([gauss_solve(a, e) for e in np.eye(size)])
             np.testing.assert_allclose(inverse, by_columns, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(factor.inverse_diag_sqrt(), np.sqrt(np.diag(by_columns)),
+                                       rtol=1e-10, atol=0)
             if 2 <= size <= 5:  # the Laplace expansion grows as size!
                 np.testing.assert_allclose(inverse, adjugate_inverse(a), rtol=0, atol=1e-10)
 
@@ -311,7 +324,7 @@ def test_invalid_right_hand_side_errors(b, message):
 ENTRY_POINTS = {
     "Cholesky": linalg.Cholesky,
     "solve": lambda a: linalg.Cholesky(a).solve(np.ones(np.shape(a)[0])),
-    "inverse": lambda a: linalg.Cholesky(a).inverse(),
+    "inverse_diag_sqrt": lambda a: linalg.Cholesky(a).inverse_diag_sqrt(),
     "log_det": lambda a: linalg.Cholesky(a).log_det(),
 }
 
@@ -328,11 +341,12 @@ def test_invalid_input_errors(entry, a, cls, message):
 
 
 @pytest.mark.parametrize("a", [[[1e-310]], [[1.0, 0.0], [0.0, 1e-310]]])
-def test_inverse_beyond_the_float_range_is_refused(a):
-    """The factor is finite, but 1 / 1e-310 is not a float."""
-    factor = linalg.Cholesky(a)
-    with pytest.raises(NonFiniteMatrixError, match="^inverse has non-finite entries$"):
-        factor.inverse()
+def test_inverse_diagonal_roots_are_finite_where_the_inverse_is_not(a):
+    """1 / 1e-310 is not a float, but its square root 1e155 is: no entry of
+    the inverse is formed on the way to it."""
+    roots = linalg.Cholesky(a).inverse_diag_sqrt()
+    assert np.all(np.isfinite(roots))
+    np.testing.assert_allclose(roots, 1.0 / np.sqrt(np.diag(a)), rtol=1e-12, atol=0)
 
 
 def test_asymmetry_within_tolerance_is_accepted():
@@ -345,7 +359,7 @@ def test_small_diagonal_entry_is_not_a_small_pivot():
     # diag(1, 1e-13) is the identity once its diagonal is scaled to 1.
     factor = linalg.Cholesky([[1.0, 0.0], [0.0, 1e-13]])
     np.testing.assert_allclose(factor.solve([2.0, 3e-13]), [2.0, 3.0], rtol=1e-15, atol=0)
-    np.testing.assert_allclose(factor.inverse(), np.diag([1.0, 1e13]), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(inverse_of(factor), np.diag([1.0, 1e13]), rtol=1e-15, atol=0)
     assert factor.log_det() == pytest.approx(math.log(1e-13), abs=1e-14)
 
 

@@ -190,6 +190,23 @@ class TestUnits:
                 assert np.array_equal(getattr(fit, field), getattr(ref, field)), field
             assert fit.iterations == ref.iterations
 
+    # At k <= -155 the inflation slope's variance is beyond the float range,
+    # though its standard error is not. At k = -159 the information's
+    # inflation entry (near 1e-317) is subnormal and holds about 7 digits,
+    # which moves the p-values at 1e-5.
+    @pytest.mark.parametrize("k,rtol", [(-159, 1e-4), (-156, 1e-9), (-100, 1e-9), (100, 1e-9),
+                                        (153, 1e-9)])
+    def test_wald_inference_is_free_of_the_inflation_unit(self, k, rtol):
+        ds, scaled = embedded_dataset(), _rescaled(10.0**k, ("us_inflation_rate",))
+        fit, ref = fit_final_model(scaled), fit_final_model(ds)
+        for field in ("chisq", "p_values", "lr_stat", "lr_p", "wald_stat", "wald_p"):
+            np.testing.assert_allclose(getattr(fit, field), getattr(ref, field), rtol=rtol,
+                                       atol=0, err_msg=field)
+        for (name, screen), (_, expected) in zip(run_screen(scaled, "external").fits,
+                                                 run_screen(ds, "external").fits):
+            np.testing.assert_allclose(screen.p_values, expected.p_values, rtol=rtol, atol=0,
+                                       err_msg=name)
+
     @pytest.mark.parametrize("factor", [0.01, 100.0])
     def test_final_model_grid_is_free_of_the_inflation_unit(self, factor):
         # The Jeffreys penalty is invariant under reparametrization (Firth 1993).

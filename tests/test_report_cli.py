@@ -293,13 +293,31 @@ class TestCli:
         assert ("US inflation rate (%): not converged, complete separation; "
                 "estimates are not reliable") in out
 
-    def test_overflowing_slope_variance_reads_na(self, tmp_path):
-        # The inflation slope's variance is beyond the float range: its
-        # p-value reads NA, not the 1.000 of an infinite standard error.
-        path = write_variant(tmp_path / "tiny_inflation.csv", **DEGENERATE_INPUTS["tiny_inflation"])
+    def test_overflowing_slope_variance_keeps_the_p_value(self, tmp_path):
+        # The inflation slope's variance is beyond the float range, but its
+        # standard error is not: its p-value is the one the unit data give.
+        path = write_variant(tmp_path / "tiny_inflation.csv", _tiny_inflation)
         status, out, err = run(["fit", "--group", "external", "--data", str(path)])
         assert status == 0 and err == ""
-        assert "| Slope (p-value) | 0.760 | 0.023 | 0.286 | NA |" in out
+        assert "| Slope (p-value) | 0.760 | 0.023 | 0.286 | 0.021 |" in out
+
+    @pytest.mark.parametrize("argv", [["fit-final"], ["predict"]])
+    def test_overflowing_slope_variance_fits_the_failure_model(self, tmp_path, argv):
+        # Only the inflation slope and its standard error depend on its unit.
+        def unit_free(text):
+            return [line.split(" | ")[-2:] if line.startswith("| US inflation rate") else line
+                    for line in text.splitlines()]
+
+        path = write_variant(tmp_path / "tiny_inflation.csv", _tiny_inflation)
+        status, out, err = run([*argv, "--data", str(path)])
+        assert status == 0 and err == ""
+        assert unit_free(out) == unit_free(run(argv)[1])
+
+
+def _tiny_inflation(row):
+    """Inflation in units of 1e-156 %: the failure model's slope has a finite
+    standard error near 3e155, but its variance is beyond the float range."""
+    return {"us_inflation_rate": repr(float(row["us_inflation_rate"]) * 1e-156)}
 
 
 #: Schema-valid inputs on which an analysis is undefined.
@@ -309,10 +327,6 @@ DEGENERATE_INPUTS = {
     "no_failures": {"change": lambda row: {"fail": "0"}},
     # The last two Sears Holdings rows: fewer rows than model coefficients.
     "two_rows": {"select": lambda rows: [r for r in rows if r["chain"] == "Sears Holdings"][-2:]},
-    # Inflation in units of 1e-156 %: the failure model's slope has a finite
-    # standard error near 3e155, but its variance is beyond the float range.
-    "tiny_inflation": {"change": lambda row: {
-        "us_inflation_rate": repr(float(row["us_inflation_rate"]) * 1e-156)}},
 }
 
 
@@ -363,8 +377,6 @@ class TestErrorContract:
             ("two_rows", ["predict", "--chain", "Sears Holdings", "--year", "2018"],
              "failure model: need n >= p to fit"),
             ("two_rows", ["describe"], "revenue: Shapiro-Wilk requires 3 <= n <= 5000, got 2"),
-            ("tiny_inflation", ["fit-final"], "failure model: inverse has non-finite entries"),
-            ("tiny_inflation", ["predict"], "failure model: inverse has non-finite entries"),
         ],
     )
     def test_degenerate_input_gives_one_error_line(self, tmp_path, variant, argv, message):
