@@ -8,6 +8,7 @@ degenerate data) and on file errors, 2 on usage errors. Reports go to stdout
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .dataset import (
@@ -53,6 +54,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# One parser per process: parse_args leaves it as it found it.
+@functools.cache
 def build_parser() -> _Parser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--data", metavar="PATH",
@@ -96,7 +99,7 @@ def build_parser() -> _Parser:
 
 def _load_dataset(args) -> Dataset:
     if args.data is None:
-        return embedded_dataset(ratio_precision=args.ratios)
+        return embedded_dataset(args.ratios)
     # One read() decodes the whole file, so a bad byte's offset is the file's.
     with open(args.data, encoding="utf-8") as handle:
         try:
@@ -108,11 +111,17 @@ def _load_dataset(args) -> Dataset:
     return parse_dataset(text.removeprefix("\ufeff"), ratio_precision=args.ratios)
 
 
+def _check_usage(args) -> None:
+    """The option rules argparse cannot state, checked before any data is read."""
+    if getattr(args, "coef", None) == "rounded" and args.data is not None:
+        raise _UsageError("--coef rounded applies to the embedded dataset only")
+    if (getattr(args, "chain", None) is None) != (getattr(args, "year", None) is None):
+        raise _UsageError("--chain and --year must be given together")
+
+
 def _final_coefficients(args, dataset: Dataset, fit=None):
     """Coefficients for the probability grid; reuses ``fit`` when given."""
     if args.coef == "rounded":
-        if args.data is not None:
-            raise _UsageError("--coef rounded applies to the embedded dataset only")
         return REFERENCE_MODEL_COEFFICIENTS
     if fit is None:
         fit = fit_final_model(dataset)
@@ -152,8 +161,6 @@ def _sections_for(args, dataset: Dataset) -> list[Section]:
     if command == "fit-final":
         return [final_model_section(fit_final_model(dataset), dataset.n)]
     if command == "predict":
-        if (args.chain is None) != (args.year is None):
-            raise _UsageError("--chain and --year must be given together")
         table = table_from_coefficients(_final_coefficients(args, dataset), dataset)
         if args.chain is None:
             return _grid_sections(table)
@@ -181,6 +188,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_usage(args)
     except _UsageError as exc:
         stderr.write(f"error: {exc}\n")
         stderr.write(parser.format_usage())
@@ -199,9 +207,6 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         )
         _emit(render(document), args, stdout)
         return 0
-    except _UsageError as exc:
-        stderr.write(f"error: {exc}\n")
-        return 2
     except (RetailRiskError, OSError) as exc:
         stderr.write(f"error: {exc}\n")
         return 1

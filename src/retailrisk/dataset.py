@@ -21,6 +21,7 @@ the dataset's precision included, once; nothing changes after that.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 from dataclasses import dataclass
 
@@ -427,6 +428,9 @@ J.C. Penney,2020,1,1196,813,572,-546,846,0.9,1.23,3574,1,76
 """
 
 
+@functools.cache
 def embedded_dataset(ratio_precision: str = "full") -> Dataset:
-    """The built-in 32-row chain-year dataset."""
+    """The built-in 32-row chain-year dataset: one Dataset per ratio
+    precision, parsed on first use and shared by every caller, as a Dataset
+    never changes after its constructor."""
     return parse_dataset(EMBEDDED_CSV, ratio_precision=ratio_precision)

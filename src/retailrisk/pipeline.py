@@ -17,6 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import Dataset, design_matrix
+from .errors import RetailRiskError
 from .firth import FirthFit, fit_firth
 from .logistic import MleFit, fit_logistic
 
@@ -88,13 +89,19 @@ class ScreenReport:
 
 
 def run_screen(dataset: Dataset, group: str) -> ScreenReport:
-    """Fit fail ~ intercept + x for every predictor x in the group."""
+    """Fit fail ~ intercept + x for every predictor x in the group.
+
+    A design the fits refuse (a single-class response, fewer rows than
+    coefficients) raises with ``{group} screen:`` before the cause."""
     if group not in SCREEN_GROUPS:
         raise KeyError(f"unknown group {group!r}; valid: {', '.join(SCREEN_GROUPS)}")
-    fits = tuple(
-        (name, fit_logistic(design_matrix(dataset, [name])))
-        for name in SCREEN_GROUPS[group]
-    )
+    try:
+        fits = tuple(
+            (name, fit_logistic(design_matrix(dataset, [name])))
+            for name in SCREEN_GROUPS[group]
+        )
+    except RetailRiskError as exc:
+        raise type(exc)(f"{group} screen: {exc}") from None
     return ScreenReport(group=group, fits=fits)
 
 

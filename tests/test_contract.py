@@ -4,6 +4,8 @@ On any schema-valid panel, every subcommand exits 0 or 1 without raising,
 writes nothing to stderr on success and one ``error:`` line otherwise, and
 the exported CSV parses back to the same dataset. Halving or doubling the
 five money columns changes no byte of what rests on revenue ratios alone.
+Every dataset the constructor accepts gives a design matrix that passes
+``DesignMatrix``'s checks.
 """
 
 import csv
@@ -17,11 +19,13 @@ from retailrisk.cli import run_command
 from retailrisk.dataset import (
     CSV_HEADER,
     NUMERIC_COLUMNS,
+    PREDICTOR_COLUMNS,
     RATIO_PRECISIONS,
     YEAR_RANGE,
     DataValidationError,
     Dataset,
     dataset_to_csv,
+    design_matrix,
     parse_dataset,
 )
 from retailrisk.pipeline import SCREEN_GROUPS
@@ -160,3 +164,17 @@ def test_what_the_constructor_accepts_round_trips(panel, names, ratios):
     except DataValidationError:
         return
     assert parse_dataset(dataset_to_csv(dataset), ratios) == dataset
+
+
+@given(panel=panels())
+def test_a_dataset_proves_what_a_design_matrix_checks(panel):
+    """In both ratio modes, a dataset the constructor accepts gives a design
+    of all predictors that passes ``DesignMatrix``'s checks."""
+    row_chains, columns = panel
+    table = [columns[name] for name in NUMERIC_COLUMNS]
+    try:
+        datasets = [Dataset(row_chains, table, ratios) for ratios in RATIO_PRECISIONS]
+    except DataValidationError:
+        return
+    for dataset in datasets:
+        design_matrix(dataset, list(PREDICTOR_COLUMNS))

@@ -10,6 +10,7 @@ from retailrisk.dataset import (
     DataParseError,
     DataValidationError,
     Dataset,
+    DesignMatrix,
     dataset_to_csv,
     design_matrix,
     embedded_dataset,
@@ -295,6 +296,19 @@ class TestDesignMatrix:
     def test_column_rejects_unknown_name(self):
         with pytest.raises(KeyError, match="unknown column"):
             embedded_dataset().column("net_income")
+
+    @pytest.mark.parametrize("change,message", [
+        (lambda y, X, labels: (y[:-1], X, labels), "inconsistent shapes"),
+        (lambda y, X, labels: (y, X, labels[:-1]), "one label required per design column"),
+        (lambda y, X, labels: (y, X + [0.0, np.inf], labels), "non-finite entries"),
+        (lambda y, X, labels: (y * np.nan, X, labels), "non-finite entries"),
+        (lambda y, X, labels: (2.0 * y, X, labels), "response must be binary"),
+        (lambda y, X, labels: (y, X[:, ::-1], labels), "first design column must be the intercept"),
+    ])
+    def test_direct_construction_runs_every_check(self, change, message):
+        dm = design_matrix(embedded_dataset(), ["acsi"])
+        with pytest.raises(ValueError, match=message):
+            DesignMatrix(*change(dm.y, dm.X, dm.labels))
 
 
 def _datasets():

@@ -21,6 +21,8 @@ from retailrisk import (
 from retailrisk.cli import run_command
 from retailrisk.dataset import (
     EMBEDDED_CSV,
+    PREDICTOR_COLUMNS,
+    RATIO_PRECISIONS,
     dataset_to_csv,
     design_matrix,
     embedded_dataset,
@@ -204,6 +206,21 @@ class TestCli:
         assert status == 2
         assert "embedded" in err
 
+    @pytest.mark.parametrize("command", ["report", "predict"])
+    def test_rounded_with_external_data_is_refused_before_reading_it(self, tmp_path, command):
+        missing = tmp_path / "missing.csv"
+        status, out, err = run([command, "--coef", "rounded", "--data", str(missing)])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: --coef rounded applies to the embedded dataset only\n"
+                              "usage: retailrisk")
+
+    def test_chain_without_year_is_refused_before_reading_data(self, tmp_path):
+        missing = tmp_path / "missing.csv"
+        status, out, err = run(["predict", "--chain", "Rite Aid", "--data", str(missing)])
+        assert (status, out) == (2, "")
+        assert err.startswith("error: --chain and --year must be given together\n"
+                              "usage: retailrisk")
+
     def test_predict_chain_without_year(self):
         status, _, err = run(["predict", "--chain", "Rite Aid"])
         assert status == 2
@@ -364,9 +381,12 @@ class TestErrorContract:
              "stores: correlation is undefined for a zero-variance series"),
             ("constant_stores", ["report"], "stores: Shapiro-Wilk is undefined"),
             ("no_failures", ["correlate"], "fail: correlation is undefined"),
-            ("no_failures", ["fit", "--group", "external"], "single class; logistic MLE"),
-            ("no_failures", ["fit", "--group", "internal"], "single class; logistic MLE"),
-            ("no_failures", ["fit", "--group", "ratios"], "single class; logistic MLE"),
+            ("no_failures", ["fit", "--group", "external"],
+             "external screen: response contains a single class; logistic MLE"),
+            ("no_failures", ["fit", "--group", "internal"],
+             "internal screen: response contains a single class; logistic MLE"),
+            ("no_failures", ["fit", "--group", "ratios"],
+             "ratios screen: response contains a single class; logistic MLE"),
             ("no_failures", ["report"], "fail: correlation is undefined"),
             ("no_failures", ["fit-final"], "failure model: response contains a single class"),
             ("no_failures", ["predict"], "failure model: response contains a single class"),
@@ -508,11 +528,37 @@ class TestGoldenReports:
 
     @pytest.mark.parametrize("mode", sorted(DIGESTS))
     def test_report_bytes(self, mode):
-        status, out, err = run(mode.split())
-        assert status == 0 and err == ""
-        if "--format json" in mode:
-            out = json.dumps(json.loads(out)["sections"], sort_keys=True, separators=(",", ":"))
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[mode]
+        assert_golden_report(mode)
+
+
+def assert_golden_report(mode):
+    status, out, err = run(mode.split())
+    assert status == 0 and err == ""
+    if "--format json" in mode:
+        out = json.dumps(json.loads(out)["sections"], sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[mode]
+
+
+def test_shared_parser_and_embedded_data_keep_no_state_between_calls(capsys):
+    """One process reuses one parser and one embedded Dataset per ratio
+    precision; no call leaves a trace in the next."""
+    cell_heading = "| Chain | Year | Probability |"
+    status, out, err = run(["predict", "--chain", "Rite Aid", "--year", "2015"])
+    assert (status, err) == (0, "") and cell_heading in out
+    status, out, err = run(["predict"])
+    assert (status, err) == (0, "")
+    assert "Failure probability by chain and year" in out and cell_heading not in out
+    status, out, err = run(["predict", "--chain", "Rite Aid", "--year", "2015", "--bogus"])
+    assert (status, out) == (2, "") and err.startswith("error: ") and "usage: retailrisk" in err
+    assert run(["--help"])[0] == 0
+    assert "usage: retailrisk" in capsys.readouterr().out
+    for mode in sorted(DIGESTS):
+        assert_golden_report(mode)
+    for precision in RATIO_PRECISIONS:
+        shared = embedded_dataset(precision)
+        assert shared is embedded_dataset(precision)
+        for name in ("fail", *PREDICTOR_COLUMNS):
+            assert not shared.column(name).flags.writeable
 
 
 #: Cholesky factorizations in one default ``report`` on the embedded data (the
