@@ -8,6 +8,7 @@ degenerate data) and on file errors, 2 on usage errors. Reports go to stdout
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import sys
 
@@ -187,7 +188,9 @@ def run_command(argv, stdout=None, stderr=None) -> int:
     stderr = stderr if stderr is not None else sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints --help to sys.stdout.
+        with contextlib.redirect_stdout(stdout):
+            args = parser.parse_args(argv)
         _check_usage(args)
     except _UsageError as exc:
         stderr.write(f"error: {exc}\n")

@@ -356,11 +356,11 @@ class DesignMatrix:
             )
         if self.X.shape[1] != len(self.labels):
             raise ValueError("one label required per design column")
-        if not np.all(np.isfinite(self.X)) or not np.all(np.isfinite(self.y)):
+        if not (np.isfinite(self.X).all() and np.isfinite(self.y).all()):
             raise ValueError("design matrix has non-finite entries")
-        if not np.all((self.y == 0.0) | (self.y == 1.0)):
+        if not ((self.y == 0.0) | (self.y == 1.0)).all():
             raise ValueError("response must be binary 0/1")
-        if not np.all(self.X[:, 0] == 1.0):
+        if not (self.X[:, 0] == 1.0).all():
             raise ValueError("first design column must be the intercept (all ones)")
 
     @property
@@ -380,12 +380,11 @@ def design_matrix(dataset: Dataset, predictors: list[str] | tuple[str, ...]) -> 
             f"unknown predictor(s) {', '.join(map(repr, unknown))}; "
             f"valid names: {', '.join(PREDICTOR_COLUMNS)}"
         )
-    y = dataset.column("fail")
-    columns = [np.ones(dataset.n)]
-    columns.extend(dataset.column(name) for name in predictors)
-    return DesignMatrix(
-        y=y, X=np.column_stack(columns), labels=("intercept", *predictors)
-    )
+    X = np.empty((dataset.n, 1 + len(predictors)))
+    X[:, 0] = 1.0
+    for j, name in enumerate(predictors, 1):
+        X[:, j] = dataset.column(name)
+    return DesignMatrix(y=dataset.column("fail"), X=X, labels=("intercept", *predictors))
 
 
 #: The study's 32 chain-year observations (four U.S. retail chains, 2013-2022),

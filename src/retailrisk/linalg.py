@@ -1,9 +1,13 @@
 """Dense linear algebra for the small SPD systems arising in logistic fitting.
 
-Everything here goes through one object, :class:`Cholesky`: it validates a
-matrix once (square, finite, symmetric) and computes its unpivoted Cholesky
-factor in scalar Python arithmetic, which for the 1x1 to 4x4 Fisher
-informations of this package is far cheaper than a numpy call per element.
+Everything here goes through one object, :class:`Cholesky`, which computes
+an unpivoted Cholesky factor in scalar Python arithmetic: for the 1x1 to 4x4
+Fisher informations of this package that is far cheaper than a numpy call per
+element. It has two entries to one factor loop. ``Cholesky(a)`` takes any
+input and validates it first (square, finite, symmetric);
+``Cholesky._of_symmetric`` takes the symmetric float matrices the package
+forms itself (X'WX and its Firth variants) and checks only that every entry
+is finite, as their shape and symmetry hold by construction.
 The factor then serves solves, the log-determinant, the whitening ``L^-1 B``
 that gives hat diagonals and the square roots of diag(a^-1) that give standard
 errors, so a Newton step that needs several of them factors its matrix once.
@@ -28,7 +32,8 @@ from .errors import RetailRiskError
 # same for D a D with any positive diagonal D, so column units do not matter.
 PIVOT_RTOL = 1e-12
 
-# Allowed relative asymmetry in the input (floating-point noise from X.T @ X).
+# Allowed relative asymmetry of a matrix given to ``Cholesky(a)`` (floating-point
+# noise from X.T @ X).
 SYMMETRY_RTOL = 1e-10
 
 
@@ -71,7 +76,23 @@ class Cholesky:
     __slots__ = ("n", "_rows")
 
     def __init__(self, a):
-        rows = _validated_rows(a)
+        self._factor(_validated_rows(a))
+
+    @classmethod
+    def _of_symmetric(cls, a: np.ndarray) -> Cholesky:
+        """The factor of a square float array that this package formed as a
+        Gram matrix X'DX, or a sum of them: symmetric by construction up to
+        rounding, of which the factor reads the lower triangle. Every entry is
+        checked to be finite; the shape and the symmetry are not checked."""
+        rows = a.tolist()
+        if not all(map(math.isfinite, chain.from_iterable(rows))):
+            raise NonFiniteMatrixError("matrix has non-finite entries")
+        factor = cls.__new__(cls)
+        factor._factor(rows)
+        return factor
+
+    def _factor(self, rows: list[list[float]]) -> None:
+        """Factor the lower triangle of ``rows``, the one loop of both entries."""
         lower: list[list[float]] = []
         for i, a_i in enumerate(rows):
             l_i: list[float] = []

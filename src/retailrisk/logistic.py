@@ -124,7 +124,7 @@ def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: bool):
     w = prob * (1.0 - prob)
     if not penalized:
         return ll, eta, prob, w, X.T @ (y - prob), None, None
-    factor = linalg.Cholesky(_information(X, w))
+    factor = linalg.Cholesky._of_symmetric(_information(X, w))
     z = factor.whiten(X.T)
     q = (z * z).sum(axis=0)
     score = X.T @ (y - prob + w * q * (0.5 - prob))
@@ -146,11 +146,11 @@ def _step_factor(X, prob, w, q, z, free) -> linalg.Cholesky:
     """The factored step matrix on the free coefficients: X'WX for l; for l*
     the exact negative Hessian, else the augmented X' diag(w(1+h)) X."""
     if q is None:
-        return linalg.Cholesky(_information(X, w)[free][:, free])
+        return linalg.Cholesky._of_symmetric(_information(X, w)[free][:, free])
     try:
-        return linalg.Cholesky(_negative_hessian(X, prob, w, q, z)[free][:, free])
+        return linalg.Cholesky._of_symmetric(_negative_hessian(X, prob, w, q, z)[free][:, free])
     except FACTOR_ERRORS:
-        return linalg.Cholesky(_information(X, w * (1.0 + w * q))[free][:, free])
+        return linalg.Cholesky._of_symmetric(_information(X, w * (1.0 + w * q))[free][:, free])
 
 
 # An information matrix that overflows is refused by linalg as non-finite;
@@ -182,8 +182,11 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None)
         except FACTOR_ERRORS:
             # Weights collapsed: coefficients are running off to infinity.
             break
-        delta = np.zeros(p)
-        delta[free] = step.solve(score[free])
+        if free_idx is None:
+            delta = step.solve(score)
+        else:
+            delta = np.zeros(p)
+            delta[free] = step.solve(score[free])
         new = beta + delta
         trial = _evaluate(X, y, new, penalized)
         # x_i'delta of the full step, from the linear predictor it produced.
@@ -208,7 +211,7 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None)
 def _wald(info: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wald (se, z, two-sided p) of beta under the information ``info``: se
     are the square roots of diag(info^-1), taken from info's Cholesky factor."""
-    se = linalg.Cholesky(info).inverse_diag_sqrt()
+    se = linalg.Cholesky._of_symmetric(info).inverse_diag_sqrt()
     z = beta / se
     return se, z, 2.0 * norm_sf(np.abs(z))
 
@@ -243,6 +246,15 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
     )
 
 
+def _sample_sd(columns: np.ndarray) -> np.ndarray:
+    """np.std(columns, axis=0, ddof=1) by the same operations, so bit for bit
+    the same, without its argument handling: for n >= 2 rows."""
+    n = columns.shape[0]
+    dev = columns - columns.sum(axis=0, keepdims=True) / n
+    dev *= dev
+    return np.sqrt(dev.sum(axis=0) / (n - 1))
+
+
 # A column near the float limit has an infinite SD, and a diverged slope can
 # be near the float limit itself: products with either, X @ beta included,
 # may be inf or NaN, and the comparisons below give the diagnosis anyway.
@@ -259,8 +271,7 @@ def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool) -> str:
         diverged = True
     else:
         # Only an inf above the bound counts as divergence.
-        scales = np.std(dm.X[:, 1:], axis=0, ddof=1) if dm.p > 1 else np.array([])
-        standardized = np.abs(beta[1:]) * scales
+        standardized = np.abs(beta[1:]) * _sample_sd(dm.X[:, 1:])
         diverged = bool(np.any(standardized > DIVERGENCE_BOUND))
         if not diverged and not converged:
             prob = expit(dm.X @ beta)

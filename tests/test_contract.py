@@ -5,16 +5,19 @@ writes nothing to stderr on success and one ``error:`` line otherwise, and
 the exported CSV parses back to the same dataset. Halving or doubling the
 five money columns changes no byte of what rests on revenue ratios alone.
 Every dataset the constructor accepts gives a design matrix that passes
-``DesignMatrix``'s checks.
+``DesignMatrix``'s checks, and every matrix the fits factor without the
+symmetry scan is one that the validating ``Cholesky(a)`` treats the same.
 """
 
 import csv
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from retailrisk import linalg
 from retailrisk.cli import run_command
 from retailrisk.dataset import (
     CSV_HEADER,
@@ -178,3 +181,32 @@ def test_a_dataset_proves_what_a_design_matrix_checks(panel):
         return
     for dataset in datasets:
         design_matrix(dataset, list(PREDICTOR_COLUMNS))
+
+
+@given(panel=panels(), ratios=st.sampled_from(RATIO_PRECISIONS))
+def test_formed_matrices_pass_the_validating_entry(panel, ratios, data_path):
+    """Every matrix that ``fit``, ``fit-final`` and ``report`` factor through
+    ``Cholesky._of_symmetric``, which skips the shape and symmetry scan, is
+    one that ``Cholesky(a)`` factors to the same bits or refuses alike."""
+    of_symmetric = linalg.Cholesky._of_symmetric.__func__
+    factored = []
+
+    def checked(cls, a):
+        try:
+            factor = of_symmetric(cls, a)
+        except (linalg.NonFiniteMatrixError, linalg.SingularMatrixError) as exc:
+            with pytest.raises(type(exc)) as public:
+                linalg.Cholesky(a)
+            assert str(public.value) == str(exc)
+            raise
+        # repr round-trips every float, so equal reprs are equal bits.
+        assert repr(linalg.Cholesky(a)._rows) == repr(factor._rows)
+        factored.append(a.shape)
+        return factor
+
+    text = _csv(*panel)
+    with mock.patch.object(linalg.Cholesky, "_of_symmetric", classmethod(checked)):
+        code = _cli(data_path, text, "fit-final", "--ratios", ratios)[0]
+        assert code == 1 or factored
+        for argv in (*(("fit", "--group", group) for group in SCREEN_GROUPS), ("report",)):
+            assert _cli(data_path, text, *argv, "--ratios", ratios)[0] in (0, 1)

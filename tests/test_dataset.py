@@ -7,6 +7,7 @@ from retailrisk.dataset import (
     NUMERIC_COLUMNS,
     PREDICTOR_COLUMNS,
     RATIO_COLUMNS,
+    RATIO_PRECISIONS,
     DataParseError,
     DataValidationError,
     Dataset,
@@ -296,6 +297,16 @@ class TestDesignMatrix:
     def test_column_rejects_unknown_name(self):
         with pytest.raises(KeyError, match="unknown column"):
             embedded_dataset().column("net_income")
+
+    @pytest.mark.parametrize("precision", RATIO_PRECISIONS)
+    def test_matches_column_stack_bit_for_bit(self, precision):
+        ds = embedded_dataset(precision)
+        for predictors in ([], ["acsi"], list(PREDICTOR_COLUMNS), list(PREDICTOR_COLUMNS)[::-1],
+                           ["us_inflation_rate", "ltd_over_rev", "ebitda_over_rev"]):
+            X = design_matrix(ds, predictors).X
+            stacked = np.column_stack([np.ones(ds.n), *(ds.column(name) for name in predictors)])
+            assert X.dtype == stacked.dtype and X.shape == stacked.shape
+            assert X.flags.c_contiguous and X.tobytes() == stacked.tobytes()
 
     @pytest.mark.parametrize("change,message", [
         (lambda y, X, labels: (y[:-1], X, labels), "inconsistent shapes"),

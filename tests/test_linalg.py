@@ -340,6 +340,30 @@ def test_invalid_input_errors(entry, a, cls, message):
         assert f"pivot at row {info.value.row} " in message
 
 
+#: What a matrix the package forms (square and symmetric) can still be refused
+#: for: a non-finite entry, on or off the diagonal, or a failed pivot.
+SYMMETRIC_INVALID_INPUTS = [
+    case for case in INVALID_INPUTS if case[1] is not ValueError
+] + [
+    ([[1.0, -np.inf], [-np.inf, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
+    ([[1.0, 0.0], [0.0, np.nan]], NonFiniteMatrixError, "matrix has non-finite entries"),
+]
+
+
+@pytest.mark.parametrize("a,cls,message", SYMMETRIC_INVALID_INPUTS)
+def test_symmetric_entry_refuses_as_the_validating_entry(a, cls, message):
+    """``Cholesky._of_symmetric`` skips only the shape and symmetry scan: it
+    raises the error, message and pivot row that ``Cholesky(a)`` raises."""
+    with pytest.raises(cls) as formed:
+        linalg.Cholesky._of_symmetric(np.asarray(a, dtype=float))
+    with pytest.raises(cls) as public:
+        linalg.Cholesky(a)
+    assert type(formed.value) is cls
+    assert str(formed.value) == str(public.value) == message
+    if cls is SingularMatrixError:
+        assert formed.value.row == public.value.row
+
+
 @pytest.mark.parametrize("a", [[[1e-310]], [[1.0, 0.0], [0.0, 1e-310]]])
 def test_inverse_diagonal_roots_are_finite_where_the_inverse_is_not(a):
     """1 / 1e-310 is not a float, but its square root 1e155 is: no entry of

@@ -3,12 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from retailrisk.dataset import DesignMatrix, design_matrix, embedded_dataset, parse_dataset
+from retailrisk.dataset import (
+    PREDICTOR_COLUMNS,
+    RATIO_PRECISIONS,
+    DesignMatrix,
+    design_matrix,
+    embedded_dataset,
+    parse_dataset,
+)
 from retailrisk.logistic import (
     SEPARATION_COMPLETE,
     SEPARATION_NONE,
     SEPARATION_QUASI,
     DegenerateResponseError,
+    _sample_sd,
     _separation,
     fit_logistic,
     log_likelihood,
@@ -220,6 +228,43 @@ class TestSeparation:
         fit = fit_logistic(dm)
         assert not fit.converged
         assert fit.separation in (SEPARATION_QUASI, SEPARATION_COMPLETE)
+
+
+def _large_panel_columns(rows=1500, seed=7):
+    """Columns of the kinds a 1,500-row benchmark panel holds: lognormal money
+    in the thousands, ratios near 0.1, store counts, rates and a 0/1 flag."""
+    rng = np.random.default_rng(seed)
+    revenue = rng.lognormal(9.0, 0.8, rows)
+    return np.column_stack([
+        revenue, 0.7 * revenue, rng.uniform(0.15, 0.3, rows), rng.normal(0.06, 0.05, rows),
+        rng.uniform(200.0, 5000.0, rows), rng.uniform(-0.5, 9.0, rows),
+        rng.integers(0, 2, rows).astype(float),
+    ])
+
+
+class TestSampleSd:
+    """``_sample_sd`` repeats np.std(ddof=1)'s arithmetic, so the separation
+    check sees the same scales bit for bit, inf included."""
+
+    @staticmethod
+    def assert_same_bits(columns):
+        with np.errstate(over="ignore", invalid="ignore"):
+            sds = _sample_sd(columns)
+            assert sds.tobytes() == np.std(columns, axis=0, ddof=1).tobytes()
+        return sds
+
+    @pytest.mark.parametrize("precision", RATIO_PRECISIONS)
+    def test_embedded_design(self, precision):
+        self.assert_same_bits(design_matrix(embedded_dataset(precision), PREDICTOR_COLUMNS).X[:, 1:])
+
+    def test_large_panel_columns(self):
+        self.assert_same_bits(_large_panel_columns())
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e154, 1e158, 1e300])
+    def test_overflowing_columns(self, scale):
+        columns = _large_panel_columns(rows=32) * scale
+        columns[:, -1] = np.where(np.arange(32) % 2, 1.7e308, -1.7e308)
+        assert np.isinf(self.assert_same_bits(columns)[-1])
 
 
 class TestSignificanceCode:

@@ -1,3 +1,4 @@
+import collections
 import csv
 import dataclasses
 import hashlib
@@ -539,7 +540,7 @@ def assert_golden_report(mode):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIGESTS[mode]
 
 
-def test_shared_parser_and_embedded_data_keep_no_state_between_calls(capsys):
+def test_shared_parser_and_embedded_data_keep_no_state_between_calls():
     """One process reuses one parser and one embedded Dataset per ratio
     precision; no call leaves a trace in the next."""
     cell_heading = "| Chain | Year | Probability |"
@@ -550,8 +551,9 @@ def test_shared_parser_and_embedded_data_keep_no_state_between_calls(capsys):
     assert "Failure probability by chain and year" in out and cell_heading not in out
     status, out, err = run(["predict", "--chain", "Rite Aid", "--year", "2015", "--bogus"])
     assert (status, out) == (2, "") and err.startswith("error: ") and "usage: retailrisk" in err
-    assert run(["--help"])[0] == 0
-    assert "usage: retailrisk" in capsys.readouterr().out
+    for argv in (["--help"], ["report", "--help"]):
+        status, out, err = run(argv)
+        assert (status, err) == (0, "") and out.startswith("usage: retailrisk")
     for mode in sorted(DIGESTS):
         assert_golden_report(mode)
     for precision in RATIO_PRECISIONS:
@@ -571,24 +573,34 @@ REPORT_FACTORIZATIONS = 144
 
 
 def test_default_report_factorization_count(monkeypatch):
-    """Pinned, so that a change that factors the same matrix twice fails."""
+    """Pinned at the factor loop that both entries share, so that a change
+    that factors the same matrix twice fails; every matrix of a report is
+    one the package formed, so none goes through the validating entry."""
     from retailrisk import linalg
 
-    count = 0
-    init = linalg.Cholesky.__init__
+    calls = collections.Counter()
+    factor, init = linalg.Cholesky._factor, linalg.Cholesky.__init__
+    of_symmetric = linalg.Cholesky._of_symmetric.__func__
+
+    def counting_factor(self, rows):
+        calls["factor"] += 1
+        factor(self, rows)
 
     def counting_init(self, a):
-        nonlocal count
-        count += 1
+        calls["Cholesky(a)"] += 1
         init(self, a)
 
+    def counting_of_symmetric(cls, a):
+        calls["_of_symmetric"] += 1
+        return of_symmetric(cls, a)
+
+    monkeypatch.setattr(linalg.Cholesky, "_factor", counting_factor)
     monkeypatch.setattr(linalg.Cholesky, "__init__", counting_init)
-    counts = []
+    monkeypatch.setattr(linalg.Cholesky, "_of_symmetric", classmethod(counting_of_symmetric))
     for _ in range(2):
-        count = 0
+        calls.clear()
         assert run(["report"])[0] == 0
-        counts.append(count)
-    assert counts == [REPORT_FACTORIZATIONS] * 2
+        assert calls == {"factor": REPORT_FACTORIZATIONS, "_of_symmetric": REPORT_FACTORIZATIONS}
 
 
 def test_default_report_newton_runs_never_halve(monkeypatch):
