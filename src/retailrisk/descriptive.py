@@ -175,12 +175,13 @@ def pearson_corr(x, y) -> float:
         raise DegenerateDataError("need two 1-d series of equal length >= 2")
     # An overflowed mean leaves a NaN correlation, printed NA.
     with np.errstate(over="ignore", invalid="ignore"):
-        return _centred_corr(x - x.mean(), y - y.mean())
+        dx, dy = x - x.mean(), y - y.mean()
+        return _centred_corr(dx, dy, float(dx @ dx), float(dy @ dy))
 
 
-def _centred_corr(dx: np.ndarray, dy: np.ndarray) -> float:
-    """The correlation of two centred series; the caller scopes np.errstate."""
-    sxx, syy = float(dx @ dx), float(dy @ dy)
+def _centred_corr(dx: np.ndarray, dy: np.ndarray, sxx: float, syy: float) -> float:
+    """The correlation of two centred series with the sums of squares
+    ``sxx = dx @ dx`` and ``syy = dy @ dy``; the caller scopes np.errstate."""
     if min(sxx, syy, sxx * syy) >= sys.float_info.min and sxx * syy < math.inf:
         return float(dx @ dy) / math.sqrt(sxx * syy)
     if not (dx.any() and dy.any()):
@@ -192,8 +193,9 @@ def _centred_corr(dx: np.ndarray, dy: np.ndarray) -> float:
 
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Pearson correlations of the CORRELATION_COLUMNS; exactly symmetric
-    with unit diagonal. Each column is centred once; each pair is then
-    :func:`pearson_corr`'s arithmetic, so the values are the same bits. A
+    with unit diagonal. Each column is centred, and its sum of squares
+    taken, once; each pair is then :func:`pearson_corr`'s arithmetic, so the
+    values are the same bits. A
     zero-variance column is an error that names it first."""
     labels = CORRELATION_COLUMNS
     k = len(labels)
@@ -206,9 +208,10 @@ def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
             if not dx.any():
                 raise DegenerateDataError(
                     f"{name}: correlation is undefined for a zero-variance series")
+        squares = [float(dx @ dx) for dx in centred]
         for i in range(k):
             for j in range(i + 1, k):
-                r[i, j] = r[j, i] = _centred_corr(centred[i], centred[j])
+                r[i, j] = r[j, i] = _centred_corr(centred[i], centred[j], squares[i], squares[j])
     return CorrelationMatrix(labels=labels, r=r)
 
 

@@ -9,10 +9,11 @@ plain maximum likelihood diverges (Firth 1993; Heinze & Schemper 2002).
 Conventions follow the standard penalized-logistic toolchain so that results
 line up with published fits:
 
-* Newton steps (``logistic.newton``, with step-halving) solve with the
-  exact negative Hessian of l*, so they converge quadratically even near
-  separation; where it is not positive definite, with the hat-augmented
-  information X' diag(w*(1+h)) X.
+* Newton steps (the one Newton loop of ``logistic``, with step-halving)
+  solve with the exact negative Hessian of l*, so they converge
+  quadratically even near separation; where it is not positive definite,
+  with the hat-augmented information X' diag(w*(1+h)) X. The fit and its
+  null refit run as one stack of two members.
 * The standard errors are the square roots of the diagonal of the inverse
   of the hat-augmented information at the solution, read from its Cholesky
   factor without forming the inverse; per-coefficient Wald chi-squares are
@@ -34,7 +35,16 @@ from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
 from .errors import RetailRiskError
-from .logistic import _coefficients, _evaluate, _information, _wald, check_fittable, newton
+from .logistic import (
+    FACTOR_ERRORS,
+    _coefficients,
+    _evaluate,
+    _information,
+    _newton_stack,
+    _wald,
+    check_fittable,
+    newton,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,16 +94,26 @@ def fit_firth(dm: DesignMatrix) -> FirthFit:
 
 def _fit_firth(dm: DesignMatrix) -> FirthFit:
     check_fittable(dm, "the Firth fit")
-    beta, pen_ll, w, h, trace = newton(dm.X, dm.y, penalized=True)
+    df = dm.p - 1
+    # The fit and, unless it has no slopes, its null refit (the slopes pinned
+    # at zero) run as one stack.
+    frees = [None] if df == 0 else [None, [0]]
+    try:
+        (beta, pen_ll, w, h, trace), *null = _newton_stack(
+            np.array([dm.X] * len(frees)), dm.y, True, frees)
+    except FACTOR_ERRORS:
+        # Run one after the other, the first run to fail raises its error.
+        for free in frees:
+            newton(dm.X, dm.y, penalized=True, free_idx=free)
+        raise
 
     augmented = _information(dm.X, w * (1.0 + h))
     se, z, p_values = _wald(augmented, beta)
     # sqrt(z*z) == |z| in floating point: p_values == chi2_sf(chisq, 1) bit for bit.
     chisq = z * z
 
-    df = dm.p - 1
     if df > 0:
-        null_ll = newton(dm.X, dm.y, penalized=True, free_idx=[0])[1]
+        null_ll = null[0][1]
         lr_stat = max(0.0, 2.0 * (pen_ll - null_ll))
         lr_p = chi2_sf(lr_stat, df)
         wald_stat = float(beta @ augmented @ beta)

@@ -120,9 +120,13 @@ class Cholesky:
         b = np.asarray(b, dtype=float)
         if b.shape != (self.n,):
             raise ValueError(f"expected a vector of length {self.n}, got shape {b.shape}")
+        return np.array(self._solve(b.tolist()))
+
+    def _solve(self, b: list[float]) -> list[float]:
+        """:meth:`solve` on the n Python floats of b, as Python floats."""
         lower = self._rows
         z = []
-        for l_i, b_i in zip(lower, b.tolist()):  # L z = b
+        for l_i, b_i in zip(lower, b):  # L z = b
             dot = 0.0
             for l_ik, z_k in zip(l_i, z):
                 dot += l_ik * z_k
@@ -133,7 +137,7 @@ class Cholesky:
             for k in range(i + 1, self.n):
                 dot += lower[k][i] * x[k]
             x[i] = (z[i] - dot) / lower[i][i]
-        return np.array(x)
+        return x
 
     def _inverse_lower(self) -> list[list[float]]:
         """The rows of L^-1 (lower triangular), by forward substitution on I."""

@@ -5,12 +5,23 @@ z-tests against the standard normal, AIC, and separation diagnostics. A
 singular or overflowed Fisher information is a divergence signal, not an
 error: the fit is returned unconverged with its separation diagnosis so
 callers can decide what to do (the penalized fitter, which shares the
-damped-Newton kernel :func:`newton`, exists for exactly these designs).
+damped-Newton loop, exists for exactly these designs).
+
+There is one Newton loop, :func:`_newton_stack`, and it runs a stack of
+designs X (k, n, p) that share the response: a screen group's univariate
+designs, or the Firth fit beside its null refit. The n-row products of a
+step (X beta, the log-likelihood, p, W, the score, X'WX) are stacked numpy
+calls that make the same BLAS call per member as on the member's design
+alone; each member's step matrix is factored on its own; every member keeps
+its own coefficients, step count, halvings and stop, and leaves the stack
+when it stops. So each member ends with the bits of its run as a stack of
+one, which is what :func:`newton` and :func:`fit_logistic` are.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -76,14 +87,7 @@ def _coefficients(beta, dm: DesignMatrix) -> np.ndarray:
 
 def log_likelihood(beta, dm: DesignMatrix) -> float:
     """Bernoulli log-likelihood at beta, overflow-safe for large |eta|."""
-    return _log_likelihood(dm.X, dm.y, _coefficients(beta, dm))[0]
-
-
-def _log_likelihood(X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> tuple[float, np.ndarray]:
-    """The log-likelihood at beta and the linear predictor X @ beta it used."""
-    eta = X @ beta
-    # y*eta - log(1 + exp(eta)), with log1p/exp handled by logaddexp.
-    return float(y @ eta - np.logaddexp(0.0, eta).sum()), eta
+    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), False)[0]
 
 
 def check_fittable(dm: DesignMatrix, model: str) -> None:
@@ -97,8 +101,8 @@ def check_fittable(dm: DesignMatrix, model: str) -> None:
 
 
 def _information(X: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """X' diag(w) X."""
-    return (X * w[:, None]).T @ X
+    """X' diag(w) X, or one per member for a stack X (k, n, p) and w (k, n)."""
+    return (X * w[..., None]).swapaxes(-1, -2) @ X
 
 
 #: A factorization that failed: the matrix is singular or has overflowed.
@@ -114,21 +118,37 @@ class NewtonTrace(NamedTuple):
     converged: bool
 
 
-def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: bool):
-    """(objective, eta = X beta, prob, w = p(1-p), score, q, z) at beta;
-    q = z = None for l.
+def _evaluate_stack(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: bool):
+    """(objective, eta = X beta, prob, w = p(1-p), score, q, z) at each row of
+    beta (k, p) for the stack of designs X (k, n, p) sharing y: the
+    objectives as a list of floats, the rest with one entry per member along
+    the first axis, and q = z = None for l.
     For l* = l + 0.5*log det X'WX: the modified score X'(y - p + h(0.5 - p)),
-    z = L^-1 X' for the factor L of X'WX and q = colsum(z^2), so h = w*q."""
-    ll, eta = _log_likelihood(X, y, beta)
+    z = L^-1 X' for the factor L of X'WX and q = colsum(z^2), so h = w*q.
+    Every member's numbers are those of the same operations on its own
+    design: a stacked matmul makes one BLAS call per member, a reduction
+    runs within each member, and each member's X'WX is factored on its own."""
+    eta = (X @ beta[..., None])[..., 0]
+    # y*eta - log(1 + exp(eta)), with log1p/exp handled by logaddexp.
+    value = ((eta[:, None, :] @ y)[:, 0] - np.logaddexp(0.0, eta).sum(axis=-1)).tolist()
     prob = expit(eta)
     w = prob * (1.0 - prob)
+    Xt = X.swapaxes(1, 2)
     if not penalized:
-        return ll, eta, prob, w, X.T @ (y - prob), None, None
-    factor = linalg.Cholesky._of_symmetric(_information(X, w))
-    z = factor.whiten(X.T)
-    q = (z * z).sum(axis=0)
-    score = X.T @ (y - prob + w * q * (0.5 - prob))
-    return ll + 0.5 * factor.log_det(), eta, prob, w, score, q, z
+        return value, eta, prob, w, (Xt @ (y - prob)[..., None])[..., 0], None, None
+    info = _information(X, w)
+    factors = [linalg.Cholesky._of_symmetric(info[i]) for i in range(len(info))]
+    z = np.array([factor.whiten(Xt[i]) for i, factor in enumerate(factors)])
+    q = (z * z).sum(axis=1)
+    score = (Xt @ (y - prob + w * q * (0.5 - prob))[..., None])[..., 0]
+    value = [v + 0.5 * factor.log_det() for v, factor in zip(value, factors)]
+    return value, eta, prob, w, score, q, z
+
+
+def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: bool):
+    """:func:`_evaluate_stack` for one design X (n, p) at beta (p,)."""
+    state = _evaluate_stack(X[None], y, beta[None], penalized)
+    return tuple(None if a is None else a[0] for a in state)
 
 
 def _negative_hessian(X: np.ndarray, prob: np.ndarray, w: np.ndarray, q: np.ndarray,
@@ -142,70 +162,132 @@ def _negative_hessian(X: np.ndarray, prob: np.ndarray, w: np.ndarray, q: np.ndar
     return _information(X, w - 0.5 * q * w * (1.0 - 6.0 * w)) + 0.5 * (ku.T @ ku)
 
 
-def _step_factor(X, prob, w, q, z, free) -> linalg.Cholesky:
-    """The factored step matrix on the free coefficients: X'WX for l; for l*
-    the exact negative Hessian, else the augmented X' diag(w(1+h)) X."""
-    if q is None:
-        return linalg.Cholesky._of_symmetric(_information(X, w)[free][:, free])
+def _factor_free(a: np.ndarray, free) -> linalg.Cholesky:
+    """The factor of ``a`` on the ``free`` rows and columns (None: all)."""
+    return linalg.Cholesky._of_symmetric(a if free is None else a[free][:, free])
+
+
+def _penalized_step(X, prob, w, q, z, free) -> linalg.Cholesky:
+    """The factored step matrix of l* on the free coefficients: the exact
+    negative Hessian, else the augmented X' diag(w(1+h)) X."""
     try:
-        return linalg.Cholesky._of_symmetric(_negative_hessian(X, prob, w, q, z)[free][:, free])
+        return _factor_free(_negative_hessian(X, prob, w, q, z), free)
     except FACTOR_ERRORS:
-        return linalg.Cholesky._of_symmetric(_information(X, w * (1.0 + w * q))[free][:, free])
+        return _factor_free(_information(X, w * (1.0 + w * q)), free)
+
+
+def _rows(arrays, rows):
+    """The given rows, in ascending order, of every array or list that is
+    not None."""
+    return [None if a is None else [a[r] for r in rows] if isinstance(a, list) else a[rows]
+            for a in arrays]
 
 
 # An information matrix that overflows is refused by linalg as non-finite;
 # numpy's own overflow warnings would only repeat that on stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None):
+def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False, frees=None):
     """Damped Newton from beta = 0 on the log-likelihood l or, if
-    ``penalized``, on Firth's l* = l + 0.5*log det X'WX.
+    ``penalized``, on Firth's l* = l + 0.5*log det X'WX, for every member of
+    a stack of designs X (k, n, p) that share the response y.
 
-    Only the ``free_idx`` coefficients (default: all) move; the others stay
-    at zero but still enter the penalty. A step is halved up to 10 times
-    while the objective falls by more than rounding noise (HALVING_RTOL).
-    The fit has converged once a full step moves no linear predictor by
-    more than ETA_TOL, and stops unconverged after MLE_MAX_STEPS or
-    FIRTH_MAX_STEPS steps; a singular or overflowed step matrix stops it too.
-    Returns (beta, objective, w = p(1-p), hat diagonals h or None, trace).
+    ``frees`` holds, per member, the coefficients that move (None: all); the
+    others stay at zero but still enter the penalty. A step is halved up to
+    10 times while the objective falls by more than rounding noise
+    (HALVING_RTOL). A member has converged once a full step moves none of
+    its linear predictors by more than ETA_TOL, and stops unconverged after
+    MLE_MAX_STEPS or FIRTH_MAX_STEPS steps; a singular or overflowed step
+    matrix stops it too. Each member keeps its own beta, steps, halvings and
+    stop, and its step matrix is factored on its own, so a member laid out
+    as design_matrix lays designs out (C order) ends with the bits of its
+    run as a stack of one. A member that stops leaves the working stack; the
+    n-sized products of the others run stacked at every step.
+    Returns one (beta, objective, w = p(1-p), hat diagonals h or None, trace)
+    per member, in stack order.
     """
     max_steps = FIRTH_MAX_STEPS if penalized else MLE_MAX_STEPS
-    p = X.shape[1]
-    free = slice(None) if free_idx is None else list(free_idx)
-    beta = np.zeros(p)
+    k, _, p = X.shape
+    frees = [None] * k if frees is None else [None if f is None else list(f) for f in frees]
+    runs = [None] * k
+    # Per row of the working stack: its member, halvings, beta and state.
+    members, halvings = list(range(k)), [0] * k
+    beta = np.zeros((k, p))
     # The objective and its derivatives always belong to the current beta.
-    value, eta, prob, w, score, q, z = _evaluate(X, y, beta, penalized)
-    converged = False
-    steps = halvings = 0
+    state = _evaluate_stack(X, y, beta, penalized)
+
+    def stop(rows, steps, converged):
+        """Record the runs of the working rows ``rows``; returns the others."""
+        value, _, _, w, score, q, _ = state
+        for r in rows:
+            free = frees[members[r]]
+            h = None if q is None else w[r] * q[r]
+            moving = score[r] if free is None else score[r][free]
+            trace = NewtonTrace(steps, halvings[r], float(np.abs(moving).max()), converged)
+            runs[members[r]] = (beta[r], value[r], w[r], h, trace)
+        return [r for r in range(len(members)) if r not in rows]
+
     for steps in range(1, max_steps + 1):
-        try:
-            step = _step_factor(X, prob, w, q, z, free)
-        except FACTOR_ERRORS:
-            # Weights collapsed: coefficients are running off to infinity.
-            break
-        if free_idx is None:
-            delta = step.solve(score)
-        else:
-            delta = np.zeros(p)
-            delta[free] = step.solve(score[free])
+        value, eta, prob, w, score, q, z = state
+        info = _information(X, w) if q is None else None
+        scores = score.tolist()
+        deltas, failed = [], []
+        for r, member in enumerate(members):
+            free = frees[member]
+            try:
+                step = (_factor_free(info[r], free) if q is None else
+                        _penalized_step(X[r], prob[r], w[r], q[r], z[r], free))
+            except FACTOR_ERRORS:
+                # Weights collapsed: coefficients are running off to infinity.
+                failed.append(r)
+                continue
+            if free is None:
+                deltas.append(step._solve(scores[r]))
+            else:
+                delta = [0.0] * p
+                for j, d in zip(free, step._solve([scores[r][j] for j in free])):
+                    delta[j] = d
+                deltas.append(delta)
+        if failed:
+            kept = stop(failed, steps, False)
+            if not kept:
+                break
+            X, beta, members, halvings, *state = _rows([X, beta, members, halvings, *state], kept)
+            value, eta = state[:2]
+        delta = np.array(deltas)
         new = beta + delta
-        trial = _evaluate(X, y, new, penalized)
+        trial = _evaluate_stack(X, y, new, penalized)
         # x_i'delta of the full step, from the linear predictor it produced.
-        moved = float(np.abs(trial[1] - eta).max())
-        halved = 0
-        while trial[0] < value - HALVING_RTOL * abs(value) and halved < 10:
-            delta = delta / 2.0
+        moved = np.abs(trial[1] - eta).max(axis=-1).tolist()
+        floors = [v - HALVING_RTOL * abs(v) for v in value]
+        halve = [r for r, v in enumerate(trial[0]) if v < floors[r]]
+        for _ in range(10):
+            if not halve:
+                break
+            # A member that does not halve keeps its row of new and, evaluated
+            # again at it, the same bits.
+            delta[halve] = delta[halve] / 2.0
             new = beta + delta
-            trial = _evaluate(X, y, new, penalized)
-            halved += 1
-        halvings += halved
-        beta = new
-        value, eta, prob, w, score, q, z = trial
-        if moved <= ETA_TOL:
-            converged = True
-            break
-    h = None if q is None else w * q
-    max_score = float(np.abs(score[free]).max())
-    return beta, value, w, h, NewtonTrace(steps, halvings, max_score, converged)
+            trial = _evaluate_stack(X, y, new, penalized)
+            for r in halve:
+                halvings[r] += 1
+            halve = [r for r in halve if trial[0][r] < floors[r]]
+        beta, state = new, trial
+        done = [r for r, m in enumerate(moved) if m <= ETA_TOL]
+        if done:
+            kept = stop(done, steps, True)
+            if not kept:
+                break
+            X, beta, members, halvings, *state = _rows([X, beta, members, halvings, *state], kept)
+    else:
+        stop(range(len(members)), max_steps, False)
+    return runs
+
+
+def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None):
+    """The run of :func:`_newton_stack` on one design X (n, p), a stack of
+    one, moving only the ``free_idx`` coefficients (default: all). Returns
+    (beta, objective, w = p(1-p), hat diagonals h or None, trace)."""
+    return _newton_stack(X[None], y, penalized, None if free_idx is None else [free_idx])[0]
 
 
 def _wald(info: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -221,29 +303,41 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
 
     Non-convergence (or a singular or overflowed information matrix) is
     reported through ``converged=False`` plus the ``separation`` diagnosis,
-    never silently.
+    never silently. The fit of a stack of one.
     """
-    check_fittable(dm, "logistic MLE")
-    X, p = dm.X, dm.p
-    beta, ll, w, _, trace = newton(X, dm.y)
+    return _fit_stack([dm])[0]
+
+
+def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
+    """:func:`fit_logistic` of every design, in one Newton loop over their
+    stack; the designs share y and their shape. Each fit has the bits of its
+    own :func:`fit_logistic`."""
+    for dm in dms:
+        check_fittable(dm, "logistic MLE")
+    # A lone design is fitted in place, whatever its memory layout.
+    X = dms[0].X[None] if len(dms) == 1 else np.array([dm.X for dm in dms])
+    runs = _newton_stack(X, dms[0].y)
+    fits = []
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            se, z, p_values = _wald(_information(X, w), beta)
-        except FACTOR_ERRORS:
-            se, z, p_values = np.full((3, p), np.nan)
-    aic = 2.0 * p - 2.0 * ll
-    return MleFit(
-        labels=dm.labels,
-        beta=beta,
-        se=se,
-        z=z,
-        p_values=p_values,
-        log_lik=ll,
-        aic=aic,
-        iterations=trace.steps,
-        converged=trace.converged,
-        separation=_separation(dm, beta, trace.converged),
-    )
+        infos = _information(X, np.array([w for _, _, w, _, _ in runs]))
+        for dm, info, (beta, ll, _, _, trace) in zip(dms, infos, runs):
+            try:
+                se, z, p_values = _wald(info, beta)
+            except FACTOR_ERRORS:
+                se, z, p_values = np.full((3, dm.p), np.nan)
+            fits.append(MleFit(
+                labels=dm.labels,
+                beta=beta,
+                se=se,
+                z=z,
+                p_values=p_values,
+                log_lik=ll,
+                aic=2.0 * dm.p - 2.0 * ll,
+                iterations=trace.steps,
+                converged=trace.converged,
+                separation=_separation(dm, beta, trace.converged),
+            ))
+    return fits
 
 
 def _sample_sd(columns: np.ndarray) -> np.ndarray:

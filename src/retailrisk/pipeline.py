@@ -19,7 +19,7 @@ import numpy as np
 from .dataset import Dataset, design_matrix
 from .errors import RetailRiskError
 from .firth import FirthFit, fit_firth
-from .logistic import MleFit, fit_logistic
+from .logistic import MleFit, _fit_stack
 
 SCREEN_GROUPS: dict[str, tuple[str, ...]] = {
     "external": ("acsi", "pandemic", "us_interest_rate", "us_inflation_rate"),
@@ -95,14 +95,12 @@ def run_screen(dataset: Dataset, group: str) -> ScreenReport:
     coefficients) raises with ``{group} screen:`` before the cause."""
     if group not in SCREEN_GROUPS:
         raise KeyError(f"unknown group {group!r}; valid: {', '.join(SCREEN_GROUPS)}")
+    names = SCREEN_GROUPS[group]
     try:
-        fits = tuple(
-            (name, fit_logistic(design_matrix(dataset, [name])))
-            for name in SCREEN_GROUPS[group]
-        )
+        fits = _fit_stack([design_matrix(dataset, [name]) for name in names])
     except RetailRiskError as exc:
         raise type(exc)(f"{group} screen: {exc}") from None
-    return ScreenReport(group=group, fits=fits)
+    return ScreenReport(group=group, fits=tuple(zip(names, fits)))
 
 
 def fit_final_model(dataset: Dataset) -> FirthFit:

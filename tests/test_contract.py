@@ -7,6 +7,7 @@ five money columns changes no byte of what rests on revenue ratios alone.
 Every dataset the constructor accepts gives a design matrix that passes
 ``DesignMatrix``'s checks, and every matrix the fits factor without the
 symmetry scan is one that the validating ``Cholesky(a)`` treats the same.
+A screen group's stacked fit gives every predictor the bits of its own fit.
 """
 
 import csv
@@ -31,7 +32,9 @@ from retailrisk.dataset import (
     design_matrix,
     parse_dataset,
 )
-from retailrisk.pipeline import SCREEN_GROUPS
+from retailrisk.errors import RetailRiskError
+from retailrisk.logistic import fit_logistic
+from retailrisk.pipeline import SCREEN_GROUPS, run_screen
 from retailrisk.report import FORMATS
 
 MONEY_COLUMNS = ("revenue", "cost_of_revenue", "sga", "ebitda", "long_term_debt")
@@ -210,3 +213,34 @@ def test_formed_matrices_pass_the_validating_entry(panel, ratios, data_path):
         assert code == 1 or factored
         for argv in (*(("fit", "--group", group) for group in SCREEN_GROUPS), ("report",)):
             assert _cli(data_path, text, *argv, "--ratios", ratios)[0] in (0, 1)
+
+
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
+@given(panel=panels(), ratios=st.sampled_from(RATIO_PRECISIONS))
+def test_screen_stack_fits_each_predictor_as_its_own_fit(panel, ratios):
+    """Every fit of ``run_screen``, which runs a group's designs as one
+    Newton stack, equals ``fit_logistic`` of its own design bit for bit; a
+    group the fits refuse is refused for its first design alike."""
+    row_chains, columns = panel
+    try:
+        dataset = Dataset(row_chains, [columns[name] for name in NUMERIC_COLUMNS], ratios)
+    except DataValidationError:
+        return
+    for group, names in SCREEN_GROUPS.items():
+        try:
+            screen = run_screen(dataset, group)
+        except RetailRiskError as exc:
+            with pytest.raises(type(exc)) as alone:
+                fit_logistic(design_matrix(dataset, [names[0]]))
+            assert str(exc) == f"{group} screen: {alone.value}"
+            continue
+        assert [name for name, _ in screen.fits] == list(names)
+        for name, fit in screen.fits:
+            single = fit_logistic(design_matrix(dataset, [name]))
+            for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
+                assert _bits(getattr(fit, field)) == _bits(getattr(single, field)), (name, field)
+            assert (fit.iterations, fit.converged, fit.separation) == (
+                single.iterations, single.converged, single.separation)

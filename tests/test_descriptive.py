@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from retailrisk.dataset import embedded_dataset
+from retailrisk.dataset import embedded_dataset, parse_dataset
 from retailrisk.descriptive import (
     CORRELATION_COLUMNS,
     SUMMARY_COLUMNS,
@@ -16,6 +16,8 @@ from retailrisk.descriptive import (
     pearson_corr,
     shapiro_wilk,
 )
+
+from _panel import panel_csv
 
 
 class TestMeanStd:
@@ -144,8 +146,15 @@ class TestPearson:
             r = pearson_corr(x * sx, y * sy)
         assert r == pytest.approx(pearson_corr(x, y), abs=1e-14)
 
-    def test_embedded_correlations_keep_their_bits(self):
-        ds = embedded_dataset()
+    @pytest.mark.parametrize("source", ["full", "printed", "panel"])
+    def test_embedded_correlations_keep_their_bits(self, source):
+        """Each cell is the two-pass arithmetic on its own pair, on the
+        embedded data in both ratio modes and on a 1,508-row panel."""
+        if source == "panel":
+            ds = parse_dataset(panel_csv(seed=3, chains=275))
+            assert ds.n == 1508
+        else:
+            ds = embedded_dataset(ratio_precision=source)
         matrix = correlation_matrix(ds)
         for i, a in enumerate(matrix.labels):
             for j, b in enumerate(matrix.labels[:i]):

@@ -16,6 +16,7 @@ from retailrisk.logistic import (
     SEPARATION_NONE,
     SEPARATION_QUASI,
     DegenerateResponseError,
+    _newton_stack,
     _sample_sd,
     _separation,
     fit_logistic,
@@ -185,6 +186,69 @@ class TestStepHalving:
             beta, _, _, _, trace = newton(dm.X, dm.y)
             assert trace.converged and trace.steps <= 8 and trace.halvings == 0, (name, trace)
             assert np.abs(dm.X.T @ (dm.y - expit(dm.X @ beta))).max() <= 1e-9, name
+
+
+def assert_same_run(run, solo):
+    """Two Newton runs agree bit for bit: beta, objective, w, h and trace."""
+    (beta, value, w, h, trace), (beta_1, value_1, w_1, h_1, trace_1) = run, solo
+    assert beta.tobytes() == beta_1.tobytes()
+    assert np.float64(value).tobytes() == np.float64(value_1).tobytes()
+    assert w.tobytes() == w_1.tobytes()
+    assert (h is None and h_1 is None) or h.tobytes() == h_1.tobytes()
+    assert repr(trace) == repr(trace_1)
+
+
+def assert_members_run_alone(columns, y, penalized=False, frees=None):
+    """Each member of the stack of one-column designs ends as its own stack
+    of one; returns the member traces."""
+    designs = [toy_design(x, y).X for x in columns]
+    runs = _newton_stack(np.stack(designs), np.asarray(y, dtype=float), penalized, frees)
+    for i, (X, run) in enumerate(zip(designs, runs)):
+        free = None if frees is None else frees[i]
+        assert_same_run(run, newton(X, np.asarray(y, dtype=float), penalized, free))
+    return [run[-1] for run in runs]
+
+
+class TestNewtonStack:
+    """Members of one stacked Newton run keep their own state and bits."""
+
+    SEPARATED = [-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0]
+    Y = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 1.0]
+    MIXED = [1.0, 3.0, -1.0, 0.5, 2.0, -0.5, 1.5, 0.2]
+
+    def test_early_convergence_beside_separation(self):
+        mixed, separated, again = assert_members_run_alone(
+            [self.MIXED, self.SEPARATED, self.MIXED[::-1]], self.Y)
+        assert mixed.converged and again.converged
+        assert not separated.converged and separated.steps > max(mixed.steps, again.steps)
+
+    @pytest.mark.parametrize("column", [
+        [2.0] * 8,                               # collinear with the intercept
+        list((100.0 + np.arange(8.0)) * 1e152),  # X'WX overflows
+    ])
+    def test_factor_failing_at_step_one(self, column):
+        first, failed, last = assert_members_run_alone(
+            [self.MIXED, column, self.SEPARATED], self.Y)
+        assert failed == (1, 0, failed.max_score, False)
+        assert first.converged and not last.converged
+
+    def test_halving_members_beside_one_that_does_not_halve(self):
+        # On these rows the first and last columns halve steps at different
+        # steps, so halving runs on part of the working stack.
+        y = [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0]
+        columns = [
+            [-4.4, -0.9, 186.7, 9.0, 0.3, -7.6, 7.1, -6.2, 1.2, 3.8],
+            [0.5, -1.0, 2.0, 1.5, -0.5, 0.0, 1.0, -2.0, 0.3, 0.8],
+            [102.3, 57.9, -3.6, -26.7, 500.2, 48.9, -2.7, 60.8, 25.1, -19.6],
+        ]
+        traces = assert_members_run_alone(columns, y)
+        assert [trace.halvings for trace in traces] == [6, 0, 1]
+
+    def test_penalized_members_with_their_own_free_coefficients(self):
+        # The Firth fit and its null refit: one stack, two free sets.
+        assert_members_run_alone([self.SEPARATED, self.SEPARATED], self.Y, True, [None, [0]])
+        assert_members_run_alone([self.MIXED, self.SEPARATED, self.MIXED], self.Y, True,
+                                 [[0], None, None])
 
 
 class TestSeparation:

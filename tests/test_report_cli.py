@@ -606,19 +606,20 @@ def test_default_report_factorization_count(monkeypatch):
 def test_default_report_newton_runs_never_halve(monkeypatch):
     """The 14 screens, the Firth fit and its null refit each take full Newton
     steps on the embedded data: no step there lowers the objective by more
-    than rounding noise."""
+    than rounding noise. Each is a member of a run of the one Newton loop:
+    a screen group's stack, or the stack of the Firth fit and its refit."""
     from retailrisk import firth, logistic
 
     traces = []
-    newton = logistic.newton
+    newton_stack = logistic._newton_stack
 
-    def recording_newton(*args, **kwargs):
-        result = newton(*args, **kwargs)
-        traces.append(result[-1])
-        return result
+    def recording_newton_stack(*args, **kwargs):
+        runs = newton_stack(*args, **kwargs)
+        traces.extend(run[-1] for run in runs)
+        return runs
 
-    monkeypatch.setattr(logistic, "newton", recording_newton)
-    monkeypatch.setattr(firth, "newton", recording_newton)
+    monkeypatch.setattr(logistic, "_newton_stack", recording_newton_stack)
+    monkeypatch.setattr(firth, "_newton_stack", recording_newton_stack)
     assert run(["report"])[0] == 0
     assert len(traces) == 16
     assert all(trace.converged for trace in traces)
