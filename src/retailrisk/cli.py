@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import functools
 import sys
 
@@ -34,6 +35,7 @@ from .report import (
     ROUNDING,
     ReportDocument,
     Section,
+    _fit_health_note,
     correlation_section,
     describe_section,
     document_meta,
@@ -121,23 +123,29 @@ def _check_usage(args) -> None:
 
 
 def _final_coefficients(args, dataset: Dataset, fit=None):
-    """Coefficients for the probability grid; reuses ``fit`` when given."""
+    """Coefficients for the probability grid, reusing ``fit`` when given,
+    and the fit's note when its estimates are not reliable (else None)."""
     if args.coef == "rounded":
-        return REFERENCE_MODEL_COEFFICIENTS
+        return REFERENCE_MODEL_COEFFICIENTS, None
     if fit is None:
         fit = fit_final_model(dataset)
-    return tuple(fit.beta.tolist())
+    return tuple(fit.beta.tolist()), _fit_health_note("Failure model", fit)
 
 
-def _grid_sections(table: PredictionTable) -> list[Section]:
-    """The probability grid, then its drift when it holds a published cell."""
+def _grid_sections(table: PredictionTable, note: str | None) -> list[Section]:
+    """The probability grid, led by the fit's ``note`` when there is one,
+    then its drift when it holds a published cell."""
+    grid = probability_section(table)
+    if note:
+        grid = dataclasses.replace(grid, notes=(note, *grid.notes))
     drift = drift_section(table)
-    return [probability_section(table)] + ([drift] if drift.rows else [])
+    return [grid] + ([drift] if drift.rows else [])
 
 
-def _cell_section(table: PredictionTable, chain: str, year: int) -> Section:
-    """Cell (chain, year) of the grid; a marker cell is an error naming the
-    years the chain has probabilities for."""
+def _cell_section(table: PredictionTable, chain: str, year: int, note: str | None) -> Section:
+    """Cell (chain, year) of the grid, with the fit's ``note`` when there is
+    one; a marker cell is an error naming the years the chain has
+    probabilities for."""
     if chain not in table.probabilities:
         raise DataValidationError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
     prob = table.probabilities[chain].get(year)
@@ -148,7 +156,7 @@ def _cell_section(table: PredictionTable, chain: str, year: int) -> Section:
         )
     text = fmt_number(prob, ROUNDING["probability"])
     return Section(title="Failure probability", columns=("Chain", "Year", "Probability"),
-                   rows=((chain, str(year), text),))
+                   rows=((chain, str(year), text),), notes=(note,) if note else ())
 
 
 def _sections_for(args, dataset: Dataset) -> list[Section]:
@@ -162,16 +170,18 @@ def _sections_for(args, dataset: Dataset) -> list[Section]:
     if command == "fit-final":
         return [final_model_section(fit_final_model(dataset), dataset.n)]
     if command == "predict":
-        table = table_from_coefficients(_final_coefficients(args, dataset), dataset)
+        coefficients, note = _final_coefficients(args, dataset)
+        table = table_from_coefficients(coefficients, dataset)
         if args.chain is None:
-            return _grid_sections(table)
-        return [_cell_section(table, args.chain, args.year)]
+            return _grid_sections(table, note)
+        return [_cell_section(table, args.chain, args.year, note)]
     # report: the sections are built in order, so the first error is the first section's.
     sections = [describe_section(dataset), correlation_section(dataset)]
     sections += [screen_section(run_screen(dataset, group)) for group in SCREEN_GROUPS]
     fit = fit_final_model(dataset)
-    table = table_from_coefficients(_final_coefficients(args, dataset, fit), dataset)
-    return [*sections, final_model_section(fit, dataset.n), *_grid_sections(table)]
+    coefficients, note = _final_coefficients(args, dataset, fit)
+    table = table_from_coefficients(coefficients, dataset)
+    return [*sections, final_model_section(fit, dataset.n), *_grid_sections(table, note)]
 
 
 def _emit(text: str, args, stdout) -> None:

@@ -12,21 +12,22 @@ line up with published fits:
 * Newton steps (the one Newton loop of ``logistic``, with step-halving)
   solve with the exact negative Hessian of l*, so they converge
   quadratically even near separation; where it is not positive definite,
-  with the hat-augmented information X' diag(w*(1+h)) X. The fit and its
-  null refit run as one stack of two members.
+  with the hat-augmented information X' diag(w*(1+h)) X.
 * The standard errors are the square roots of the diagonal of the inverse
   of the hat-augmented information at the solution, read from its Cholesky
   factor without forming the inverse; per-coefficient Wald chi-squares are
   (beta/se)^2 on one degree of freedom.
-* The likelihood-ratio test refits with the slopes pinned at zero (the
-  penalty still uses the full design) and compares penalized likelihoods on
-  p-1 degrees of freedom.
+* The likelihood-ratio test compares the penalized likelihood with its
+  maximum over the null model, the slopes pinned at zero (the penalty still
+  uses the full design), on p-1 degrees of freedom. That maximum has a closed
+  form (see :func:`_fit_firth`), so no second fit is run.
 * The global Wald statistic is the quadratic form of the full coefficient
   vector in the hat-augmented information, reported on p-1 degrees of freedom.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,16 +36,7 @@ from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
 from .errors import RetailRiskError
-from .logistic import (
-    FACTOR_ERRORS,
-    _coefficients,
-    _evaluate,
-    _information,
-    _newton_stack,
-    _wald,
-    check_fittable,
-    newton,
-)
+from .logistic import _coefficients, _evaluate, _information, _wald, check_fittable, newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +71,7 @@ def firth_score(beta, dm: DesignMatrix) -> np.ndarray:
 
 def fit_firth(dm: DesignMatrix) -> FirthFit:
     """Fit the penalized-likelihood logistic model on a design matrix, under
-    the Firth stopping rule of :func:`logistic.newton` (the null refit too).
+    the Firth stopping rule of :func:`logistic.newton`.
     Errors start with ``failure model:``; every matrix factored here spans the
     whole design, so a failed pivot's row names its design column."""
     try:
@@ -93,19 +85,23 @@ def fit_firth(dm: DesignMatrix) -> FirthFit:
 
 
 def _fit_firth(dm: DesignMatrix) -> FirthFit:
+    """One Newton run, then l* at the null model's maximizer for the LR test.
+
+    With the slopes pinned at zero every row has the same p, so X'WX =
+    p(1-p) X'X and log det X'WX = dm.p * log(p(1-p)) + log det X'X. Since
+    log(p(1-p)) = b0 - 2 log(1 + e^b0) for p = expit(b0), l* along the
+    intercept b0 is
+
+        (sum(y) + dm.p/2) * b0 - (n + dm.p) * log(1 + e^b0) + const,
+
+    the log-likelihood of sum(y) + dm.p/2 successes in n + dm.p trials:
+    strictly concave, with its one maximum at p = (sum(y) + dm.p/2) /
+    (n + dm.p). There the intercept's modified score sum(y) - n p +
+    sum(h) (1/2 - p) is zero, as the hat diagonals h sum to dm.p.
+    """
     check_fittable(dm, "the Firth fit")
     df = dm.p - 1
-    # The fit and, unless it has no slopes, its null refit (the slopes pinned
-    # at zero) run as one stack.
-    frees = [None] if df == 0 else [None, [0]]
-    try:
-        (beta, pen_ll, w, h, trace), *null = _newton_stack(
-            np.array([dm.X] * len(frees)), dm.y, True, frees)
-    except FACTOR_ERRORS:
-        # Run one after the other, the first run to fail raises its error.
-        for free in frees:
-            newton(dm.X, dm.y, penalized=True, free_idx=free)
-        raise
+    beta, pen_ll, w, h, trace = newton(dm.X, dm.y, penalized=True)
 
     augmented = _information(dm.X, w * (1.0 + h))
     se, z, p_values = _wald(augmented, beta)
@@ -113,7 +109,10 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
     chisq = z * z
 
     if df > 0:
-        null_ll = null[0][1]
+        prob = (float(dm.y.sum()) + 0.5 * dm.p) / (dm.n + dm.p)
+        null = np.zeros(dm.p)
+        null[0] = math.log(prob / (1.0 - prob))
+        null_ll = _evaluate(dm.X, dm.y, null, True)[0]
         lr_stat = max(0.0, 2.0 * (pen_ll - null_ll))
         lr_p = chi2_sf(lr_stat, df)
         wald_stat = float(beta @ augmented @ beta)

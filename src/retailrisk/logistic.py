@@ -9,7 +9,7 @@ damped-Newton loop, exists for exactly these designs).
 
 There is one Newton loop, :func:`_newton_stack`, and it runs a stack of
 designs X (k, n, p) that share the response: a screen group's univariate
-designs, or the Firth fit beside its null refit. The n-row products of a
+designs, or the Firth fit as a stack of one. The n-row products of a
 step (X beta, the log-likelihood, p, W, the score, X'WX) are stacked numpy
 calls that make the same BLAS call per member as on the member's design
 alone; each member's step matrix is factored on its own; every member keeps
@@ -47,7 +47,7 @@ DIVERGENCE_BOUND = 15.0
 # some x_i'beta by O(1) and never passes. It stops unconverged after the
 # objective's step cap. The step after one this small is quadratically
 # smaller, so the final max |score| is of rounding size (at most 4e-10 on the
-# 1,500-row benchmark panels; 2.4e-9 at 1e-6, which saves 3 of a report's 144
+# 1,500-row benchmark panels; 2.4e-9 at 1e-6, which saves 3 of a report's 134
 # factorizations).
 ETA_TOL = 1e-7
 # A step is halved only while the trial objective is below the current one by
@@ -110,7 +110,7 @@ FACTOR_ERRORS = (linalg.SingularMatrixError, linalg.NonFiniteMatrixError)
 
 
 class NewtonTrace(NamedTuple):
-    """Steps, step-halvings, final max |score| over the free coefficients."""
+    """Steps, step-halvings, final max |score| over all coefficients."""
 
     steps: int
     halvings: int
@@ -162,18 +162,13 @@ def _negative_hessian(X: np.ndarray, prob: np.ndarray, w: np.ndarray, q: np.ndar
     return _information(X, w - 0.5 * q * w * (1.0 - 6.0 * w)) + 0.5 * (ku.T @ ku)
 
 
-def _factor_free(a: np.ndarray, free) -> linalg.Cholesky:
-    """The factor of ``a`` on the ``free`` rows and columns (None: all)."""
-    return linalg.Cholesky._of_symmetric(a if free is None else a[free][:, free])
-
-
-def _penalized_step(X, prob, w, q, z, free) -> linalg.Cholesky:
-    """The factored step matrix of l* on the free coefficients: the exact
-    negative Hessian, else the augmented X' diag(w(1+h)) X."""
+def _penalized_step(X, prob, w, q, z) -> linalg.Cholesky:
+    """The factored step matrix of l*: the exact negative Hessian, else the
+    augmented X' diag(w(1+h)) X."""
     try:
-        return _factor_free(_negative_hessian(X, prob, w, q, z), free)
+        return linalg.Cholesky._of_symmetric(_negative_hessian(X, prob, w, q, z))
     except FACTOR_ERRORS:
-        return _factor_free(_information(X, w * (1.0 + w * q)), free)
+        return linalg.Cholesky._of_symmetric(_information(X, w * (1.0 + w * q)))
 
 
 def _rows(arrays, rows):
@@ -186,15 +181,13 @@ def _rows(arrays, rows):
 # An information matrix that overflows is refused by linalg as non-finite;
 # numpy's own overflow warnings would only repeat that on stderr.
 @np.errstate(over="ignore", invalid="ignore")
-def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False, frees=None):
+def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
     """Damped Newton from beta = 0 on the log-likelihood l or, if
     ``penalized``, on Firth's l* = l + 0.5*log det X'WX, for every member of
     a stack of designs X (k, n, p) that share the response y.
 
-    ``frees`` holds, per member, the coefficients that move (None: all); the
-    others stay at zero but still enter the penalty. A step is halved up to
-    10 times while the objective falls by more than rounding noise
-    (HALVING_RTOL). A member has converged once a full step moves none of
+    A step is halved up to 10 times while the objective falls by more than
+    rounding noise (HALVING_RTOL). A member has converged once a full step moves none of
     its linear predictors by more than ETA_TOL, and stops unconverged after
     MLE_MAX_STEPS or FIRTH_MAX_STEPS steps; a singular or overflowed step
     matrix stops it too. Each member keeps its own beta, steps, halvings and
@@ -207,7 +200,6 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False, frees=N
     """
     max_steps = FIRTH_MAX_STEPS if penalized else MLE_MAX_STEPS
     k, _, p = X.shape
-    frees = [None] * k if frees is None else [None if f is None else list(f) for f in frees]
     runs = [None] * k
     # Per row of the working stack: its member, halvings, beta and state.
     members, halvings = list(range(k)), [0] * k
@@ -219,10 +211,8 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False, frees=N
         """Record the runs of the working rows ``rows``; returns the others."""
         value, _, _, w, score, q, _ = state
         for r in rows:
-            free = frees[members[r]]
             h = None if q is None else w[r] * q[r]
-            moving = score[r] if free is None else score[r][free]
-            trace = NewtonTrace(steps, halvings[r], float(np.abs(moving).max()), converged)
+            trace = NewtonTrace(steps, halvings[r], float(np.abs(score[r]).max()), converged)
             runs[members[r]] = (beta[r], value[r], w[r], h, trace)
         return [r for r in range(len(members)) if r not in rows]
 
@@ -231,22 +221,15 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False, frees=N
         info = _information(X, w) if q is None else None
         scores = score.tolist()
         deltas, failed = [], []
-        for r, member in enumerate(members):
-            free = frees[member]
+        for r in range(len(members)):
             try:
-                step = (_factor_free(info[r], free) if q is None else
-                        _penalized_step(X[r], prob[r], w[r], q[r], z[r], free))
+                step = (linalg.Cholesky._of_symmetric(info[r]) if q is None else
+                        _penalized_step(X[r], prob[r], w[r], q[r], z[r]))
             except FACTOR_ERRORS:
                 # Weights collapsed: coefficients are running off to infinity.
                 failed.append(r)
                 continue
-            if free is None:
-                deltas.append(step._solve(scores[r]))
-            else:
-                delta = [0.0] * p
-                for j, d in zip(free, step._solve([scores[r][j] for j in free])):
-                    delta[j] = d
-                deltas.append(delta)
+            deltas.append(step._solve(scores[r]))
         if failed:
             kept = stop(failed, steps, False)
             if not kept:
@@ -283,11 +266,10 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False, frees=N
     return runs
 
 
-def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False, free_idx=None):
+def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False):
     """The run of :func:`_newton_stack` on one design X (n, p), a stack of
-    one, moving only the ``free_idx`` coefficients (default: all). Returns
-    (beta, objective, w = p(1-p), hat diagonals h or None, trace)."""
-    return _newton_stack(X[None], y, penalized, None if free_idx is None else [free_idx])[0]
+    one. Returns (beta, objective, w = p(1-p), hat diagonals h or None, trace)."""
+    return _newton_stack(X[None], y, penalized)[0]
 
 
 def _wald(info: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -8,15 +8,19 @@ Every dataset the constructor accepts gives a design matrix that passes
 ``DesignMatrix``'s checks, and every matrix the fits factor without the
 symmetry scan is one that the validating ``Cholesky(a)`` treats the same.
 A screen group's stacked fit gives every predictor the bits of its own fit.
+The failure model's closed-form null maximizes l* along the intercept as
+well as a bounded scalar optimizer does.
 """
 
 import csv
 import io
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
+from scipy.optimize import minimize_scalar
 
 from retailrisk import linalg
 from retailrisk.cli import run_command
@@ -33,8 +37,9 @@ from retailrisk.dataset import (
     parse_dataset,
 )
 from retailrisk.errors import RetailRiskError
+from retailrisk.firth import firth_score, fit_firth, penalized_loglik
 from retailrisk.logistic import fit_logistic
-from retailrisk.pipeline import SCREEN_GROUPS, run_screen
+from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, SCREEN_GROUPS, run_screen
 from retailrisk.report import FORMATS
 
 MONEY_COLUMNS = ("revenue", "cost_of_revenue", "sga", "ebitda", "long_term_debt")
@@ -244,3 +249,32 @@ def test_screen_stack_fits_each_predictor_as_its_own_fit(panel, ratios):
                 assert _bits(getattr(fit, field)) == _bits(getattr(single, field)), (name, field)
             assert (fit.iterations, fit.converged, fit.separation) == (
                 single.iterations, single.converged, single.separation)
+
+
+@given(panel=panels())
+def test_closed_form_null_maximizes_the_penalized_likelihood(panel):
+    """Wherever the failure model fits, l* with the slopes at zero peaks at
+    the intercept logit((sum(y) + p/2) / (n + p)): no bounded scalar search
+    along the intercept finds more, the intercept's modified score is zero
+    there, and the LR statistic is measured from there."""
+    row_chains, columns = panel
+    for ratios in RATIO_PRECISIONS:
+        try:
+            dataset = Dataset(row_chains, [columns[name] for name in NUMERIC_COLUMNS], ratios)
+            dm = design_matrix(dataset, list(FINAL_MODEL_PREDICTORS))
+            fit = fit_firth(dm)
+        except RetailRiskError:
+            continue
+        n, p = dm.n, dm.p
+        prob = (float(dm.y.sum()) + 0.5 * p) / (n + p)
+        null = np.zeros(p)
+        null[0] = math.log(prob / (1.0 - prob))
+        null_ll = penalized_loglik(null, dm)
+        # The intercept of any mean p in [1/(n+p), 1 - 1/(n+p)].
+        edge = math.log(n + p - 1.0)
+        found = minimize_scalar(lambda b0: -penalized_loglik([b0] + [0.0] * (p - 1), dm),
+                                bounds=(-edge, edge), method="bounded",
+                                options={"xatol": 1e-10})
+        assert null_ll >= -found.fun - 1e-9 * abs(found.fun), (ratios, null_ll, found)
+        assert abs(firth_score(null, dm)[0]) <= 1e-9 * n, ratios
+        assert fit.lr_stat == max(0.0, 2.0 * (fit.pen_log_lik - null_ll)), ratios

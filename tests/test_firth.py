@@ -379,6 +379,17 @@ class TestLrTest:
         assert df == 3
         assert p == pytest.approx(0.00317, abs=0.0005)
 
+    @pytest.mark.parametrize("precision, stat", [
+        ("full", 13.81581452452415),
+        ("printed", 13.828407170112726),
+    ])
+    def test_embedded_statistic_bits(self, precision, stat):
+        # The bits of the LR statistic when the null model was refitted by
+        # Newton steps; its closed-form maximizer gives the same float.
+        dm = design_matrix(embedded_dataset(precision),
+                           ["us_inflation_rate", "ltd_over_rev", "ebitda_over_rev"])
+        assert fit_firth(dm).lr_stat == stat
+
     def test_intercept_only_is_null_vs_itself(self):
         fit = fit_firth(design_matrix(embedded_dataset(), []))
         stat, df, p = fit.lr_stat, fit.lr_df, fit.lr_p
