@@ -26,6 +26,7 @@ from .pipeline import (
     REFERENCE_MODEL_COEFFICIENTS,
     SCREEN_GROUPS,
     PredictionTable,
+    _run_screens,
     fit_final_model,
     run_screen,
     table_from_coefficients,
@@ -177,7 +178,7 @@ def _sections_for(args, dataset: Dataset) -> list[Section]:
         return [_cell_section(table, args.chain, args.year, note)]
     # report: the sections are built in order, so the first error is the first section's.
     sections = [describe_section(dataset), correlation_section(dataset)]
-    sections += [screen_section(run_screen(dataset, group)) for group in SCREEN_GROUPS]
+    sections += [screen_section(screen) for screen in _run_screens(dataset, tuple(SCREEN_GROUPS))]
     fit = fit_final_model(dataset)
     coefficients, note = _final_coefficients(args, dataset, fit)
     table = table_from_coefficients(coefficients, dataset)

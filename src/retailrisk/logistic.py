@@ -8,14 +8,16 @@ callers can decide what to do (the penalized fitter, which shares the
 damped-Newton loop, exists for exactly these designs).
 
 There is one Newton loop, :func:`_newton_stack`, and it runs a stack of
-designs X (k, n, p) that share the response: a screen group's univariate
-designs, or the Firth fit as a stack of one. The n-row products of a
-step (X beta, the log-likelihood, p, W, the score, X'WX) are stacked numpy
-calls that make the same BLAS call per member as on the member's design
-alone; each member's step matrix is factored on its own; every member keeps
-its own coefficients, step count, halvings and stop, and leaves the stack
-when it stops. So each member ends with the bits of its run as a stack of
-one, which is what :func:`newton` and :func:`fit_logistic` are.
+designs X (k, n, p) that share the response: the univariate designs of a
+report's 14 screens, or the Firth fit as a stack of one. The n-row products
+of a step (X beta, the log-likelihood, p, W, the score, X'WX) are stacked
+numpy calls that make the same BLAS call per member as on the member's
+design alone; each member's step matrix is factored on its own; every member
+keeps its own coefficients, step count, halvings and stop, and leaves the
+stack when it stops. So each member ends with the bits of its run as a stack
+of one, which is what :func:`newton` and :func:`fit_logistic` are. The Wald
+tests and the separation check's column SDs after the loop are taken once
+per stack, elementwise or within each member, with the same bits.
 """
 
 from __future__ import annotations
@@ -122,7 +124,8 @@ def _evaluate_stack(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: b
     """(objective, eta = X beta, prob, w = p(1-p), score, q, z) at each row of
     beta (k, p) for the stack of designs X (k, n, p) sharing y: the
     objectives as a list of floats, the rest with one entry per member along
-    the first axis, and q = z = None for l.
+    the first axis. For l, whose Newton step needs none of them, prob = q =
+    z = None, so neither the current nor the trial state keeps an n-row prob.
     For l* = l + 0.5*log det X'WX: the modified score X'(y - p + h(0.5 - p)),
     z = L^-1 X' for the factor L of X'WX and q = colsum(z^2), so h = w*q.
     Every member's numbers are those of the same operations on its own
@@ -135,7 +138,7 @@ def _evaluate_stack(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: b
     w = prob * (1.0 - prob)
     Xt = X.swapaxes(1, 2)
     if not penalized:
-        return value, eta, prob, w, (Xt @ (y - prob)[..., None])[..., 0], None, None
+        return value, eta, None, w, (Xt @ (y - prob)[..., None])[..., 0], None, None
     info = _information(X, w)
     factors = [linalg.Cholesky._of_symmetric(info[i]) for i in range(len(info))]
     z = np.array([factor.whiten(Xt[i]) for i, factor in enumerate(factors)])
@@ -240,7 +243,8 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
         new = beta + delta
         trial = _evaluate_stack(X, y, new, penalized)
         # x_i'delta of the full step, from the linear predictor it produced.
-        moved = np.abs(trial[1] - eta).max(axis=-1).tolist()
+        moved = trial[1] - eta
+        moved = np.abs(moved, out=moved).max(axis=-1).tolist()
         floors = [v - HALVING_RTOL * abs(v) for v in value]
         halve = [r for r, v in enumerate(trial[0]) if v < floors[r]]
         for _ in range(10):
@@ -272,12 +276,18 @@ def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False):
     return _newton_stack(X[None], y, penalized)[0]
 
 
+def _z_tests(beta: np.ndarray, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Wald z = beta / se and its two-sided p-value, elementwise, so a stack
+    of coefficient vectors gets each member's bits in one pass."""
+    z = beta / se
+    return z, 2.0 * norm_sf(np.abs(z))
+
+
 def _wald(info: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Wald (se, z, two-sided p) of beta under the information ``info``: se
     are the square roots of diag(info^-1), taken from info's Cholesky factor."""
     se = linalg.Cholesky._of_symmetric(info).inverse_diag_sqrt()
-    z = beta / se
-    return se, z, 2.0 * norm_sf(np.abs(z))
+    return se, *_z_tests(beta, se)
 
 
 def fit_logistic(dm: DesignMatrix) -> MleFit:
@@ -292,62 +302,71 @@ def fit_logistic(dm: DesignMatrix) -> MleFit:
 
 def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
     """:func:`fit_logistic` of every design, in one Newton loop over their
-    stack; the designs share y and their shape. Each fit has the bits of its
-    own :func:`fit_logistic`."""
-    for dm in dms:
-        check_fittable(dm, "logistic MLE")
+    stack; the designs share y and their shape, so the first is refused
+    for all. Each fit has the bits of its own :func:`fit_logistic`.
+
+    After the loop, z, the p-values and the separation check's column SDs
+    are taken for the whole stack at once. Only each member's Wald factor
+    (NaN se, z and p for that member alone if it fails) and the fitted
+    probabilities of a diverged or unconverged member are its own."""
+    check_fittable(dms[0], "logistic MLE")
     # A lone design is fitted in place, whatever its memory layout.
     X = dms[0].X[None] if len(dms) == 1 else np.array([dm.X for dm in dms])
     runs = _newton_stack(X, dms[0].y)
-    fits = []
+    beta = np.array([b for b, _, _, _, _ in runs])
+    se = np.full(beta.shape, np.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         infos = _information(X, np.array([w for _, _, w, _, _ in runs]))
-        for dm, info, (beta, ll, _, _, trace) in zip(dms, infos, runs):
+        for i, info in enumerate(infos):
             try:
-                se, z, p_values = _wald(info, beta)
+                se[i] = linalg.Cholesky._of_symmetric(info).inverse_diag_sqrt()
             except FACTOR_ERRORS:
-                se, z, p_values = np.full((3, dm.p), np.nan)
-            fits.append(MleFit(
-                labels=dm.labels,
-                beta=beta,
-                se=se,
-                z=z,
-                p_values=p_values,
-                log_lik=ll,
-                aic=2.0 * dm.p - 2.0 * ll,
-                iterations=trace.steps,
-                converged=trace.converged,
-                separation=_separation(dm, beta, trace.converged),
-            ))
-    return fits
+                pass
+        z, p_values = _z_tests(beta, se)
+        sds = _sample_sd(X[:, :, 1:])
+    return [MleFit(
+        labels=dm.labels,
+        beta=beta[i],
+        se=se[i],
+        z=z[i],
+        p_values=p_values[i],
+        log_lik=ll,
+        aic=2.0 * dm.p - 2.0 * ll,
+        iterations=trace.steps,
+        converged=trace.converged,
+        separation=_separation(dm, beta[i], trace.converged, sds[i]),
+    ) for i, (dm, (_, ll, _, _, trace)) in enumerate(zip(dms, runs))]
 
 
 def _sample_sd(columns: np.ndarray) -> np.ndarray:
-    """np.std(columns, axis=0, ddof=1) by the same operations, so bit for bit
-    the same, without its argument handling: for n >= 2 rows."""
-    n = columns.shape[0]
-    dev = columns - columns.sum(axis=0, keepdims=True) / n
+    """np.std(columns, axis=-2, ddof=1) by the same operations, so bit for
+    bit the same, without its argument handling: for n >= 2 rows. Of a stack
+    (k, n, m) whose members are not interleaved (as in a C-ordered stack of
+    designs), each member's SDs have the bits of its (n, m) alone."""
+    n = columns.shape[-2]
+    dev = columns - columns.sum(axis=-2, keepdims=True) / n
     dev *= dev
-    return np.sqrt(dev.sum(axis=0) / (n - 1))
+    return np.sqrt(dev.sum(axis=-2) / (n - 1))
 
 
 # A column near the float limit has an infinite SD, and a diverged slope can
 # be near the float limit itself: products with either, X @ beta included,
 # may be inf or NaN, and the comparisons below give the diagnosis anyway.
 @np.errstate(over="ignore", invalid="ignore")
-def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool) -> str:
+def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool, sd: np.ndarray) -> str:
     """Diagnose complete/quasi separation from fitted (or stalled) coefficients.
 
     Divergence is flagged when any slope exceeds the bound on the column's
-    standard-deviation scale, or when an unconverged fit has pushed fitted
-    probabilities onto the 0/1 boundary. Diverged fits are ``complete`` when
-    every observation is classified to within 1e-4, otherwise ``quasi``.
+    standard-deviation scale (``sd``, the :func:`_sample_sd` of the slope
+    columns), or when an unconverged fit has pushed fitted probabilities
+    onto the 0/1 boundary. Diverged fits are ``complete`` when every
+    observation is classified to within 1e-4, otherwise ``quasi``.
     """
     if not np.all(np.isfinite(beta)):
         diverged = True
     else:
         # Only an inf above the bound counts as divergence.
-        standardized = np.abs(beta[1:]) * _sample_sd(dm.X[:, 1:])
+        standardized = np.abs(beta[1:]) * sd
         diverged = bool(np.any(standardized > DIVERGENCE_BOUND))
         if not diverged and not converged:
             prob = expit(dm.X @ beta)

@@ -10,7 +10,7 @@ chain-year and each chain's failure year.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -89,18 +89,31 @@ class ScreenReport:
 
 
 def run_screen(dataset: Dataset, group: str) -> ScreenReport:
-    """Fit fail ~ intercept + x for every predictor x in the group.
+    """Fit fail ~ intercept + x for every predictor x in the group, as one
+    Newton stack (:func:`_run_screens` of the one group).
 
     A design the fits refuse (a single-class response, fewer rows than
     coefficients) raises with ``{group} screen:`` before the cause."""
-    if group not in SCREEN_GROUPS:
-        raise KeyError(f"unknown group {group!r}; valid: {', '.join(SCREEN_GROUPS)}")
-    names = SCREEN_GROUPS[group]
+    return _run_screens(dataset, (group,))[0]
+
+
+def _run_screens(dataset: Dataset, groups: Sequence[str]) -> list[ScreenReport]:
+    """:func:`run_screen` of every group, in order, from one Newton stack of
+    all their designs; each fit has the bits of its own ``fit_logistic``.
+
+    Every design shares the response and has two columns, so the fits refuse
+    all of them or none, and the error names the first group, as running
+    the groups one after another would."""
+    for group in groups:
+        if group not in SCREEN_GROUPS:
+            raise KeyError(f"unknown group {group!r}; valid: {', '.join(SCREEN_GROUPS)}")
+    names = [name for group in groups for name in SCREEN_GROUPS[group]]
     try:
-        fits = _fit_stack([design_matrix(dataset, [name]) for name in names])
+        fits = iter(_fit_stack([design_matrix(dataset, [name]) for name in names]))
     except RetailRiskError as exc:
-        raise type(exc)(f"{group} screen: {exc}") from None
-    return ScreenReport(group=group, fits=tuple(zip(names, fits)))
+        raise type(exc)(f"{groups[0]} screen: {exc}") from None
+    return [ScreenReport(group, tuple((name, next(fits)) for name in SCREEN_GROUPS[group]))
+            for group in groups]
 
 
 def fit_final_model(dataset: Dataset) -> FirthFit:

@@ -7,7 +7,8 @@ five money columns changes no byte of what rests on revenue ratios alone.
 Every dataset the constructor accepts gives a design matrix that passes
 ``DesignMatrix``'s checks, and every matrix the fits factor without the
 symmetry scan is one that the validating ``Cholesky(a)`` treats the same.
-A screen group's stacked fit gives every predictor the bits of its own fit.
+A screen group's stacked fit, and a report's one stack of every screen,
+give every predictor the bits of its own fit.
 The failure model's closed-form null maximizes l* along the intercept as
 well as a bounded scalar optimizer does.
 """
@@ -39,7 +40,7 @@ from retailrisk.dataset import (
 from retailrisk.errors import RetailRiskError
 from retailrisk.firth import firth_score, fit_firth, penalized_loglik
 from retailrisk.logistic import fit_logistic
-from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, SCREEN_GROUPS, run_screen
+from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, SCREEN_GROUPS, _run_screens, run_screen
 from retailrisk.report import FORMATS
 
 MONEY_COLUMNS = ("revenue", "cost_of_revenue", "sga", "ebitda", "long_term_debt")
@@ -224,15 +225,33 @@ def _bits(value) -> bytes:
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _assert_fits_alone(dataset, screen, names):
+    """Every fit of ``screen`` has the bits of ``fit_logistic`` of its own design."""
+    assert [name for name, _ in screen.fits] == list(names)
+    for name, fit in screen.fits:
+        single = fit_logistic(design_matrix(dataset, [name]))
+        for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
+            assert _bits(getattr(fit, field)) == _bits(getattr(single, field)), (name, field)
+        assert (fit.iterations, fit.converged, fit.separation) == (
+            single.iterations, single.converged, single.separation)
+
+
+def _drawn_dataset(panel, ratios):
+    """The panel as a Dataset, or None where the constructor refuses it."""
+    row_chains, columns = panel
+    try:
+        return Dataset(row_chains, [columns[name] for name in NUMERIC_COLUMNS], ratios)
+    except DataValidationError:
+        return None
+
+
 @given(panel=panels(), ratios=st.sampled_from(RATIO_PRECISIONS))
 def test_screen_stack_fits_each_predictor_as_its_own_fit(panel, ratios):
     """Every fit of ``run_screen``, which runs a group's designs as one
     Newton stack, equals ``fit_logistic`` of its own design bit for bit; a
     group the fits refuse is refused for its first design alike."""
-    row_chains, columns = panel
-    try:
-        dataset = Dataset(row_chains, [columns[name] for name in NUMERIC_COLUMNS], ratios)
-    except DataValidationError:
+    dataset = _drawn_dataset(panel, ratios)
+    if dataset is None:
         return
     for group, names in SCREEN_GROUPS.items():
         try:
@@ -242,13 +261,28 @@ def test_screen_stack_fits_each_predictor_as_its_own_fit(panel, ratios):
                 fit_logistic(design_matrix(dataset, [names[0]]))
             assert str(exc) == f"{group} screen: {alone.value}"
             continue
-        assert [name for name, _ in screen.fits] == list(names)
-        for name, fit in screen.fits:
-            single = fit_logistic(design_matrix(dataset, [name]))
-            for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
-                assert _bits(getattr(fit, field)) == _bits(getattr(single, field)), (name, field)
-            assert (fit.iterations, fit.converged, fit.separation) == (
-                single.iterations, single.converged, single.separation)
+        _assert_fits_alone(dataset, screen, names)
+
+
+@given(panel=panels(), ratios=st.sampled_from(RATIO_PRECISIONS))
+def test_one_stack_of_every_screen_fits_each_predictor_as_its_own_fit(panel, ratios):
+    """A report runs the designs of all three groups as one Newton stack:
+    every predictor still gets the bits of ``fit_logistic`` of its own
+    design, and a panel the fits refuse is refused with the text that
+    ``run_screen(ds, "external")`` raises."""
+    dataset = _drawn_dataset(panel, ratios)
+    if dataset is None:
+        return
+    try:
+        screens = _run_screens(dataset, tuple(SCREEN_GROUPS))
+    except RetailRiskError as exc:
+        with pytest.raises(type(exc)) as alone:
+            run_screen(dataset, "external")
+        assert str(exc) == str(alone.value)
+        return
+    assert [screen.group for screen in screens] == list(SCREEN_GROUPS)
+    for screen, names in zip(screens, SCREEN_GROUPS.values()):
+        _assert_fits_alone(dataset, screen, names)
 
 
 @given(panel=panels())

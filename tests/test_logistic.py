@@ -16,6 +16,7 @@ from retailrisk.logistic import (
     SEPARATION_NONE,
     SEPARATION_QUASI,
     DegenerateResponseError,
+    _fit_stack,
     _newton_stack,
     _sample_sd,
     _separation,
@@ -243,6 +244,26 @@ class TestNewtonStack:
         traces = assert_members_run_alone(columns, y)
         assert [trace.halvings for trace in traces] == [6, 0, 1]
 
+    @pytest.mark.parametrize("column", [
+        [2.0] * 8,                               # collinear with the intercept
+        list((100.0 + np.arange(8.0)) * 1e152),  # X'WX overflows
+    ])
+    def test_wald_failing_for_one_member_of_a_fit_stack(self, column):
+        # The Wald tests run once for the whole stack; only the member whose
+        # information fails to factor gets NaN se, z and p.
+        designs = [toy_design(x, self.Y) for x in (self.MIXED, column, self.MIXED[::-1])]
+        fits = _fit_stack(designs)
+        for dm, fit in zip(designs, fits):
+            alone = fit_logistic(dm)
+            for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
+                assert (np.asarray(getattr(fit, field), dtype=float).tobytes()
+                        == np.asarray(getattr(alone, field), dtype=float).tobytes()), field
+            assert (fit.iterations, fit.converged, fit.separation) == (
+                alone.iterations, alone.converged, alone.separation)
+        assert [bool(np.isnan(fit.se).all()) for fit in fits] == [False, True, False]
+        assert np.isnan(fits[1].z).all() and np.isnan(fits[1].p_values).all()
+        assert np.isfinite(fits[0].p_values).all() and np.isfinite(fits[2].p_values).all()
+
     def test_penalized_members(self):
         # Firth fits of a mixed and a separated design, stacked: the Firth
         # loop is the same loop as the screens'.
@@ -270,7 +291,8 @@ class TestSeparation:
         # A screen stalled on a column near 1e111 can leave a slope near
         # -4e290, as a 23-row panel did: X @ beta overflows, without a warning.
         dm = toy_design([1e111, 2e111, 3e111, 4e-89], [0.0, 0.0, 0.0, 1.0])
-        assert _separation(dm, np.array([1e202, -1e290]), False) == SEPARATION_COMPLETE
+        sd = _sample_sd(dm.X[:, 1:])
+        assert _separation(dm, np.array([1e202, -1e290]), False, sd) == SEPARATION_COMPLETE
 
     def test_pandemic_model_not_separated(self):
         # Both pandemic cells hold mixed outcomes: 3/7 and 1/25 failures.
@@ -323,6 +345,16 @@ class TestSampleSd:
 
     def test_large_panel_columns(self):
         self.assert_same_bits(_large_panel_columns())
+
+    def test_stack_of_columns(self):
+        # The slope columns (k, n, 1) of a screen stack, which holds the
+        # univariate designs in C order: each member's SD has the bits of
+        # np.std of its own design's slope column.
+        designs = [toy_design(x, np.zeros(len(x))).X for x in _large_panel_columns().T]
+        sds = _sample_sd(np.array(designs)[:, :, 1:])
+        assert sds.shape == (len(designs), 1)
+        for X, sd in zip(designs, sds):
+            assert sd.tobytes() == np.std(X[:, 1:], axis=0, ddof=1).tobytes()
 
     @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e154, 1e158, 1e300])
     def test_overflowing_columns(self, scale):

@@ -30,7 +30,12 @@ from retailrisk.dataset import (
     parse_dataset,
 )
 from retailrisk.firth import fit_firth
-from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, fit_final_model, table_from_coefficients
+from retailrisk.pipeline import (
+    FINAL_MODEL_PREDICTORS,
+    SCREEN_GROUPS,
+    fit_final_model,
+    table_from_coefficients,
+)
 from retailrisk.report import (
     SIGNIF_LEGEND,
     ReportDocument,
@@ -632,20 +637,22 @@ def test_default_report_factorization_count(monkeypatch):
 def test_default_report_newton_runs_never_halve(monkeypatch):
     """The 14 screens and the Firth fit each take full Newton steps on the
     embedded data: no step there lowers the objective by more than rounding
-    noise. Each is a member of a run of the one Newton loop: a screen
-    group's stack, or the Firth fit as a stack of one."""
+    noise. Each is a member of a run of the one Newton loop: the stack of
+    all 14 screens, or the Firth fit as a stack of one."""
     from retailrisk import logistic
 
-    traces = []
+    traces, members = [], []
     newton_stack = logistic._newton_stack
 
     def recording_newton_stack(*args, **kwargs):
         runs = newton_stack(*args, **kwargs)
         traces.extend(run[-1] for run in runs)
+        members.append(len(runs))
         return runs
 
     monkeypatch.setattr(logistic, "_newton_stack", recording_newton_stack)
     assert run(["report"])[0] == 0
+    assert members == [14, 1]
     assert len(traces) == 15
     assert all(trace.converged for trace in traces)
     assert [trace.halvings for trace in traces] == [0] * 15
@@ -657,6 +664,24 @@ def panel_path(tmp_path_factory):
     path = tmp_path_factory.mktemp("panel") / "panel.csv"
     path.write_text(panel_csv(seed=3, chains=275))
     return path
+
+
+@pytest.mark.parametrize("data", ["embedded full", "embedded printed", "panel"])
+def test_report_screens_equal_fit_screens(panel_path, data):
+    """``report`` fits every screen in one Newton stack; its three screen
+    sections are those of ``fit --group G`` for each group G."""
+    argv = ["--format", "json"] + (["--data", str(panel_path)] if data == "panel"
+                                   else ["--ratios", data.split()[1]])
+    status, out, err = run(["report", *argv])
+    assert status == 0 and err == ""
+    sections = json.loads(out)["sections"]
+    screens = [section for section in sections
+               if section["title"].startswith("Univariate logistic screen")]
+    assert len(screens) == len(SCREEN_GROUPS)
+    for group, screen in zip(SCREEN_GROUPS, screens):
+        status, out, err = run(["fit", "--group", group, *argv])
+        assert status == 0 and err == ""
+        assert json.loads(out)["sections"] == [screen]
 
 
 @pytest.mark.parametrize("ratios", ["full", "printed"])
