@@ -73,11 +73,16 @@ class CorrelationMatrix:
     r: np.ndarray
 
 
+_SHORT_SERIES = "need a 1-d series of length >= 2"
+_CONSTANT_SERIES = "Shapiro-Wilk is undefined for a constant series"
+_ZERO_VARIANCE = "correlation is undefined for a zero-variance series"
+
+
 def mean_std(series) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation (n-1 divisor)."""
     x = np.asarray(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
-        raise DegenerateDataError("need a 1-d series of length >= 2")
+        raise DegenerateDataError(_SHORT_SERIES)
     # A series near the float limit overflows to an infinite SD, printed NA.
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.mean(x)), float(np.std(x, ddof=1))
@@ -126,36 +131,54 @@ def _sw_weights(n: int) -> np.ndarray:
     return a
 
 
+def _check_shapiro_wilk_size(n: int) -> None:
+    if n < 3 or n > 5000:
+        raise DegenerateDataError(f"Shapiro-Wilk requires 3 <= n <= 5000, got {n}")
+
+
 def shapiro_wilk(series) -> tuple[float, float]:
     """Shapiro-Wilk W and p-value for normality, 3 <= n <= 5000."""
     x = np.sort(np.asarray(series, dtype=float))
-    n = x.size
-    if n < 3 or n > 5000:
-        raise DegenerateDataError(f"Shapiro-Wilk requires 3 <= n <= 5000, got {n}")
+    _check_shapiro_wilk_size(x.size)
     if x[-1] - x[0] == 0.0:
-        raise DegenerateDataError("Shapiro-Wilk is undefined for a constant series")
+        raise DegenerateDataError(_CONSTANT_SERIES)
+    return _shapiro_wilk_sorted(x[None])[0]
 
+
+def _shapiro_wilk_sorted(x: np.ndarray) -> list[tuple[float, float]]:
+    """(W, p) of each row of a (k, n) table of ascending, non-constant rows
+    with 3 <= n <= 5000; the table is overwritten.
+
+    Each row's two products are their own BLAS dot call (a stacked matmul
+    of row vectors, never a gemv of the table), and W's square is the
+    scalar ``**`` (libm ``pow``, not the array square): one row alone or in
+    a table gives the same bits."""
+    n = x.shape[1]
     a = _sw_weights(n)
     # W does not depend on the unit, and a power-of-two rescale is exact:
     # with the largest magnitude in [0.5, 1) no square below overflows, and
     # the sum of squares cannot underflow to 0. A non-finite input gives
     # W = NaN, and a NaN p-value, printed NA.
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.ldexp(x, -np.frexp(max(-x[0], x[-1]))[1])
-        centered = x - np.mean(x)
-        w = float((a @ x) ** 2 / (centered @ centered))
-    w = min(w, 1.0)
+        np.ldexp(x, -np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1][:, None], out=x)
+        ax = (a @ x[:, :, None]).ravel()
+        x -= x.mean(axis=1, keepdims=True)
+        ss = (x[:, None, :] @ x[:, :, None]).ravel()
+        ws = [min(float(v**2 / s), 1.0) for v, s in zip(ax, ss)]
+    return [(w, _shapiro_wilk_p(w, n)) for w in ws]
 
+
+def _shapiro_wilk_p(w: float, n: int) -> float:
     if n == 3:
         # Exact small-sample distribution.
         p = 6.0 / math.pi * (math.asin(math.sqrt(w)) - math.asin(math.sqrt(0.75)))
-        return w, min(max(p, 0.0), 1.0)
+        return min(max(p, 0.0), 1.0)
 
     y = math.log1p(-w)
     if n <= 11:
         gamma = -2.273 + 0.459 * n
         if y >= gamma:
-            return w, 0.0
+            return 0.0
         y = -math.log(gamma - y)
         mu = _poly(_SMALL_N_MU, n)
         sigma = math.exp(_poly(_SMALL_N_LOG_SIGMA, n))
@@ -163,8 +186,7 @@ def shapiro_wilk(series) -> tuple[float, float]:
         ln_n = math.log(n)
         mu = _poly(_LARGE_N_MU, ln_n)
         sigma = math.exp(_poly(_LARGE_N_LOG_SIGMA, ln_n))
-    p = norm_sf((y - mu) / sigma)
-    return w, p
+    return norm_sf((y - mu) / sigma)
 
 
 def pearson_corr(x, y) -> float:
@@ -185,46 +207,73 @@ def _centred_corr(dx: np.ndarray, dy: np.ndarray, sxx: float, syy: float) -> flo
     if min(sxx, syy, sxx * syy) >= sys.float_info.min and sxx * syy < math.inf:
         return float(dx @ dy) / math.sqrt(sxx * syy)
     if not (dx.any() and dy.any()):
-        raise DegenerateDataError("correlation is undefined for a zero-variance series")
+        raise DegenerateDataError(_ZERO_VARIANCE)
     # A sum of squares or their product under- or overflowed: rescale first.
     dx, dy = dx / abs(dx).max(), dy / abs(dy).max()
     return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
+#: Row and column of each correlation above the diagonal, row by row.
+_UPPER_PAIRS = np.triu_indices(len(CORRELATION_COLUMNS), 1)
+
+
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Pearson correlations of the CORRELATION_COLUMNS; exactly symmetric
-    with unit diagonal. Each column is centred, and its sum of squares
-    taken, once; each pair is then :func:`pearson_corr`'s arithmetic, so the
-    values are the same bits. A
-    zero-variance column is an error that names it first."""
+    with unit diagonal. The columns are centred as one table, and every
+    pair is :func:`pearson_corr`'s arithmetic, so the values are the same
+    bits. A zero-variance column is an error that names it first."""
     labels = CORRELATION_COLUMNS
-    k = len(labels)
     if dataset.n < 2:
         raise DegenerateDataError("need two 1-d series of equal length >= 2")
-    r = np.eye(k)
-    with np.errstate(over="ignore", invalid="ignore"):
-        centred = [x - x.mean() for x in map(dataset.column, labels)]
-        for name, dx in zip(labels, centred):
-            if not dx.any():
-                raise DegenerateDataError(
-                    f"{name}: correlation is undefined for a zero-variance series")
-        squares = [float(dx @ dx) for dx in centred]
-        for i in range(k):
-            for j in range(i + 1, k):
-                r[i, j] = r[j, i] = _centred_corr(centred[i], centred[j], squares[i], squares[j])
+    centred = np.array([dataset.column(name) for name in labels])
+    i, j = _UPPER_PAIRS
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        centred -= centred.mean(axis=1, keepdims=True)
+        flat = ~centred.any(axis=1)
+        if flat.any():
+            raise DegenerateDataError(f"{labels[flat.argmax()]}: {_ZERO_VARIANCE}")
+        # Each sum of squares and each pair's dx @ dy is its own BLAS dot
+        # call, as for the pair alone: row m meets rows m+1.. in one stacked
+        # matmul of views, never a gemv of the table.
+        squares = (centred[:, None, :] @ centred[:, :, None]).ravel()
+        dots = np.concatenate([(centred[m] @ centred[m + 1:, :, None]).ravel()
+                               for m in range(len(labels) - 1)])
+        sxx, syy = squares[i], squares[j]
+        product = sxx * syy
+        upper = dots / np.sqrt(product)
+        # _centred_corr's test; the pairs it fails take its rescale branch.
+        fine = ((np.minimum(np.minimum(sxx, syy), product) >= sys.float_info.min)
+                & (product < math.inf))
+        for m in np.flatnonzero(~fine).tolist():
+            a, b = i[m], j[m]
+            upper[m] = _centred_corr(centred[a], centred[b], float(squares[a]), float(squares[b]))
+    r = np.eye(len(labels))
+    r[i, j] = r[j, i] = upper
     return CorrelationMatrix(labels=labels, r=r)
 
 
 def describe(dataset: Dataset) -> list[ColumnSummary]:
     """Mean, sample SD, and Shapiro-Wilk test for every summary column; an
-    error names its column first."""
-    rows = []
-    for name in SUMMARY_COLUMNS:
-        values = dataset.column(name)
-        try:
-            mean, std = mean_std(values)
-            w, p = shapiro_wilk(values)
-        except DegenerateDataError as exc:
-            raise DegenerateDataError(f"{name}: {exc}") from None
-        rows.append(ColumnSummary(name=name, mean=mean, std=std, sw_w=w, sw_p=p))
-    return rows
+    error names its column first. The columns are one table, and every
+    value has the bits of :func:`mean_std` and :func:`shapiro_wilk` of its
+    column alone. Every column has the dataset's n, so a size error names
+    the first column, and a constant column the first constant one."""
+    names = SUMMARY_COLUMNS
+    table = np.array([dataset.column(name) for name in names])
+    try:
+        if dataset.n < 2:
+            raise DegenerateDataError(_SHORT_SERIES)
+        _check_shapiro_wilk_size(dataset.n)
+    except DegenerateDataError as exc:
+        raise DegenerateDataError(f"{names[0]}: {exc}") from None
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A series near the float limit overflows to an infinite SD, printed NA.
+        means = table.mean(axis=1).tolist()
+        stds = table.std(axis=1, ddof=1).tolist()
+        table.sort(axis=1)
+        constant = table[:, -1] - table[:, 0] == 0.0
+        if constant.any():
+            raise DegenerateDataError(f"{names[constant.argmax()]}: {_CONSTANT_SERIES}")
+    tests = _shapiro_wilk_sorted(table)
+    return [ColumnSummary(name=name, mean=mean, std=std, sw_w=w, sw_p=p)
+            for name, mean, std, (w, p) in zip(names, means, stds, tests)]

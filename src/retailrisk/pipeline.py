@@ -121,8 +121,7 @@ def fit_final_model(dataset: Dataset) -> FirthFit:
     return fit_firth(design_matrix(dataset, list(FINAL_MODEL_PREDICTORS)))
 
 
-def _probability(beta: tuple[float, ...], inflation, ltd_over_rev, ebitda_over_rev) -> float:
-    eta = beta[0] + beta[1] * inflation + beta[2] * ltd_over_rev + beta[3] * ebitda_over_rev
+def _probability(eta: float) -> float:
     if eta >= 0:
         return 1.0 / (1.0 + math.exp(-eta))
     z = math.exp(eta)
@@ -169,8 +168,12 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
         )
     chain_of_row = dataset.column("chain")
     year_of_row = dataset.column("year").astype(int).tolist()
-    inflation, ltd, ebitda = (dataset.column(name).tolist() for name in FINAL_MODEL_PREDICTORS)
-    probs = [_probability(beta, *x) for x in zip(inflation, ltd, ebitda)]
+    inflation, ltd, ebitda = map(dataset.column, FINAL_MODEL_PREDICTORS)
+    # Python's left-to-right order, one IEEE operation per element as on
+    # floats; a non-finite coefficient leaves NaN, refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        eta = beta[0] + beta[1] * inflation + beta[2] * ltd + beta[3] * ebitda
+    probs = [_probability(e) for e in eta.tolist()]
     # A saturated logistic is exactly 0.0 or 1.0; NaN fails both bounds.
     bad = [prob for prob in probs if not 0.0 <= prob <= 1.0]
     if bad:

@@ -67,8 +67,8 @@ def fmt_number(value: float, decimals: int) -> str:
         return "NA"
     text = f"{value:.{decimals}f}"
     # Avoid "-0.000"-style output when the rounded value is zero.
-    if float(text) == 0.0:
-        text = f"{0.0:.{decimals}f}"
+    if text[0] == "-" and float(text) == 0.0:
+        return text[1:]
     return text
 
 
@@ -117,11 +117,9 @@ def describe_section(dataset: Dataset) -> Section:
 def correlation_section(dataset: Dataset) -> Section:
     matrix = correlation_matrix(dataset)
     labels = [COLUMN_LABELS.get(name, name) for name in matrix.labels]
-    rows = []
-    for i, label in enumerate(labels):
-        rows.append(
-            (label, *(fmt_number(matrix.r[i, j], ROUNDING["correlation"]) for j in range(len(labels))))
-        )
+    nd = ROUNDING["correlation"]
+    rows = [(label, *(fmt_number(r, nd) for r in row))
+            for label, row in zip(labels, matrix.r.tolist())]
     return Section(
         title="Correlation matrix",
         columns=("Variable", *labels),
@@ -132,21 +130,22 @@ def correlation_section(dataset: Dataset) -> Section:
 def screen_section(report: ScreenReport) -> Section:
     predictors = [name for name, _ in report.fits]
     fits = [fit for _, fit in report.fits]
+    values = [(fit.beta.tolist(), fit.se.tolist(), fit.p_values.tolist()) for fit in fits]
 
     def across(fn) -> tuple[str, ...]:
-        return tuple(fn(fit) for fit in fits)
+        return tuple(fn(*v) for v in values)
 
     coef_nd = ROUNDING["coefficient"]
     rows = (
-        ("Intercept", *across(lambda f: fmt_number(f.beta[0], coef_nd))),
-        ("Intercept (p-value)", *across(lambda f: fmt_p(f.p_values[0]))),
-        ("Intercept [s.e.]", *across(lambda f: fmt_number(f.se[0], coef_nd))),
-        ("Intercept signif.", *across(lambda f: significance_code(f.p_values[0]))),
-        ("Slope", *across(lambda f: fmt_number(f.beta[1], coef_nd))),
-        ("Slope (p-value)", *across(lambda f: fmt_p(f.p_values[1]))),
-        ("Slope [s.e.]", *across(lambda f: fmt_number(f.se[1], coef_nd))),
-        ("Slope signif.", *across(lambda f: significance_code(f.p_values[1]))),
-        ("AIC", *across(lambda f: fmt_number(f.aic, ROUNDING["statistic"]))),
+        ("Intercept", *across(lambda b, s, p: fmt_number(b[0], coef_nd))),
+        ("Intercept (p-value)", *across(lambda b, s, p: fmt_p(p[0]))),
+        ("Intercept [s.e.]", *across(lambda b, s, p: fmt_number(s[0], coef_nd))),
+        ("Intercept signif.", *across(lambda b, s, p: significance_code(p[0]))),
+        ("Slope", *across(lambda b, s, p: fmt_number(b[1], coef_nd))),
+        ("Slope (p-value)", *across(lambda b, s, p: fmt_p(p[1]))),
+        ("Slope [s.e.]", *across(lambda b, s, p: fmt_number(s[1], coef_nd))),
+        ("Slope signif.", *across(lambda b, s, p: significance_code(p[1]))),
+        ("AIC", *(fmt_number(fit.aic, ROUNDING["statistic"]) for fit in fits)),
     )
     labels = [COLUMN_LABELS.get(name, name) for name in predictors]
     return Section(
@@ -174,17 +173,11 @@ def final_model_section(fit: FirthFit, n: int) -> Section:
     coef_nd = ROUNDING["coefficient"]
     stat_nd = ROUNDING["statistic"]
     rows = []
-    for i, label in enumerate(fit.labels):
+    for label, beta, se, chisq, p in zip(fit.labels, fit.beta.tolist(), fit.se.tolist(),
+                                         fit.chisq.tolist(), fit.p_values.tolist()):
         display = "Intercept" if label == "intercept" else COLUMN_LABELS.get(label, label)
-        rows.append(
-            (
-                display,
-                fmt_number(fit.beta[i], coef_nd),
-                fmt_number(fit.se[i], coef_nd),
-                fmt_number(fit.chisq[i], stat_nd),
-                fmt_p(fit.p_values[i]),
-            )
-        )
+        rows.append((display, fmt_number(beta, coef_nd), fmt_number(se, coef_nd),
+                     fmt_number(chisq, stat_nd), fmt_p(p)))
     notes = (
         f"Likelihood ratio test={fmt_number(fit.lr_stat, stat_nd)} "
         f"on {fit.lr_df} df, p={fmt_p(fit.lr_p)}, n={n}",

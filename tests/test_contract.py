@@ -8,7 +8,9 @@ Every dataset the constructor accepts gives a design matrix that passes
 ``DesignMatrix``'s checks, and every matrix the fits factor without the
 symmetry scan is one that the validating ``Cholesky(a)`` treats the same.
 A screen group's stacked fit, and a report's one stack of every screen,
-give every predictor the bits of its own fit.
+give every predictor the bits of its own fit, and the whole-table
+``describe`` and ``correlation_matrix`` every value the bits of its own
+column or pair.
 The failure model's closed-form null maximizes l* along the intercept as
 well as a bounded scalar optimizer does.
 """
@@ -42,6 +44,8 @@ from retailrisk.firth import firth_score, fit_firth, penalized_loglik
 from retailrisk.logistic import fit_logistic
 from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, SCREEN_GROUPS, _run_screens, run_screen
 from retailrisk.report import FORMATS
+
+from _one_series import assert_correlations_keep_each_pair, assert_describe_keeps_each_column
 
 MONEY_COLUMNS = ("revenue", "cost_of_revenue", "sga", "ebitda", "long_term_debt")
 
@@ -283,6 +287,18 @@ def test_one_stack_of_every_screen_fits_each_predictor_as_its_own_fit(panel, rat
     assert [screen.group for screen in screens] == list(SCREEN_GROUPS)
     for screen, names in zip(screens, SCREEN_GROUPS.values()):
         _assert_fits_alone(dataset, screen, names)
+
+
+@given(panel=panels(), ratios=st.sampled_from(RATIO_PRECISIONS))
+def test_whole_table_summaries_keep_each_series_bits(panel, ratios):
+    """describe() and correlation_matrix() equal mean_std, shapiro_wilk and
+    pearson_corr of each column or pair bit for bit, and a refused panel
+    names the first column that the one-series functions refuse."""
+    dataset = _drawn_dataset(panel, ratios)
+    if dataset is None:
+        return
+    assert_describe_keeps_each_column(dataset)
+    assert_correlations_keep_each_pair(dataset)
 
 
 @given(panel=panels())

@@ -1,11 +1,17 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from retailrisk.dataset import embedded_dataset, parse_dataset
+from retailrisk.dataset import (
+    NUMERIC_COLUMNS,
+    RATIO_PRECISIONS,
+    DataValidationError,
+    Dataset,
+    embedded_dataset,
+    parse_dataset,
+)
 from retailrisk.descriptive import (
     CORRELATION_COLUMNS,
     SUMMARY_COLUMNS,
@@ -17,6 +23,7 @@ from retailrisk.descriptive import (
     shapiro_wilk,
 )
 
+from _one_series import assert_correlations_keep_each_pair, assert_describe_keeps_each_column
 from _panel import panel_csv
 
 
@@ -150,18 +157,7 @@ class TestPearson:
     def test_embedded_correlations_keep_their_bits(self, source):
         """Each cell is the two-pass arithmetic on its own pair, on the
         embedded data in both ratio modes and on a 1,508-row panel."""
-        if source == "panel":
-            ds = parse_dataset(panel_csv(seed=3, chains=275))
-            assert ds.n == 1508
-        else:
-            ds = embedded_dataset(ratio_precision=source)
-        matrix = correlation_matrix(ds)
-        for i, a in enumerate(matrix.labels):
-            for j, b in enumerate(matrix.labels[:i]):
-                dx = ds.column(a) - ds.column(a).mean()
-                dy = ds.column(b) - ds.column(b).mean()
-                expected = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
-                assert matrix.r[i, j] == expected, (a, b)
+        assert_correlations_keep_each_pair(_source(source))
 
     def test_degenerate_inputs(self):
         with pytest.raises(DegenerateDataError):
@@ -196,6 +192,96 @@ class TestCorrelationMatrix:
         one_row = parse_dataset(",".join(CSV_HEADER) + "\n" + text_rows[1] + "\n")
         with pytest.raises(DegenerateDataError, match="equal length >= 2"):
             correlation_matrix(one_row)
+
+
+#: Seeds of 275-chain panels: 1,508 rows for seed 3, and for seed 22 a
+#: panel where squaring W's numerator as an array, not by the scalar ``**``,
+#: moves a bit.
+PANEL_SEEDS = {"panel": 3, "panel-seed22": 22}
+
+
+def _source(source):
+    """The embedded data in a ratio mode, or a panel of PANEL_SEEDS."""
+    if source in RATIO_PRECISIONS:
+        return embedded_dataset(ratio_precision=source)
+    return parse_dataset(panel_csv(seed=PANEL_SEEDS[source], chains=275))
+
+
+def _embedded_with(rows=None, **changes):
+    """The embedded data with each named column replaced by the value
+    ``changes[name](column)``, cut to its first ``rows`` rows; None where
+    the constructor refuses it."""
+    ds = embedded_dataset()
+    table = np.array([ds.column(name) for name in NUMERIC_COLUMNS])
+    for name, change in changes.items():
+        with np.errstate(over="ignore"):
+            table[NUMERIC_COLUMNS.index(name)] = change(table[NUMERIC_COLUMNS.index(name)])
+    try:
+        return Dataset(ds.column("chain")[:rows], table[:, :rows])
+    except DataValidationError:
+        return None
+
+
+#: The numeric columns that a unit may scale: all but the year and the two flags.
+SCALABLE = tuple(name for name in NUMERIC_COLUMNS if name not in ("year", "fail", "pandemic"))
+
+
+class TestWholeTablePasses:
+    """describe() and correlation_matrix() run each over one table of all
+    their columns; every value keeps the bits of the one-series functions."""
+
+    @pytest.mark.parametrize("source", ["full", "printed", *PANEL_SEEDS])
+    def test_summaries_keep_each_column_bits(self, source):
+        assert_describe_keeps_each_column(_source(source))
+
+    @pytest.mark.parametrize("name", SCALABLE)
+    def test_every_unit_keeps_each_series_bits(self, name):
+        """One column x10^k for every fifth k from -320 to 313: the sums of
+        squares and their products under- and overflow, which takes the
+        rescale branches. Only the columns the scale changed are compared."""
+        base = embedded_dataset()
+        checked = 0
+        for k in range(-320, 314, 5):
+            ds = _embedded_with(**{name: lambda x: x * float(f"1e{k}")})
+            if ds is None:
+                continue
+            changed = {column for column in CORRELATION_COLUMNS + SUMMARY_COLUMNS
+                       if not np.array_equal(ds.column(column), base.column(column))}
+            assert_describe_keeps_each_column(ds, [c for c in SUMMARY_COLUMNS if c in changed])
+            assert_correlations_keep_each_pair(ds, changed)
+            checked += 1
+        assert checked >= 60
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4])
+    def test_shortest_series(self, rows):
+        ds = _embedded_with(rows=rows)
+        assert ds.n == rows
+        assert_describe_keeps_each_column(ds)
+        assert_correlations_keep_each_pair(ds)
+
+
+class TestDescribeErrorOrder:
+    """Every column has the dataset's n, so a size error names the first
+    column; a constant column is named in SUMMARY_COLUMNS order."""
+
+    def test_one_row(self):
+        with pytest.raises(DegenerateDataError) as refused:
+            describe(_embedded_with(rows=1))
+        assert str(refused.value) == "revenue: need a 1-d series of length >= 2"
+
+    def test_more_rows_than_shapiro_wilk_takes(self):
+        lines = panel_csv(seed=5, chains=1000).splitlines(keepends=True)
+        ds = parse_dataset("".join(lines[:5002]))
+        assert ds.n == 5001
+        with pytest.raises(DegenerateDataError) as refused:
+            describe(ds)
+        assert str(refused.value) == "revenue: Shapiro-Wilk requires 3 <= n <= 5000, got 5001"
+
+    def test_the_first_constant_column_is_named(self):
+        ds = _embedded_with(pandemic=np.zeros_like, stores=lambda x: np.full_like(x, 100.0))
+        with pytest.raises(DegenerateDataError) as refused:
+            describe(ds)
+        assert str(refused.value) == "stores: Shapiro-Wilk is undefined for a constant series"
 
 
 def test_describe_covers_all_summary_columns():
