@@ -4,12 +4,14 @@ The Shapiro-Wilk test is the Royston (1995) approximation (Applied Statistics
 algorithm R94): polynomial-corrected weights from expected normal order
 statistics at ranks (i - 0.375)/(n + 0.25), with a normalizing transform of W
 for the p-value. Valid for 3 <= n <= 5000.
+
+W and the correlations are unit-free and run on series scaled by powers of two
+(``linalg.binary_exponents``); means and SDs keep the unit, so an SD can be inf (NA).
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,6 +20,7 @@ import numpy as np
 from .dataset import Dataset
 from .distributions import norm_ppf, norm_sf
 from .errors import DegenerateDataError
+from .linalg import binary_exponents
 
 #: Column order of the descriptive-summary table.
 SUMMARY_COLUMNS = (
@@ -155,12 +158,9 @@ def _shapiro_wilk_sorted(x: np.ndarray) -> list[tuple[float, float]]:
     a table gives the same bits."""
     n = x.shape[1]
     a = _sw_weights(n)
-    # W does not depend on the unit, and a power-of-two rescale is exact:
-    # with the largest magnitude in [0.5, 1) no square below overflows, and
-    # the sum of squares cannot underflow to 0. A non-finite input gives
-    # W = NaN, and a NaN p-value, printed NA.
+    # A non-finite input gives W = NaN, and a NaN p-value, printed NA.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.ldexp(x, -np.frexp(np.maximum(-x[:, 0], x[:, -1]))[1][:, None], out=x)
+        np.ldexp(x, -binary_exponents(x, 1), out=x)
         ax = (a @ x[:, :, None]).ravel()
         x -= x.mean(axis=1, keepdims=True)
         ss = (x[:, None, :] @ x[:, :, None]).ravel()
@@ -195,22 +195,20 @@ def pearson_corr(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise DegenerateDataError("need two 1-d series of equal length >= 2")
-    # An overflowed mean leaves a NaN correlation, printed NA.
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx, dy = x - x.mean(), y - y.mean()
-        return _centred_corr(dx, dy, float(dx @ dx), float(dy @ dy))
-
-
-def _centred_corr(dx: np.ndarray, dy: np.ndarray, sxx: float, syy: float) -> float:
-    """The correlation of two centred series with the sums of squares
-    ``sxx = dx @ dx`` and ``syy = dy @ dy``; the caller scopes np.errstate."""
-    if min(sxx, syy, sxx * syy) >= sys.float_info.min and sxx * syy < math.inf:
-        return float(dx @ dy) / math.sqrt(sxx * syy)
+    # A non-finite input leaves a NaN correlation, printed NA.
+    with np.errstate(invalid="ignore"):
+        dx, dy = _centred(np.array([x, y]))
     if not (dx.any() and dy.any()):
         raise DegenerateDataError(_ZERO_VARIANCE)
-    # A sum of squares or their product under- or overflowed: rescale first.
-    dx, dy = dx / abs(dx).max(), dy / abs(dy).max()
     return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
+
+
+def _centred(table: np.ndarray) -> np.ndarray:
+    """A fresh (k, n) table, each row scaled to peak in [0.5, 1) and centred,
+    in place: a row's sum of squares is then 0 or in [2^-112, n]."""
+    np.ldexp(table, -binary_exponents(table, 1), out=table)
+    table -= table.mean(axis=1, keepdims=True)
+    return table
 
 
 #: Row and column of each correlation above the diagonal, row by row.
@@ -219,36 +217,25 @@ _UPPER_PAIRS = np.triu_indices(len(CORRELATION_COLUMNS), 1)
 
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Pearson correlations of the CORRELATION_COLUMNS; exactly symmetric
-    with unit diagonal. The columns are centred as one table, and every
-    pair is :func:`pearson_corr`'s arithmetic, so the values are the same
-    bits. A zero-variance column is an error that names it first."""
+    with unit diagonal. The columns are scaled and centred as one table,
+    and every pair is :func:`pearson_corr`'s arithmetic, so the values are
+    the same bits. A zero-variance column is an error that names it first."""
     labels = CORRELATION_COLUMNS
     if dataset.n < 2:
         raise DegenerateDataError("need two 1-d series of equal length >= 2")
-    centred = np.array([dataset.column(name) for name in labels])
+    centred = _centred(np.array([dataset.column(name) for name in labels]))
+    flat = ~centred.any(axis=1)
+    if flat.any():
+        raise DegenerateDataError(f"{labels[flat.argmax()]}: {_ZERO_VARIANCE}")
+    # Each sum of squares and each pair's dx @ dy is its own BLAS dot call,
+    # as for the pair alone: row m meets rows m+1.. in one stacked matmul of
+    # views, never a gemv of the table.
+    squares = (centred[:, None, :] @ centred[:, :, None]).ravel()
+    dots = np.concatenate([(centred[m] @ centred[m + 1:, :, None]).ravel()
+                           for m in range(len(labels) - 1)])
     i, j = _UPPER_PAIRS
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        centred -= centred.mean(axis=1, keepdims=True)
-        flat = ~centred.any(axis=1)
-        if flat.any():
-            raise DegenerateDataError(f"{labels[flat.argmax()]}: {_ZERO_VARIANCE}")
-        # Each sum of squares and each pair's dx @ dy is its own BLAS dot
-        # call, as for the pair alone: row m meets rows m+1.. in one stacked
-        # matmul of views, never a gemv of the table.
-        squares = (centred[:, None, :] @ centred[:, :, None]).ravel()
-        dots = np.concatenate([(centred[m] @ centred[m + 1:, :, None]).ravel()
-                               for m in range(len(labels) - 1)])
-        sxx, syy = squares[i], squares[j]
-        product = sxx * syy
-        upper = dots / np.sqrt(product)
-        # _centred_corr's test; the pairs it fails take its rescale branch.
-        fine = ((np.minimum(np.minimum(sxx, syy), product) >= sys.float_info.min)
-                & (product < math.inf))
-        for m in np.flatnonzero(~fine).tolist():
-            a, b = i[m], j[m]
-            upper[m] = _centred_corr(centred[a], centred[b], float(squares[a]), float(squares[b]))
     r = np.eye(len(labels))
-    r[i, j] = r[j, i] = upper
+    r[i, j] = r[j, i] = dots / np.sqrt(squares[i] * squares[j])
     return CorrelationMatrix(labels=labels, r=r)
 
 

@@ -23,6 +23,9 @@ line up with published fits:
   form (see :func:`_fit_firth`), so no second fit is run.
 * The global Wald statistic is the quadratic form of the full coefficient
   vector in the hat-augmented information, reported on p-1 degrees of freedom.
+
+As the screens do, the fit runs on unit-scaled columns (``_fit_firth``): only
+beta, se and l*, whose log det X'WX depends on the units, are scaled back.
 """
 
 from __future__ import annotations
@@ -73,12 +76,12 @@ def fit_firth(dm: DesignMatrix) -> FirthFit:
     """Fit the penalized-likelihood logistic model on a design matrix, under
     the Firth stopping rule of :func:`logistic.newton`.
     Errors start with ``failure model:``; every matrix factored here spans the
-    whole design, so a failed pivot's row names its design column."""
+    whole design, so a failed pivot's row names its design column (its figures,
+    in scaled units, are left out)."""
     try:
         return _fit_firth(dm)
     except linalg.SingularMatrixError as exc:
-        cause = (f"{dm.labels[exc.row]} is collinear with earlier design columns ({exc})"
-                 if exc.row else exc)
+        cause = f"{dm.labels[exc.row]} is collinear with earlier design columns" if exc.row else exc
         raise linalg.SingularMatrixError(f"failure model: {cause}", exc.row) from None
     except RetailRiskError as exc:
         raise type(exc)(f"failure model: {exc}") from None
@@ -101,9 +104,11 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
     """
     check_fittable(dm, "the Firth fit")
     df = dm.p - 1
-    beta, pen_ll, w, h, trace = newton(dm.X, dm.y, penalized=True)
+    e = linalg.binary_exponents(dm.X, 0)[0]
+    X = np.ldexp(dm.X, -e)
+    beta, pen_ll, w, h, trace = newton(X, dm.y, penalized=True)
 
-    augmented = _information(dm.X, w * (1.0 + h))
+    augmented = _information(X, w * (1.0 + h))
     se, z, p_values = _wald(augmented, beta)
     # sqrt(z*z) == |z| in floating point: p_values == chi2_sf(chisq, 1) bit for bit.
     chisq = z * z
@@ -111,8 +116,8 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
     if df > 0:
         prob = (float(dm.y.sum()) + 0.5 * dm.p) / (dm.n + dm.p)
         null = np.zeros(dm.p)
-        null[0] = math.log(prob / (1.0 - prob))
-        null_ll = _evaluate(dm.X, dm.y, null, True)[0]
+        null[0] = math.ldexp(math.log(prob / (1.0 - prob)), int(e[0]))  # on X[:, 0] = 2^-e[0]
+        null_ll = _evaluate(X, dm.y, null, True)[0]
         lr_stat = max(0.0, 2.0 * (pen_ll - null_ll))
         lr_p = chi2_sf(lr_stat, df)
         wald_stat = float(beta @ augmented @ beta)
@@ -122,13 +127,15 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
         lr_stat, lr_p = 0.0, 1.0
         wald_stat, wald_p = 0.0, 1.0
 
+    with np.errstate(over="ignore"):  # a slope beyond the range of its unit is inf
+        beta, se = np.ldexp(beta, -e), np.ldexp(se, -e)
     return FirthFit(
         labels=dm.labels,
         beta=beta,
         se=se,
         chisq=chisq,
         p_values=p_values,
-        pen_log_lik=pen_ll,
+        pen_log_lik=pen_ll + math.log(2.0) * sum(e.tolist()),
         lr_stat=lr_stat,
         lr_df=df,
         lr_p=lr_p,

@@ -37,6 +37,15 @@ PIVOT_RTOL = 1e-12
 SYMMETRY_RTOL = 1e-10
 
 
+def binary_exponents(a: np.ndarray, axis: int) -> np.ndarray:
+    """Binary exponents e of max |a| along ``axis`` (kept), so that every line of
+    ``np.ldexp(a, -e)`` peaks in [0.5, 1): a unit scaling, exact above the subnormals."""
+    # Reduced along contiguous lines: numpy reduces a (k, n, p) stack over n 20x slower.
+    lines = np.ascontiguousarray(a.swapaxes(axis, -1))
+    peak = np.maximum(lines.max(-1, keepdims=True), -lines.min(-1, keepdims=True))
+    return np.frexp(peak)[1].swapaxes(axis, -1)
+
+
 class SingularMatrixError(RetailRiskError):
     """Matrix is not positive definite (collinear design or separation) at
     the pivot of ``row``."""

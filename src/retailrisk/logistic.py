@@ -2,10 +2,13 @@
 
 Newton-Raphson on the Bernoulli log-likelihood with step-halving, Wald
 z-tests against the standard normal, AIC, and separation diagnostics. A
-singular or overflowed Fisher information is a divergence signal, not an
-error: the fit is returned unconverged with its separation diagnosis so
-callers can decide what to do (the penalized fitter, which shares the
-damped-Newton loop, exists for exactly these designs).
+singular Fisher information is a divergence signal, not an error: the fit is
+returned unconverged with its separation diagnosis so callers can decide what
+to do (the penalized fitter, which shares the damped-Newton loop, exists for
+exactly these designs).
+
+The fits run on columns scaled by powers of two (``linalg.binary_exponents``),
+exactly: only beta and se are scaled back, and no entry of X'WX exceeds n/4.
 
 There is one Newton loop, :func:`_newton_stack`, and it runs a stack of
 designs X (k, n, p) that share the response: the univariate designs of a
@@ -181,8 +184,8 @@ def _rows(arrays, rows):
             for a in arrays]
 
 
-# An information matrix that overflows is refused by linalg as non-finite;
-# numpy's own overflow warnings would only repeat that on stderr.
+# A diverging fit can step beyond the float range even on unit-scaled columns;
+# linalg refuses what follows, and numpy's warnings would only repeat it.
 @np.errstate(over="ignore", invalid="ignore")
 def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
     """Damped Newton from beta = 0 on the log-likelihood l or, if
@@ -293,7 +296,7 @@ def _wald(info: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
 def fit_logistic(dm: DesignMatrix) -> MleFit:
     """Fit ``y ~ X`` by IRLS from beta = 0 under the MLE stopping rule.
 
-    Non-convergence (or a singular or overflowed information matrix) is
+    Non-convergence (or a singular information matrix) is
     reported through ``converged=False`` plus the ``separation`` diagnosis,
     never silently. The fit of a stack of one.
     """
@@ -310,31 +313,33 @@ def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
     (NaN se, z and p for that member alone if it fails) and the fitted
     probabilities of a diverged or unconverged member are its own."""
     check_fittable(dms[0], "logistic MLE")
-    # A lone design is fitted in place, whatever its memory layout.
     X = dms[0].X[None] if len(dms) == 1 else np.array([dm.X for dm in dms])
+    e = linalg.binary_exponents(X, 1)
+    X = np.ldexp(X, -e, out=None if len(dms) == 1 else X)  # a caller's X is never scaled
     runs = _newton_stack(X, dms[0].y)
     beta = np.array([b for b, _, _, _, _ in runs])
     se = np.full(beta.shape, np.nan)
-    with np.errstate(over="ignore", invalid="ignore"):
-        infos = _information(X, np.array([w for _, _, w, _, _ in runs]))
-        for i, info in enumerate(infos):
-            try:
-                se[i] = linalg.Cholesky._of_symmetric(info).inverse_diag_sqrt()
-            except FACTOR_ERRORS:
-                pass
-        z, p_values = _z_tests(beta, se)
-        sds = _sample_sd(X[:, :, 1:])
+    infos = _information(X, np.array([w for _, _, w, _, _ in runs]))
+    for i, info in enumerate(infos):
+        try:
+            se[i] = linalg.Cholesky._of_symmetric(info).inverse_diag_sqrt()
+        except FACTOR_ERRORS:
+            pass
+    z, p_values = _z_tests(beta, se)
+    sds = _sample_sd(X[:, :, 1:])
+    with np.errstate(over="ignore"):  # a slope beyond the range of its unit is inf
+        raw_beta, raw_se = np.ldexp(beta, -e[:, 0]), np.ldexp(se, -e[:, 0])
     return [MleFit(
         labels=dm.labels,
-        beta=beta[i],
-        se=se[i],
+        beta=raw_beta[i],
+        se=raw_se[i],
         z=z[i],
         p_values=p_values[i],
         log_lik=ll,
         aic=2.0 * dm.p - 2.0 * ll,
         iterations=trace.steps,
         converged=trace.converged,
-        separation=_separation(dm, beta[i], trace.converged, sds[i]),
+        separation=_separation(X[i], dm.y, beta[i], trace.converged, sds[i]),
     ) for i, (dm, (_, ll, _, _, trace)) in enumerate(zip(dms, runs))]
 
 
@@ -349,12 +354,11 @@ def _sample_sd(columns: np.ndarray) -> np.ndarray:
     return np.sqrt(dev.sum(axis=-2) / (n - 1))
 
 
-# A column near the float limit has an infinite SD, and a diverged slope can
-# be near the float limit itself: products with either, X @ beta included,
-# may be inf or NaN, and the comparisons below give the diagnosis anyway.
+# A diverged beta can be inf (see _newton_stack); the comparisons still diagnose it.
 @np.errstate(over="ignore", invalid="ignore")
-def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool, sd: np.ndarray) -> str:
-    """Diagnose complete/quasi separation from fitted (or stalled) coefficients.
+def _separation(X: np.ndarray, y: np.ndarray, beta: np.ndarray, converged: bool,
+                sd: np.ndarray) -> str:
+    """Diagnose complete/quasi separation from beta fitted (or stalled) on unit-scaled X.
 
     Divergence is flagged when any slope exceeds the bound on the column's
     standard-deviation scale (``sd``, the :func:`_sample_sd` of the slope
@@ -365,16 +369,15 @@ def _separation(dm: DesignMatrix, beta: np.ndarray, converged: bool, sd: np.ndar
     if not np.all(np.isfinite(beta)):
         diverged = True
     else:
-        # Only an inf above the bound counts as divergence.
         standardized = np.abs(beta[1:]) * sd
         diverged = bool(np.any(standardized > DIVERGENCE_BOUND))
         if not diverged and not converged:
-            prob = expit(dm.X @ beta)
+            prob = expit(X @ beta)
             diverged = bool(np.any((prob < 1e-8) | (prob > 1.0 - 1e-8)))
     if not diverged:
         return SEPARATION_NONE
-    prob = expit(dm.X @ beta)
-    if np.all(np.abs(prob - dm.y) < 1e-4):
+    prob = expit(X @ beta)
+    if np.all(np.abs(prob - y) < 1e-4):
         return SEPARATION_COMPLETE
     return SEPARATION_QUASI
 

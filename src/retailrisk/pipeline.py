@@ -17,7 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import Dataset, design_matrix
-from .errors import RetailRiskError
+from .errors import DegenerateDataError, RetailRiskError
 from .firth import FirthFit, fit_firth
 from .logistic import MleFit, _fit_stack
 
@@ -158,8 +158,8 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     ``beta`` is the final model's (intercept, inflation, long-term
     debt/revenue, EBITDA/revenue); the ratios honor the dataset's
     ``ratio_precision``. The coefficients are used as given: check
-    ``fit.converged`` before tabulating a fit. A probability outside [0, 1]
-    (NaN, from a non-finite coefficient) is a ValueError.
+    ``fit.converged`` before tabulating a fit. A NaN probability, from a
+    non-finite coefficient, is a DegenerateDataError naming its chain and year.
     """
     beta = tuple(float(b) for b in beta)
     if len(beta) != 1 + len(FINAL_MODEL_PREDICTORS):
@@ -173,14 +173,14 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     # floats; a non-finite coefficient leaves NaN, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         eta = beta[0] + beta[1] * inflation + beta[2] * ltd + beta[3] * ebitda
-    probs = [_probability(e) for e in eta.tolist()]
-    # A saturated logistic is exactly 0.0 or 1.0; NaN fails both bounds.
-    bad = [prob for prob in probs if not 0.0 <= prob <= 1.0]
-    if bad:
-        raise ValueError(f"failure probability must be in [0, 1], got {bad[0]}")
     # A chain's years ascend in file order, so each chain's dict is in year order.
     probabilities = {chain: {} for chain in dataset.chains}
-    for chain, year, prob in zip(chain_of_row, year_of_row, probs):
+    for chain, year, e in zip(chain_of_row, year_of_row, eta.tolist()):
+        prob = _probability(e)
+        # A saturated logistic is exactly 0.0 or 1.0; NaN fails both bounds.
+        if not 0.0 <= prob <= 1.0:
+            raise DegenerateDataError(
+                f"{chain} {year}: failure probability must be in [0, 1], got {prob}")
         probabilities[chain][year] = prob
     failure_years = dict.fromkeys(dataset.chains)
     for i in np.flatnonzero(dataset.column("fail") == 1).tolist():

@@ -2,8 +2,10 @@
 
 On any schema-valid panel, every subcommand exits 0 or 1 without raising,
 writes nothing to stderr on success and one ``error:`` line otherwise, and
-the exported CSV parses back to the same dataset. Halving or doubling the
-five money columns changes no byte of what rests on revenue ratios alone.
+the exported CSV parses back to the same dataset. A column, or the five
+money columns together, times any power of two that keeps every value
+normal changes no byte of the fits and the grid but that column's estimates
+and standard errors.
 Every dataset the constructor accepts gives a design matrix that passes
 ``DesignMatrix``'s checks, and every matrix the fits factor without the
 symmetry scan is one that the validating ``Cholesky(a)`` treats the same.
@@ -17,6 +19,7 @@ well as a bounded scalar optimizer does.
 
 import csv
 import io
+import json
 import math
 from unittest import mock
 
@@ -40,10 +43,10 @@ from retailrisk.dataset import (
     parse_dataset,
 )
 from retailrisk.errors import RetailRiskError
-from retailrisk.firth import firth_score, fit_firth, penalized_loglik
-from retailrisk.logistic import fit_logistic
+from retailrisk.firth import fit_firth
+from retailrisk.logistic import _evaluate, fit_logistic, newton
 from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, SCREEN_GROUPS, _run_screens, run_screen
-from retailrisk.report import FORMATS
+from retailrisk.report import COLUMN_LABELS, FORMATS
 
 from _one_series import assert_correlations_keep_each_pair, assert_describe_keeps_each_column
 
@@ -154,17 +157,50 @@ def test_every_subcommand_keeps_the_error_contract(panel, bom, ratios, fmt, data
         assert all(result == results[0] for result in results)
 
 
-@given(panel=panels(), factor=st.sampled_from((2.0, 0.5)),
+#: Columns whose unit is free: the five money columns together, so that
+#: their ratios keep their bits, and every other unbounded column alone.
+UNIT_FREE = (MONEY_COLUMNS, ("stores",), ("us_interest_rate",), ("us_inflation_rate",))
+
+
+def _without_estimates(result, labels):
+    """A JSON run's (exit code, sections, stderr), with the estimate and
+    s.e. cells of the ``labels`` columns' failure-model terms and screen
+    slopes set to None; a failed run as it is."""
+    code, out, err = result
+    if code:
+        return result
+    sections = json.loads(out)["sections"]
+    for section in sections:
+        for row in section["rows"]:
+            if row[0] in labels:
+                row[1] = row[2] = None
+            if row[0] in ("Slope", "Slope [s.e.]"):
+                for j, column in enumerate(section["columns"]):
+                    if column in labels:
+                        row[j] = None
+    return code, sections, err
+
+
+@given(panel=panels(), names=st.sampled_from(UNIT_FREE), k=st.integers(-1074, 1023),
        ratios=st.sampled_from(RATIO_PRECISIONS))
-def test_money_units_change_no_ratio_result(panel, factor, ratios, data_path):
+def test_a_binary_unit_changes_only_its_estimates(panel, names, k, ratios, data_path):
+    """Columns x2^k, with k drawn over the float range: every fit runs on
+    unit-scaled columns, so ``fit``, ``fit-final`` and ``predict`` print the
+    same bytes, apart from the scaled columns' estimates and s.e."""
     row_chains, columns = panel
-    scaled = {**columns, **{name: [v * factor for v in columns[name]] for name in MONEY_COLUMNS}}
-    money = np.array([side[name] for side in (columns, scaled) for name in MONEY_COLUMNS])
-    # Scaling by a power of two is exact for finite normal numbers only.
-    assume(np.all(np.isfinite(money) & ((money == 0) | (abs(money) >= np.finfo(float).tiny))))
-    for argv in (("fit", "--group", "ratios"), ("fit-final",), ("predict",)):
-        assert (_cli(data_path, _csv(row_chains, scaled), *argv, "--ratios", ratios)
-                == _cli(data_path, _csv(row_chains, columns), *argv, "--ratios", ratios))
+    scaled = {**columns, **{name: [v * 2.0**k for v in columns[name]] for name in names}}
+    before, after = (np.array([side[name] for name in names]) for side in (columns, scaled))
+    # Scaling by a power of two is exact for finite normal numbers only, and
+    # a value that underflows to 0 is not scaled.
+    tiny = np.finfo(float).tiny
+    assume(np.all((before == 0) | ((abs(before) >= tiny) & (abs(after) >= tiny)
+                                   & np.isfinite(after))))
+    labels = [COLUMN_LABELS[name] for name in names]
+    for argv in (*(("fit", "--group", group) for group in SCREEN_GROUPS), ("fit-final",),
+                 ("predict",)):
+        runs = [_cli(data_path, _csv(row_chains, side), *argv, "--ratios", ratios,
+                     "--format", "json") for side in (scaled, columns)]
+        assert _without_estimates(runs[0], labels) == _without_estimates(runs[1], labels), argv
 
 
 @given(panel=panels(), names=st.lists(st.text(max_size=6), min_size=4, max_size=4),
@@ -316,15 +352,23 @@ def test_closed_form_null_maximizes_the_penalized_likelihood(panel):
         except RetailRiskError:
             continue
         n, p = dm.n, dm.p
+        # l* on the fit's unit-scaled design, at intercept b0 in raw units: in
+        # raw units an extreme column's X'WX can be singular or overflow.
+        e = linalg.binary_exponents(dm.X, 0)[0]
+        X = np.ldexp(dm.X, -e)
+
+        def pen_ll(b0):
+            return _evaluate(X, dm.y, np.array([math.ldexp(b0, int(e[0]))] + [0.0] * (p - 1)),
+                             True)
+
         prob = (float(dm.y.sum()) + 0.5 * p) / (n + p)
-        null = np.zeros(p)
-        null[0] = math.log(prob / (1.0 - prob))
-        null_ll = penalized_loglik(null, dm)
+        null_ll, *_, score, _, _ = pen_ll(math.log(prob / (1.0 - prob)))
         # The intercept of any mean p in [1/(n+p), 1 - 1/(n+p)].
         edge = math.log(n + p - 1.0)
-        found = minimize_scalar(lambda b0: -penalized_loglik([b0] + [0.0] * (p - 1), dm),
-                                bounds=(-edge, edge), method="bounded",
-                                options={"xatol": 1e-10})
+        found = minimize_scalar(lambda b0: -pen_ll(b0)[0], bounds=(-edge, edge),
+                                method="bounded", options={"xatol": 1e-10})
         assert null_ll >= -found.fun - 1e-9 * abs(found.fun), (ratios, null_ll, found)
-        assert abs(firth_score(null, dm)[0]) <= 1e-9 * n, ratios
-        assert fit.lr_stat == max(0.0, 2.0 * (fit.pen_log_lik - null_ll)), ratios
+        assert abs(score[0]) <= 1e-9 * n, ratios
+        fit_ll = newton(X, dm.y, penalized=True)[1]
+        assert fit.pen_log_lik == fit_ll + math.log(2.0) * int(e.sum()), ratios
+        assert fit.lr_stat == max(0.0, 2.0 * (fit_ll - null_ll)), ratios

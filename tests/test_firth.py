@@ -19,7 +19,7 @@ from retailrisk.firth import (
     penalized_loglik,
 )
 from retailrisk.errors import DegenerateDataError
-from retailrisk.linalg import SingularMatrixError
+from retailrisk.linalg import SingularMatrixError, binary_exponents
 from retailrisk.logistic import (
     SEPARATION_NONE,
     DegenerateResponseError,
@@ -254,9 +254,15 @@ class TestExactHessian:
     def test_trace_of_the_final_fit(self):
         dm = final_design()
         fit = fit_firth(dm)
+        # The fit runs on the unit-scaled design; l* is then in its units.
+        e = binary_exponents(dm.X, 0)[0]
+        scaled, scaled_ll, _, _, _ = newton(np.ldexp(dm.X, -e), dm.y, penalized=True)
+        np.testing.assert_array_equal(np.ldexp(scaled, -e), fit.beta)
+        assert scaled_ll + math.log(2.0) * int(e.sum()) == fit.pen_log_lik
+        # In raw units log det X'WX is rounded from other products: one ulp apart.
         beta, pen_ll, _, _, trace = newton(dm.X, dm.y, penalized=True)
         np.testing.assert_array_equal(beta, fit.beta)
-        assert pen_ll == fit.pen_log_lik
+        assert abs(pen_ll - fit.pen_log_lik) <= math.ulp(pen_ll)
         assert (trace.steps, trace.converged) == (fit.iterations, True)
         assert trace.steps <= 8 and trace.halvings == 0
         assert trace.max_score == np.abs(firth_score(beta, dm)).max() <= 1e-7
@@ -354,9 +360,8 @@ class TestFitFirth:
         with pytest.raises(SingularMatrixError) as info:
             fit_firth(DesignMatrix(y=dm.y, X=X, labels=dm.labels))
         assert info.value.row == 3
-        assert str(info.value).startswith(
-            "failure model: ebitda_over_rev is collinear with earlier design columns (")
-        assert "pivot at row 3 " in str(info.value)
+        assert str(info.value) == (
+            "failure model: ebitda_over_rev is collinear with earlier design columns")
 
     def test_affine_invariance_of_probabilities(self):
         dm = final_design()
@@ -380,12 +385,12 @@ class TestLrTest:
         assert p == pytest.approx(0.00317, abs=0.0005)
 
     @pytest.mark.parametrize("precision, stat", [
-        ("full", 13.81581452452415),
+        ("full", 13.815814524524153),
         ("printed", 13.828407170112726),
     ])
     def test_embedded_statistic_bits(self, precision, stat):
-        # The bits of the LR statistic when the null model was refitted by
-        # Newton steps; its closed-form maximizer gives the same float.
+        # The bits of the LR statistic, both l* values taken on the unit-scaled
+        # design (one ulp above the raw-unit figure 13.81581452452415 in full).
         dm = design_matrix(embedded_dataset(precision),
                            ["us_inflation_rate", "ltd_over_rev", "ebitda_over_rev"])
         assert fit_firth(dm).lr_stat == stat

@@ -400,3 +400,22 @@ def test_pivot_test_is_invariant_to_diagonal_scaling(k):
     assert np.array_equal(x, linalg.Cholesky(well_posed).solve(b) / d)
     with pytest.raises(SingularMatrixError, match=r"^pivot at row 1 below 1e-12 x its diagonal"):
         linalg.Cholesky(d[:, None] * collinear * d)
+
+
+class TestBinaryExponents:
+    """``binary_exponents`` is frexp of max |a| along an axis, kept."""
+
+    @pytest.mark.parametrize("shape", [(5, 6, 3, 4), (5, 6, 3, 1), (7, 1), (1, 7), (7,)])
+    def test_every_axis_peaks_in_half_to_one(self, shape):
+        k = np.arange(math.prod(shape), dtype=float).reshape(shape)
+        a = (k - 50.0) * 10.0 ** (k % 600 - 300)
+        for axis in range(a.ndim):
+            e = linalg.binary_exponents(a, axis)
+            peak = np.maximum(a.max(axis, keepdims=True), -a.min(axis, keepdims=True))
+            assert e.shape == peak.shape and np.array_equal(e, np.frexp(peak)[1]), axis
+            scaled = np.abs(np.ldexp(a, -e)).max(axis)
+            assert ((scaled >= 0.5) & (scaled < 1.0) | (scaled == 0.0)).all(), axis
+
+    def test_zero_and_non_finite_lines_keep_their_unit(self):
+        a = np.array([[0.0, 1.0, np.inf], [0.0, 3.0, np.nan]])
+        assert linalg.binary_exponents(a, 0).tolist() == [[0, 2, 0]]

@@ -39,6 +39,10 @@ def toy_design(x, y):
     )
 
 
+def _bits(value) -> bytes:
+    return np.asarray(value, dtype=float).tobytes()
+
+
 PANDEMIC_CLOSED_FORM = (math.log(1 / 24), math.log(18.0))
 
 
@@ -161,15 +165,18 @@ class TestFitLogistic:
                                    rtol=1e-10, atol=0)
         np.testing.assert_allclose(fit.z, fit.beta / fit.se, atol=1e-12)
 
-    def test_overflowed_information_stops_unconverged(self):
-        # X'WX sums 0.25 * x^2 over rows near 1e154: it overflows to inf on
-        # the first step, which stops the fit as a singular matrix would.
-        x = (100.0 + np.arange(8.0)) * 1e152
-        fit = fit_logistic(toy_design(x, [0, 1, 0, 0, 1, 0, 1, 1]))
-        assert not fit.converged
-        assert fit.iterations == 1
-        np.testing.assert_array_equal(fit.beta, [0.0, 0.0])
-        assert np.all(np.isnan(fit.se)) and np.all(np.isnan(fit.p_values))
+    def test_column_near_1e154_fits_as_in_its_unit(self):
+        # In raw units X'WX sums 0.25 * x^2 over rows near 1e154 and
+        # overflows. The fit runs on the unit-scaled column, so it has the
+        # unit fit's bits, with the slope and its s.e. scaled back by 2^-510.
+        x = 100.0 + np.arange(8.0)
+        y = [0, 1, 0, 0, 1, 0, 1, 1]
+        unit, fit = fit_logistic(toy_design(x, y)), fit_logistic(toy_design(x * 2.0**510, y))
+        assert fit.converged and fit.iterations == unit.iterations
+        for field in ("z", "p_values", "log_lik", "aic"):
+            assert _bits(getattr(fit, field)) == _bits(getattr(unit, field)), field
+        for field in ("beta", "se"):
+            assert _bits(getattr(fit, field)) == _bits(np.ldexp(getattr(unit, field), [0, -510]))
 
 
 class TestStepHalving:
@@ -246,7 +253,7 @@ class TestNewtonStack:
 
     @pytest.mark.parametrize("column", [
         [2.0] * 8,                               # collinear with the intercept
-        list((100.0 + np.arange(8.0)) * 1e152),  # X'WX overflows
+        list((100.0 + np.arange(8.0)) * 1e152),  # separated, in a unit near 1e154
     ])
     def test_wald_failing_for_one_member_of_a_fit_stack(self, column):
         # The Wald tests run once for the whole stack; only the member whose
@@ -292,7 +299,25 @@ class TestSeparation:
         # -4e290, as a 23-row panel did: X @ beta overflows, without a warning.
         dm = toy_design([1e111, 2e111, 3e111, 4e-89], [0.0, 0.0, 0.0, 1.0])
         sd = _sample_sd(dm.X[:, 1:])
-        assert _separation(dm, np.array([1e202, -1e290]), False, sd) == SEPARATION_COMPLETE
+        assert _separation(dm.X, dm.y, np.array([1e202, -1e290]), False,
+                           sd) == SEPARATION_COMPLETE
+
+    def test_slope_beyond_the_float_range_of_its_unit_is_inf(self):
+        # A column in a unit near 1e-320 (subnormal): the stalled slope is
+        # finite on the unit-scaled column, which the separation check
+        # reads, and -inf in the column's own unit, without a warning.
+        x = [1e-320, 2e-320, 3e-320, 4e-321]
+        fit = fit_logistic(toy_design(x, [0.0, 0.0, 0.0, 1.0]))
+        assert not fit.converged and fit.separation == SEPARATION_COMPLETE
+        assert fit.beta[1] == -math.inf
+
+    def test_step_beyond_the_float_range_on_a_unit_scaled_column_is_quiet(self):
+        # Unit-scaled, this column spans 5e-157..0.625: a Newton step of the
+        # diverging fit reaches 7e156, the next one inf, without a warning.
+        x = [4.0, 5.0, 1.5, 4.352880220118173e-156, 0.0]
+        fit = fit_logistic(toy_design(x, [0.0, 0.0, 0.0, 1.0, 0.0]))
+        assert not fit.converged and fit.separation != SEPARATION_NONE
+        assert np.isinf(fit.beta).all() and np.isnan(fit.se).all()
 
     def test_pandemic_model_not_separated(self):
         # Both pandemic cells hold mixed outcomes: 3/7 and 1/25 failures.

@@ -25,6 +25,7 @@ from retailrisk.pipeline import (
     run_screen,
     table_from_coefficients,
 )
+from retailrisk.errors import DegenerateDataError
 from retailrisk.report import ROUNDING, fmt_number, probability_section
 
 from _ingest_reference import derive_ratios, parse_records
@@ -190,21 +191,20 @@ class TestUnits:
                 assert np.array_equal(getattr(fit, field), getattr(ref, field)), field
             assert fit.iterations == ref.iterations
 
-    # At k <= -155 the inflation slope's variance is beyond the float range,
-    # though its standard error is not. At k = -159 the information's
-    # inflation entry (near 1e-317) is subnormal and holds about 7 digits,
-    # which moves the p-values at 1e-5.
-    @pytest.mark.parametrize("k,rtol", [(-159, 1e-4), (-156, 1e-9), (-100, 1e-9), (100, 1e-9),
-                                        (153, 1e-9)])
-    def test_wald_inference_is_free_of_the_inflation_unit(self, k, rtol):
+    # The fits run on unit-scaled columns, so at every k only the rounding
+    # of each value times 10^k separates them from the unit fit. In raw
+    # units the information's inflation entry is subnormal at k = -159 and
+    # overflows at k = 154.
+    @pytest.mark.parametrize("k", [-300, -159, -156, -100, 100, 153, 154, 300])
+    def test_wald_inference_is_free_of_the_inflation_unit(self, k):
         ds, scaled = embedded_dataset(), _rescaled(10.0**k, ("us_inflation_rate",))
         fit, ref = fit_final_model(scaled), fit_final_model(ds)
         for field in ("chisq", "p_values", "lr_stat", "lr_p", "wald_stat", "wald_p"):
-            np.testing.assert_allclose(getattr(fit, field), getattr(ref, field), rtol=rtol,
+            np.testing.assert_allclose(getattr(fit, field), getattr(ref, field), rtol=1e-9,
                                        atol=0, err_msg=field)
         for (name, screen), (_, expected) in zip(run_screen(scaled, "external").fits,
                                                  run_screen(ds, "external").fits):
-            np.testing.assert_allclose(screen.p_values, expected.p_values, rtol=rtol, atol=0,
+            np.testing.assert_allclose(screen.p_values, expected.p_values, rtol=1e-9, atol=0,
                                        err_msg=name)
 
     @pytest.mark.parametrize("factor", [0.01, 100.0])
@@ -350,7 +350,9 @@ class TestProbabilityTable:
     def test_nan_coefficient_is_refused(self, index):
         beta = list(REFERENCE_MODEL_COEFFICIENTS)
         beta[index] = math.nan
-        with pytest.raises(ValueError, match=r"must be in \[0, 1\], got nan"):
+        # The first row's cell is named; the CLI prints it as one error line.
+        with pytest.raises(DegenerateDataError, match=(
+                r"^Bed Bath & Beyond 2015: failure probability must be in \[0, 1\], got nan$")):
             table_from_coefficients(beta, embedded_dataset())
 
     def test_drift_looks_up_published_cells_only(self, monkeypatch):

@@ -378,10 +378,9 @@ DEGENERATE_INPUTS = {
 }
 
 
-#: The constant inflation column leaves a positive pivot of rounding size.
-SMALL_PIVOT = ("failure model: us_inflation_rate is collinear with earlier design columns "
-               "(pivot at row 1 below 1e-12 x its diagonal "
-               "(pivot=7.105e-15, diagonal=3.200e+01))")
+#: The constant inflation column leaves a positive pivot of rounding size;
+#: its figures are in scaled units, and the line ends without them.
+SMALL_PIVOT = "failure model: us_inflation_rate is collinear with earlier design columns\n"
 
 
 class TestErrorContract:
@@ -471,9 +470,14 @@ def test_overflowing_money_column_gives_no_traceback(tmp_path, argv):
     if status == 1:
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
     if argv == ["fit", "--group", "internal"]:
-        assert "Long-term debt (M$): not converged; estimates are not reliable" in out
-        se_row = next(line for line in out.splitlines() if line.startswith("| Slope [s.e.] |"))
-        assert se_row.endswith("| NA |")
+        # The debt screen runs on the unit-scaled column: the unit fit's
+        # tests and AIC, and no note; only the slope and its s.e. differ.
+        def tests(text):
+            return [line for line in text.splitlines()
+                    if not line.startswith(("| Slope |", "| Slope [s.e.] |"))]
+
+        assert "not converged" not in out
+        assert tests(out) == tests(run(argv)[1])
 
 
 @pytest.mark.parametrize("scale", [1e-165, 1e-170])
@@ -521,21 +525,70 @@ def _overflowing_ratio_mean(path):
     return write_variant(path, change)
 
 
-def test_overflowing_ratio_mean_prints_na_correlations(tmp_path):
+def test_overflowing_ratio_mean_keeps_every_correlation(tmp_path):
+    # The correlations and the fits run on unit-scaled columns, whose means
+    # cannot overflow; only describe's raw-unit EBITDA SD and the ratio's
+    # mean and SD read NA.
     path = _overflowing_ratio_mean(tmp_path / "huge_mean.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
         status, out, err = run(["correlate", "--data", str(path), "--format", "json"])
+        others = [run([*argv, "--data", str(path)]) for argv in (["fit-final"], ["predict"])]
         report = run(["report", "--data", str(path)])
     assert (status, err) == (0, "")
     section = json.loads(out)["sections"][0]
-    ratio = "EBITDA/Revenue"
-    for row in section["rows"]:
-        for column, text in zip(section["columns"][1:], row[1:]):
-            assert (text == "NA") == ((row[0] == ratio) != (column == ratio)), (row[0], column)
-    message = "error: failure model: matrix has non-finite entries\n"
-    assert report == (1, "", message)
-    for argv in (["fit-final"], ["predict"]):
+    assert not [text for row in section["rows"] for text in row[1:] if text == "NA"]
+    assert [(code, err) for code, _, err in (*others, report)] == [(0, "")] * 3
+    na_rows = [line.split(" | ")[0] for line in report[1].splitlines() if "| NA |" in line]
+    assert na_rows == ["| EBITDA (M$)", "| EBITDA/Revenue"]
+
+
+def _scaled_cells_masked(text, label):
+    """The lines of a markdown fit output with the estimate and s.e. cells of
+    ``label``'s term (failure model) or slope (screen) replaced by ``*``."""
+    lines, column = [], None
+    for line in text.splitlines():
+        cells = line.split(" | ")
+        if cells[0] == "| Estimates":
+            column = [cell.rstrip(" |") for cell in cells].index(label)
+        if cells[0] == f"| {label}":
+            cells[1] = cells[2] = "*"
+        if cells[0] in ("| Slope", "| Slope [s.e.]"):
+            cells[column] = "*" + " |" * (column == len(cells) - 1)
+        lines.append(" | ".join(cells))
+    return lines
+
+
+@pytest.mark.parametrize("argv,column,label", [
+    (["fit-final"], "us_inflation_rate", "US inflation rate (%)"),
+    (["fit", "--group", "external"], "us_inflation_rate", "US inflation rate (%)"),
+    (["fit", "--group", "internal"], "long_term_debt", "Long-term debt (M$)"),
+])
+def test_fits_print_the_unit_fit_in_every_unit(tmp_path, argv, column, label):
+    # In raw units X'WX would underflow below about 1e-159 and overflow
+    # above 1e154; the fits run on unit-scaled columns, so every other cell holds.
+    unit = run(argv)
+    expected = (0, _scaled_cells_masked(unit[1], label), "")
+    for k in (-300, -200, -160, -159, -100, 100, 154, 156, 200, 300):
+        path = write_variant(tmp_path / f"{column}{k}.csv",
+                             lambda row: {column: repr(float(row[column]) * 10.0**k)})
+        status, out, err = run([*argv, "--data", str(path)])
+        assert (status, _scaled_cells_masked(out, label), err) == expected, k
+
+
+def test_non_finite_probability_gives_one_error_line(tmp_path):
+    # Inflation in a unit near 1e-309: its Firth slope is beyond the float
+    # range in that unit, and times the one zero inflation value it is NaN.
+    def change(row):
+        value = 0.0 if row["chain"] == "Bed Bath & Beyond" and row["year"] == "2015" else 1e-309
+        return {"us_inflation_rate": repr(float(row["us_inflation_rate"]) * value)}
+
+    path = write_variant(tmp_path / "tiny_inflation.csv", change)
+    status, out, err = run(["fit-final", "--data", str(path)])
+    assert (status, err) == (0, "")
+    assert "| US inflation rate (%) | NA | NA | 3.970 | 0.046 |" in out
+    message = "error: Bed Bath & Beyond 2015: failure probability must be in [0, 1], got nan\n"
+    for argv in (["predict"], ["predict", "--chain", "Rite Aid", "--year", "2015"], ["report"]):
         assert run([*argv, "--data", str(path)]) == (1, "", message)
 
 
