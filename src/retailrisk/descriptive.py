@@ -5,8 +5,9 @@ algorithm R94): polynomial-corrected weights from expected normal order
 statistics at ranks (i - 0.375)/(n + 0.25), with a normalizing transform of W
 for the p-value. Valid for 3 <= n <= 5000.
 
-W and the correlations are unit-free and run on series scaled by powers of two
-(``linalg.binary_exponents``); means and SDs keep the unit, so an SD can be inf (NA).
+Every statistic is taken on series scaled by powers of two
+(``linalg.binary_exponents``): W and the correlations are unit-free, and the
+means and SDs are scaled back, so only an SD beyond the float range is inf (NA).
 """
 
 from __future__ import annotations
@@ -83,12 +84,26 @@ _ZERO_VARIANCE = "correlation is undefined for a zero-variance series"
 
 def mean_std(series) -> tuple[float, float]:
     """Arithmetic mean and sample standard deviation (n-1 divisor)."""
-    x = np.asarray(series, dtype=float)
+    x = np.array(series, dtype=float)
     if x.ndim != 1 or x.size < 2:
         raise DegenerateDataError(_SHORT_SERIES)
-    # A series near the float limit overflows to an infinite SD, printed NA.
+    (mean,), (std,) = _scaled_mean_std(x[None])
+    return mean, std
+
+
+def _scaled_mean_std(table: np.ndarray) -> tuple[list[float], list[float]]:
+    """Mean and sample SD of each row of a (k, n) table, n >= 2, taken on
+    the row scaled to peak in [0.5, 1) and scaled back: the raw-unit bits
+    wherever those stay in the normal range, and finite for every finite
+    row whose SD is a float. The table is left scaled."""
+    e = binary_exponents(table, 1)
+    # A non-finite row keeps its exponent 0 and gives inf or NaN, printed NA,
+    # as does an SD beyond the float range.
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.mean(x)), float(np.std(x, ddof=1))
+        np.ldexp(table, -e, out=table)
+        e = e[:, 0]
+        return (np.ldexp(table.mean(axis=1), e).tolist(),
+                np.ldexp(table.std(axis=1, ddof=1), e).tolist())
 
 
 # Royston (1995) polynomial coefficients, ascending powers.
@@ -145,12 +160,15 @@ def shapiro_wilk(series) -> tuple[float, float]:
     _check_shapiro_wilk_size(x.size)
     if x[-1] - x[0] == 0.0:
         raise DegenerateDataError(_CONSTANT_SERIES)
-    return _shapiro_wilk_sorted(x[None])[0]
+    x = x[None]
+    np.ldexp(x, -binary_exponents(x, 1), out=x)
+    return _shapiro_wilk_sorted(x)[0]
 
 
 def _shapiro_wilk_sorted(x: np.ndarray) -> list[tuple[float, float]]:
     """(W, p) of each row of a (k, n) table of ascending, non-constant rows
-    with 3 <= n <= 5000; the table is overwritten.
+    with 3 <= n <= 5000, each scaled to peak in [0.5, 1) (W is unit-free);
+    the table is overwritten.
 
     Each row's two products are their own BLAS dot call (a stacked matmul
     of row vectors, never a gemv of the table), and W's square is the
@@ -160,7 +178,6 @@ def _shapiro_wilk_sorted(x: np.ndarray) -> list[tuple[float, float]]:
     a = _sw_weights(n)
     # A non-finite input gives W = NaN, and a NaN p-value, printed NA.
     with np.errstate(over="ignore", invalid="ignore"):
-        np.ldexp(x, -binary_exponents(x, 1), out=x)
         ax = (a @ x[:, :, None]).ravel()
         x -= x.mean(axis=1, keepdims=True)
         ss = (x[:, None, :] @ x[:, :, None]).ravel()
@@ -253,14 +270,12 @@ def describe(dataset: Dataset) -> list[ColumnSummary]:
         _check_shapiro_wilk_size(dataset.n)
     except DegenerateDataError as exc:
         raise DegenerateDataError(f"{names[0]}: {exc}") from None
-    with np.errstate(over="ignore", invalid="ignore"):
-        # A series near the float limit overflows to an infinite SD, printed NA.
-        means = table.mean(axis=1).tolist()
-        stds = table.std(axis=1, ddof=1).tolist()
-        table.sort(axis=1)
-        constant = table[:, -1] - table[:, 0] == 0.0
-        if constant.any():
-            raise DegenerateDataError(f"{names[constant.argmax()]}: {_CONSTANT_SERIES}")
+    # The rows stay scaled for Shapiro-Wilk; scaling keeps their order.
+    means, stds = _scaled_mean_std(table)
+    table.sort(axis=1)
+    constant = table[:, -1] - table[:, 0] == 0.0
+    if constant.any():
+        raise DegenerateDataError(f"{names[constant.argmax()]}: {_CONSTANT_SERIES}")
     tests = _shapiro_wilk_sorted(table)
     return [ColumnSummary(name=name, mean=mean, std=std, sw_w=w, sw_p=p)
             for name, mean, std, (w, p) in zip(names, means, stds, tests)]

@@ -49,6 +49,15 @@ class TestMeanStd:
         assert mean_shift == pytest.approx(mean + 13.25, abs=1e-10)
         assert std_shift == pytest.approx(std, abs=1e-10)
 
+    @pytest.mark.parametrize("exponent", [-1000, -540, 500, 1000, 1008])
+    def test_any_power_of_two_unit_gives_the_scaled_summary(self, exponent):
+        # Taken on the series scaled to peak near 1, the mean and SD are the
+        # unit ones times 2^exponent, bit for bit, where the raw squares
+        # would underflow (2^-540) or overflow (2^500 and up).
+        revenue = embedded_dataset().column("revenue")
+        mean, std = mean_std(np.ldexp(revenue, exponent))
+        assert (mean, std) == tuple(np.ldexp(mean_std(revenue), exponent).tolist())
+
     def test_too_short(self):
         with pytest.raises(DegenerateDataError):
             mean_std([1.0])

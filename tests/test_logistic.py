@@ -11,12 +11,16 @@ from retailrisk.dataset import (
     embedded_dataset,
     parse_dataset,
 )
+from retailrisk import logistic
+from retailrisk.firth import penalized_loglik
 from retailrisk.logistic import (
+    LONG_ROWS,
     SEPARATION_COMPLETE,
     SEPARATION_NONE,
     SEPARATION_QUASI,
     DegenerateResponseError,
     _fit_stack,
+    _information,
     _newton_stack,
     _sample_sd,
     _separation,
@@ -216,6 +220,20 @@ def assert_members_run_alone(columns, y, penalized=False):
     return [run[-1] for run in runs]
 
 
+def assert_fits_run_alone(designs):
+    """Each fit of one fit stack has the bits of its own fit_logistic;
+    returns the fits."""
+    fits = _fit_stack(designs)
+    for dm, fit in zip(designs, fits):
+        alone = fit_logistic(dm)
+        for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
+            assert (np.asarray(getattr(fit, field), dtype=float).tobytes()
+                    == np.asarray(getattr(alone, field), dtype=float).tobytes()), field
+        assert (fit.iterations, fit.converged, fit.separation) == (
+            alone.iterations, alone.converged, alone.separation)
+    return fits
+
+
 class TestNewtonStack:
     """Members of one stacked Newton run keep their own state and bits."""
 
@@ -258,15 +276,8 @@ class TestNewtonStack:
     def test_wald_failing_for_one_member_of_a_fit_stack(self, column):
         # The Wald tests run once for the whole stack; only the member whose
         # information fails to factor gets NaN se, z and p.
-        designs = [toy_design(x, self.Y) for x in (self.MIXED, column, self.MIXED[::-1])]
-        fits = _fit_stack(designs)
-        for dm, fit in zip(designs, fits):
-            alone = fit_logistic(dm)
-            for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
-                assert (np.asarray(getattr(fit, field), dtype=float).tobytes()
-                        == np.asarray(getattr(alone, field), dtype=float).tobytes()), field
-            assert (fit.iterations, fit.converged, fit.separation) == (
-                alone.iterations, alone.converged, alone.separation)
+        fits = assert_fits_run_alone(
+            [toy_design(x, self.Y) for x in (self.MIXED, column, self.MIXED[::-1])])
         assert [bool(np.isnan(fit.se).all()) for fit in fits] == [False, True, False]
         assert np.isnan(fits[1].z).all() and np.isnan(fits[1].p_values).all()
         assert np.isfinite(fits[0].p_values).all() and np.isfinite(fits[2].p_values).all()
@@ -277,6 +288,25 @@ class TestNewtonStack:
         mixed, separated, again = assert_members_run_alone(
             [self.MIXED, self.SEPARATED, self.MIXED[::-1]], self.Y, True)
         assert mixed.converged and separated.converged and again.converged
+
+    @pytest.mark.parametrize("rows", [LONG_ROWS - 1, LONG_ROWS])
+    def test_panel_columns_on_either_side_of_long_rows(self, rows):
+        # Below LONG_ROWS the row passes are single numpy calls, from it on
+        # SIMD loops; either way each member has the bits of its run alone,
+        # in the Newton loop, the Firth loop and the fit stack.
+        rng = np.random.default_rng(rows)
+        y = (rng.random(rows) < 0.3).astype(float)
+        panel = list(_large_panel_columns(rows, seed=11).T)
+        separated = np.where(y == 1.0, 1.0, -1.0) * rng.uniform(1.0, 2.0, rows)
+        collinear = np.full(rows, 2.0)
+        *traces, diverged, failed = assert_members_run_alone([*panel, separated, collinear], y)
+        assert all(trace.converged for trace in traces)
+        assert not diverged.converged and failed == (1, 0, failed.max_score, False)
+        firth = assert_members_run_alone([*panel, separated], y, True)
+        assert all(trace.converged for trace in firth)
+        fits = assert_fits_run_alone([toy_design(x, y) for x in (*panel, separated, collinear)])
+        assert [fit.separation for fit in fits[-2:]] == [SEPARATION_COMPLETE, SEPARATION_NONE]
+        assert np.isnan(fits[-1].se).all() and np.isfinite(fits[0].se).all()
 
 
 class TestSeparation:
@@ -351,6 +381,89 @@ def _large_panel_columns(rows=1500, seed=7):
         rng.uniform(200.0, 5000.0, rows), rng.uniform(-0.5, 9.0, rows),
         rng.integers(0, 2, rows).astype(float),
     ])
+
+
+class TestLongDesigns:
+    """From LONG_ROWS rows on, log(1 + e^eta) and X diag(w) are SIMD passes."""
+
+    ETAS = [0.0, 1e-300, 36.7, 708.4, 709.8, 745.2, 1e308]
+    ETAS = ETAS + [-eta for eta in ETAS]
+
+    @classmethod
+    def design(cls, rows=LONG_ROWS, etas=ETAS):
+        """A long design whose column holds each of ``etas`` once, beside
+        ordinary values; under beta = (0, 1) the column is eta. The response
+        is 1 where eta = 1e308 and 0 where eta = -1e308, so that the
+        objective, a difference of sums that hold those rows, stays finite."""
+        x = np.random.default_rng(5).normal(0.0, 3.0, rows)
+        x[:len(etas)] = etas
+        return toy_design(x, (np.arange(rows) % 3 == 0) | (x == 1e308))
+
+    @staticmethod
+    def assert_near_logaddexp(value, beta, dm):
+        # A few ulp of each row's terms, and e^-708 where eta < -708, whose
+        # e^eta the SIMD pass takes as e^-708.
+        eta = dm.X @ beta
+        terms = np.logaddexp(0.0, eta)
+        reference = float(dm.y @ eta - terms.sum())
+        largest = np.maximum(np.abs(dm.y * eta), terms)
+        tolerance = 8.0 * np.spacing(largest).sum() + dm.n * math.exp(-708.0)
+        assert abs(value - reference) <= tolerance, (value, reference)
+
+    @pytest.mark.parametrize("rows", [LONG_ROWS, 1500])
+    @pytest.mark.parametrize("beta", [(0.0, 1.0), (0.5, 1.0), (-0.5, 1.0)])
+    def test_log_likelihood_near_logaddexp(self, rows, beta):
+        # Quiet too: the test suite turns numpy's warnings into errors.
+        dm, beta = self.design(rows), np.array(beta)
+        self.assert_near_logaddexp(log_likelihood(beta, dm), beta, dm)
+
+    @pytest.mark.parametrize("beta", [(0.0, 1.0), (0.0, -1.0), (0.5, 1.0)])
+    def test_penalized_loglik_near_logaddexp(self, beta, monkeypatch):
+        # The penalty 0.5 log det X'WX is that of the short path. Without the
+        # rows at +-1e308, whose squares in X' (X'WX)^-1 X overflow.
+        dm, beta = self.design(etas=[eta for eta in self.ETAS if abs(eta) < 1e308]), np.array(beta)
+        value = penalized_loglik(beta, dm)
+        monkeypatch.setattr(logistic, "LONG_ROWS", dm.n + 1)
+        penalty = penalized_loglik(beta, dm) - log_likelihood(beta, dm)
+        self.assert_near_logaddexp(value - penalty, beta, dm)
+
+    def test_every_eta_row_by_row(self):
+        # Within 3 ulp of logaddexp, and e^-708 for eta below -708.
+        eta = np.array([*self.ETAS, math.inf, -math.inf])
+        terms, reference = logistic._softplus_simd(eta), np.logaddexp(0.0, eta)
+        clamped = eta < -708.0
+        assert (terms[clamped] == math.exp(-708.0)).all() and (reference[clamped] < 3e-308).all()
+        assert terms[eta == math.inf] == math.inf
+        kept = ~clamped & np.isfinite(eta)
+        assert np.all(np.abs(terms[kept] - reference[kept]) <= 3.0 * np.spacing(reference[kept]))
+
+    @pytest.mark.parametrize("shape", [(14, LONG_ROWS, 2), (14, 1500, 2), (LONG_ROWS, 4),
+                                       (1500, 4)])
+    def test_information_has_the_broadcast_bits(self, shape):
+        rng = np.random.default_rng(len(shape))
+        X = rng.normal(size=shape)
+        X[..., 0] = 1.0
+        w = rng.uniform(0.0, 0.25, shape[:-1])
+        w[..., :3] = [math.inf, math.nan, 0.0]
+        X[..., 0, 1] = 0.0  # an inf weight times 0
+        with np.errstate(invalid="ignore"):
+            broadcast = (X * w[..., None]).swapaxes(-1, -2) @ X
+            assert _information(X, w).tobytes() == broadcast.tobytes()
+
+    def test_long_path_moves_only_the_objective(self, monkeypatch):
+        # The objective gates step-halving and gives log_lik; beta and every
+        # other n-row quantity take the same bits on both paths.
+        ds = parse_dataset(panel_csv(seed=3, chains=275))
+        designs = [design_matrix(ds, [name]) for group in SCREEN_GROUPS.values()
+                   for name in group]
+        long = _fit_stack(designs)
+        monkeypatch.setattr(logistic, "LONG_ROWS", ds.n + 1)
+        short = _fit_stack(designs)
+        for a, b in zip(long, short):
+            for field in ("beta", "se", "z", "p_values"):
+                assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field
+            assert a.iterations == b.iterations and a.separation == b.separation
+            assert abs(a.log_lik - b.log_lik) <= 2.0 * ds.n * np.spacing(abs(b.log_lik))
 
 
 class TestSampleSd:

@@ -526,9 +526,9 @@ def _overflowing_ratio_mean(path):
 
 
 def test_overflowing_ratio_mean_keeps_every_correlation(tmp_path):
-    # The correlations and the fits run on unit-scaled columns, whose means
-    # cannot overflow; only describe's raw-unit EBITDA SD and the ratio's
-    # mean and SD read NA.
+    # Every statistic runs on unit-scaled columns, whose means cannot
+    # overflow: describe scales the EBITDA SD (2.3e303) and the ratio's mean
+    # and SD (1.2e308, 2.3e307) back, and no cell reads NA.
     path = _overflowing_ratio_mean(tmp_path / "huge_mean.csv")
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the run
@@ -540,7 +540,7 @@ def test_overflowing_ratio_mean_keeps_every_correlation(tmp_path):
     assert not [text for row in section["rows"] for text in row[1:] if text == "NA"]
     assert [(code, err) for code, _, err in (*others, report)] == [(0, "")] * 3
     na_rows = [line.split(" | ")[0] for line in report[1].splitlines() if "| NA |" in line]
-    assert na_rows == ["| EBITDA (M$)", "| EBITDA/Revenue"]
+    assert na_rows == []
 
 
 def _scaled_cells_masked(text, label):
