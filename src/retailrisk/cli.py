@@ -28,7 +28,6 @@ from .pipeline import (
     PredictionTable,
     _run_screens,
     fit_final_model,
-    run_screen,
     table_from_coefficients,
 )
 from .report import (
@@ -71,33 +70,18 @@ def build_parser() -> _Parser:
                         help="revenue-ratio precision: full floating point or "
                              "rounded to two decimals (default: full)")
 
-    coef = argparse.ArgumentParser(add_help=False)
-    coef.add_argument("--coef", choices=("fitted", "rounded"), default="fitted",
-                      help="use fitted coefficients or the published rounded "
-                           "ones (embedded data only; default: fitted)")
-
     parser = _Parser(prog="retailrisk",
                      description="Retail chain failure statistics and prediction")
     commands = parser.add_subparsers(dest="command", metavar="COMMAND")
     commands.required = True
-
-    commands.add_parser("export-data", parents=[shared],
-                        help="emit the dataset as canonical CSV")
-    commands.add_parser("describe", parents=[shared],
-                        help="means, standard deviations, Shapiro-Wilk tests")
-    commands.add_parser("correlate", parents=[shared],
-                        help="full Pearson correlation matrix")
-    fit = commands.add_parser("fit", parents=[shared],
-                              help="univariate logistic screen for one factor group")
-    fit.add_argument("--group", choices=tuple(SCREEN_GROUPS), required=True)
-    commands.add_parser("fit-final", parents=[shared],
-                        help="penalized-likelihood failure prediction model")
-    predict = commands.add_parser("predict", parents=[shared, coef],
-                                  help="failure probability grid or a single chain-year cell")
-    predict.add_argument("--chain", help="chain name (with --year: a single cell)")
-    predict.add_argument("--year", type=int, help="calendar year (with --chain)")
-    commands.add_parser("report", parents=[shared, coef],
-                        help="all sections in one document")
+    for name, (help_line, stages, options) in _COMMANDS.items():
+        command = commands.add_parser(name, parents=[shared], help=help_line)
+        if _probabilities in stages:
+            command.add_argument("--coef", choices=("fitted", "rounded"), default="fitted",
+                                 help="use fitted coefficients or the published rounded "
+                                      "ones (embedded data only; default: fitted)")
+        for flag, spec in options.items():
+            command.add_argument(flag, **spec)
     return parser
 
 
@@ -123,26 +107,6 @@ def _check_usage(args) -> None:
         raise _UsageError("--chain and --year must be given together")
 
 
-def _final_coefficients(args, dataset: Dataset, fit=None):
-    """Coefficients for the probability grid, reusing ``fit`` when given,
-    and the fit's note when its estimates are not reliable (else None)."""
-    if args.coef == "rounded":
-        return REFERENCE_MODEL_COEFFICIENTS, None
-    if fit is None:
-        fit = fit_final_model(dataset)
-    return tuple(fit.beta.tolist()), _fit_health_note("Failure model", fit)
-
-
-def _grid_sections(table: PredictionTable, note: str | None) -> list[Section]:
-    """The probability grid, led by the fit's ``note`` when there is one,
-    then its drift when it holds a published cell."""
-    grid = probability_section(table)
-    if note:
-        grid = dataclasses.replace(grid, notes=(note, *grid.notes))
-    drift = drift_section(table)
-    return [grid] + ([drift] if drift.rows else [])
-
-
 def _cell_section(table: PredictionTable, chain: str, year: int, note: str | None) -> Section:
     """Cell (chain, year) of the grid, with the fit's ``note`` when there is
     one; a marker cell is an error naming the years the chain has
@@ -160,29 +124,61 @@ def _cell_section(table: PredictionTable, chain: str, year: int, note: str | Non
                    rows=((chain, str(year), text),), notes=(note,) if note else ())
 
 
-def _sections_for(args, dataset: Dataset) -> list[Section]:
-    command = args.command
-    if command == "describe":
-        return [describe_section(dataset)]
-    if command == "correlate":
-        return [correlation_section(dataset)]
-    if command == "fit":
-        return [screen_section(run_screen(dataset, args.group))]
-    if command == "fit-final":
-        return [final_model_section(fit_final_model(dataset), dataset.n)]
-    if command == "predict":
-        coefficients, note = _final_coefficients(args, dataset)
-        table = table_from_coefficients(coefficients, dataset)
-        if args.chain is None:
-            return _grid_sections(table, note)
-        return [_cell_section(table, args.chain, args.year, note)]
-    # report: the sections are built in order, so the first error is the first section's.
-    sections = [describe_section(dataset), correlation_section(dataset)]
-    sections += [screen_section(screen) for screen in _run_screens(dataset, tuple(SCREEN_GROUPS))]
-    fit = fit_final_model(dataset)
-    coefficients, note = _final_coefficients(args, dataset, fit)
+def _describe(args, dataset: Dataset, shared: dict) -> list[Section]:
+    return [describe_section(dataset)]
+
+
+def _correlate(args, dataset: Dataset, shared: dict) -> list[Section]:
+    return [correlation_section(dataset)]
+
+
+def _screens(args, dataset: Dataset, shared: dict) -> list[Section]:
+    """The ``--group`` screen, or every group's, from one Newton stack."""
+    groups = (args.group,) if "group" in args else tuple(SCREEN_GROUPS)
+    return [screen_section(screen) for screen in _run_screens(dataset, groups)]
+
+
+def _final_model(args, dataset: Dataset, shared: dict) -> list[Section]:
+    shared["fit"] = fit = fit_final_model(dataset)
+    return [final_model_section(fit, dataset.n)]
+
+
+def _probabilities(args, dataset: Dataset, shared: dict) -> list[Section]:
+    """The grid and its drift (when it holds a published cell), or the one
+    ``--chain``/``--year`` cell, led by the note of a fit whose estimates
+    are not reliable; the final model's fit is reused when it has run."""
+    coefficients, note = REFERENCE_MODEL_COEFFICIENTS, None
+    if args.coef == "fitted":
+        fit = shared["fit"] if "fit" in shared else fit_final_model(dataset)
+        coefficients, note = tuple(fit.beta.tolist()), _fit_health_note("Failure model", fit)
     table = table_from_coefficients(coefficients, dataset)
-    return [*sections, final_model_section(fit, dataset.n), *_grid_sections(table, note)]
+    if getattr(args, "chain", None) is not None:
+        return [_cell_section(table, args.chain, args.year, note)]
+    grid = probability_section(table)
+    if note:
+        grid = dataclasses.replace(grid, notes=(note, *grid.notes))
+    drift = drift_section(table)
+    return [grid] + ([drift] if drift.rows else [])
+
+
+#: Each subcommand: its help line, its stages in order and its own options;
+#: one that runs the probabilities also takes ``--coef``. A stage maps (args,
+#: dataset, shared) to sections, and ``shared`` carries the final model's fit
+#: to the probabilities. A report runs every stage, so its first error is its
+#: first section's.
+_COMMANDS = {
+    "export-data": ("emit the dataset as canonical CSV", (), {}),
+    "describe": ("means, standard deviations, Shapiro-Wilk tests", (_describe,), {}),
+    "correlate": ("full Pearson correlation matrix", (_correlate,), {}),
+    "fit": ("univariate logistic screen for one factor group", (_screens,),
+            {"--group": dict(choices=tuple(SCREEN_GROUPS), required=True)}),
+    "fit-final": ("penalized-likelihood failure prediction model", (_final_model,), {}),
+    "predict": ("failure probability grid or a single chain-year cell", (_probabilities,),
+                {"--chain": dict(help="chain name (with --year: a single cell)"),
+                 "--year": dict(type=int, help="calendar year (with --chain)")}),
+    "report": ("all sections in one document",
+               (_describe, _correlate, _screens, _final_model, _probabilities), {}),
+}
 
 
 def _emit(text: str, args, stdout) -> None:
@@ -215,10 +211,11 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         if args.command == "export-data":
             _emit(dataset_to_csv(dataset), args, stdout)
             return 0
-        sections = _sections_for(args, dataset)
-        document = ReportDocument(
-            sections=tuple(sections), format=args.format, meta=document_meta(dataset)
-        )
+        sections, shared = [], {}
+        for stage in _COMMANDS[args.command][1]:
+            sections += stage(args, dataset, shared)
+        document = ReportDocument(sections=tuple(sections), format=args.format,
+                                  meta=document_meta(dataset))
         _emit(render(document), args, stdout)
         return 0
     except (RetailRiskError, OSError) as exc:

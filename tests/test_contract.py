@@ -2,10 +2,11 @@
 
 On any schema-valid panel, every subcommand exits 0 or 1 without raising,
 writes nothing to stderr on success and one ``error:`` line otherwise, and
-the exported CSV parses back to the same dataset. A column, or the five
-money columns together, times any power of two that keeps every value
-normal changes no byte of the fits and the grid but that column's estimates
-and standard errors.
+the exported CSV parses back to the same dataset; a report is the runs of
+its subcommands joined, and fails with the first of them that fails. A
+column, or the five money columns together, times any power of two that
+keeps every value normal changes no byte of the fits and the grid but that
+column's estimates and standard errors.
 Every dataset the constructor accepts gives a design matrix that passes
 ``DesignMatrix``'s checks, and every matrix the fits factor without the
 symmetry scan is one that the validating ``Cholesky(a)`` treats the same.
@@ -25,13 +26,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 from scipy.optimize import minimize_scalar
 
 from retailrisk import linalg
 from retailrisk.cli import run_command
 from retailrisk.dataset import (
     CSV_HEADER,
+    EMBEDDED_CSV,
     NUMERIC_COLUMNS,
     PREDICTOR_COLUMNS,
     RATIO_PRECISIONS,
@@ -131,9 +133,29 @@ INVOCATIONS = (
     ("fit-final",), ("predict",), ("report",),
 )
 
+_EMBEDDED_ROWS = list(csv.DictReader(io.StringIO(EMBEDDED_CSV)))
+#: The embedded data as a drawn panel, on which every subcommand succeeds.
+EMBEDDED_PANEL = ([row["chain"] for row in _EMBEDDED_ROWS],
+                  {name: [row[name] for row in _EMBEDDED_ROWS] for name in NUMERIC_COLUMNS})
+
+MARKDOWN_HEADER = "# Retail chain failure analysis\n\n"
+
+
+def _joined(outputs, fmt):
+    """The outputs of several runs as the one document of their sections."""
+    if fmt == "json":
+        documents = [json.loads(out) for out in outputs]
+        return dict(documents[0], sections=[s for doc in documents for s in doc["sections"]])
+    if fmt == "csv":
+        return "\n".join(outputs)
+    return MARKDOWN_HEADER + "\n".join(out.removeprefix(MARKDOWN_HEADER) for out in outputs)
+
 
 @given(panel=panels(), bom=st.booleans(), ratios=st.sampled_from(RATIO_PRECISIONS),
        fmt=st.sampled_from(FORMATS))
+@example(panel=EMBEDDED_PANEL, bom=False, ratios="full", fmt="markdown")
+@example(panel=EMBEDDED_PANEL, bom=True, ratios="printed", fmt="csv")
+@example(panel=EMBEDDED_PANEL, bom=False, ratios="printed", fmt="json")
 def test_every_subcommand_keeps_the_error_contract(panel, bom, ratios, fmt, data_path):
     row_chains, columns = panel
     text = _csv(row_chains, columns)
@@ -148,6 +170,16 @@ def test_every_subcommand_keeps_the_error_contract(panel, bom, ratios, fmt, data
             assert err == ""
         else:
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    # A report is its subcommands' runs, in order; it fails with the first
+    # of them that fails.
+    *parts, (code, report, err) = results[1:len(INVOCATIONS)]
+    failed = [part for part in parts if part[0]]
+    if code:
+        assert err == failed[0][2]
+    else:
+        assert not failed
+        joined = _joined([out for _, out, _ in parts], fmt)
+        assert (json.loads(report) if fmt == "json" else report) == joined
     code, exported, _ = results[0]
     if code == 0:
         dataset = parse_dataset(text, ratios)

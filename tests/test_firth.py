@@ -401,6 +401,14 @@ class TestLrTest:
         assert stat == 0.0
         assert df == 0
         assert p == 1.0
+        assert (fit.wald_stat, fit.wald_df, fit.wald_p) == (0.0, 0, 1.0)
+
+    def test_no_effect_statistic_is_not_negative(self):
+        # Two groups with the same failure rate: the fit's maximum is the
+        # closed-form null, and its l* can fall a few ulp below the null's.
+        fit = fit_firth(toy_design([-2.5] * 3 + [-2.2] * 3, [1.0, 0.0, 0.0] * 2))
+        assert 0.0 <= fit.lr_stat < 1e-12
+        assert fit.lr_p == pytest.approx(1.0, abs=1e-6)
 
     def test_statistic_nonnegative(self):
         ds = embedded_dataset()

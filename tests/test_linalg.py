@@ -73,6 +73,11 @@ class TestCholesky:
         assert np.array_equal(factor.inverse_diag_sqrt(), np.ones(3))
         assert factor.log_det() == 0.0
 
+    def test_one_by_one_and_empty(self):
+        assert factor_of([[4.0]]).tolist() == [[2.0]]
+        with pytest.raises(ValueError, match=r"got shape \(0, 0\)"):
+            linalg.Cholesky(np.zeros((0, 0)))
+
     def test_hand_checked_2x2(self):
         # L = [[2, 0], [1, sqrt(2)]]: det 8, inverse [[3, -2], [-2, 4]] / 8.
         factor = linalg.Cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))

@@ -14,6 +14,7 @@ from retailrisk.dataset import (
 from retailrisk import logistic
 from retailrisk.firth import penalized_loglik
 from retailrisk.logistic import (
+    DIVERGENCE_BOUND,
     LONG_ROWS,
     SEPARATION_COMPLETE,
     SEPARATION_NONE,
@@ -349,6 +350,32 @@ class TestSeparation:
         assert not fit.converged and fit.separation != SEPARATION_NONE
         assert np.isinf(fit.beta).all() and np.isnan(fit.se).all()
 
+    @pytest.mark.parametrize("residual, separation", [
+        (0.9e-4, SEPARATION_COMPLETE), (1.1e-4, SEPARATION_QUASI),
+    ])
+    def test_complete_means_every_row_within_1e_4(self, residual, separation):
+        # A slope past the divergence bound; the rows at x = -1 and 1 are
+        # the worst classified, each ``residual`` from its outcome.
+        dm = toy_design([-3.0, -1.0, 1.0, 3.0], [0.0, 0.0, 1.0, 1.0])
+        sd = _sample_sd(dm.X[:, 1:])
+        slope = math.log((1.0 - residual) / residual)
+        assert slope * sd[0] > DIVERGENCE_BOUND
+        assert _separation(dm.X, dm.y, np.array([0.0, slope]), True, sd) == separation
+
+    @pytest.mark.parametrize("tail, diverged", [(0.9e-8, True), (1.1e-8, False)])
+    @pytest.mark.parametrize("high", [False, True])
+    def test_unconverged_fit_diverges_at_probability_1e_8(self, tail, diverged, high):
+        # A slope within the divergence bound: only the unconverged fit's
+        # most extreme probability, ``tail`` from 0 (or from 1), can flag it.
+        dm = toy_design([-1.0, 1.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0])
+        sd = _sample_sd(dm.X[:, 1:])
+        assert sd[0] < DIVERGENCE_BOUND  # the slope is 1 or -1
+        intercept = 1.0 + math.log(tail / (1.0 - tail))  # the row at x = -1
+        beta = np.array([-intercept, -1.0] if high else [intercept, 1.0])
+        separation = _separation(dm.X, dm.y, beta, False, sd)
+        assert (separation != SEPARATION_NONE) == diverged
+        assert _separation(dm.X, dm.y, beta, True, sd) == SEPARATION_NONE
+
     def test_pandemic_model_not_separated(self):
         # Both pandemic cells hold mixed outcomes: 3/7 and 1/25 failures.
         ds = embedded_dataset()
@@ -507,8 +534,10 @@ class TestSignificanceCode:
         [
             (0.0, "***"),
             (0.0009, "***"),
+            (0.001, "**"),
             (0.0019, "**"),
             (0.009, "**"),
+            (0.01, "*"),
             (0.04, "*"),
             (0.05, "."),  # boundary belongs to the weaker code
             (0.09, "."),

@@ -755,11 +755,22 @@ def test_predict_cell_equals_grid_cell(panel_path, ratios):
         assert json.loads(out)["sections"][0]["rows"] == [[chain, str(year), cells[chain, year]]]
 
 
+@pytest.mark.parametrize("command", ["export-data", "describe", "correlate", "fit", "fit-final",
+                                     "predict", "report"])
+def test_each_subcommand_help_offers_its_own_options(command):
+    status, out, err = run([command, "--help"])
+    assert (status, err) == (0, "")
+    assert out.startswith(f"usage: retailrisk {command} ")
+    assert ("--coef" in out) == (command in ("predict", "report"))
+    assert ("--group" in out) == (command == "fit")
+    assert ("--chain" in out) == ("--year" in out) == (command == "predict")
+
+
 def test_stray_key_error_is_not_reported_as_bad_input(monkeypatch):
-    def broken_screen(dataset, group):
+    def broken_screens(dataset, groups):
         raise KeyError("boom")
 
-    monkeypatch.setattr("retailrisk.cli.run_screen", broken_screen)
+    monkeypatch.setattr("retailrisk.cli._run_screens", broken_screens)
     with pytest.raises(KeyError, match="boom"):
         run_command(["fit", "--group", "external"], stdout=io.StringIO(), stderr=io.StringIO())
 
