@@ -8,11 +8,9 @@ Each function takes a Python number or an array. A number goes straight to
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
 
 import numpy as np
 
-_STANDARD_NORMAL = NormalDist()
 _SQRT_2 = math.sqrt(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -45,9 +43,59 @@ def norm_sf(x):
     return _elementwise(_norm_sf, x)
 
 
+# Wichura's AS 241 (PPND16; Applied Statistics 37(3), 1988), the algorithm
+# of CPython's ``statistics.NormalDist.inv_cdf``: the numerator and the
+# denominator of each rational function, highest power first. The central
+# one serves |q - 1/2| <= 0.425; the tails take r = sqrt(-log(min(q, 1 - q))),
+# the near one up to r = 5.
+_CENTRAL_NUM = (2.50908_09287_30122_6727e+3, 3.34305_75583_58812_8105e+4,
+                6.72657_70927_00870_0853e+4, 4.59219_53931_54987_1457e+4,
+                1.37316_93765_50946_1125e+4, 1.97159_09503_06551_4427e+3,
+                1.33141_66789_17843_7745e+2, 3.38713_28727_96366_6080e+0)
+_CENTRAL_DEN = (5.22649_52788_52854_5610e+3, 2.87290_85735_72194_2674e+4,
+                3.93078_95800_09271_0610e+4, 2.12137_94301_58659_5867e+4,
+                5.39419_60214_24751_1077e+3, 6.87187_00749_20579_0830e+2,
+                4.23133_30701_60091_1252e+1, 1.0)
+_NEAR_NUM = (7.74545_01427_83414_07640e-4, 2.27238_44989_26918_45833e-2,
+             2.41780_72517_74506_11770e-1, 1.27045_82524_52368_38258e+0,
+             3.64784_83247_63204_60504e+0, 5.76949_72214_60691_40550e+0,
+             4.63033_78461_56545_29590e+0, 1.42343_71107_49683_57734e+0)
+_NEAR_DEN = (1.05075_00716_44416_84324e-9, 5.47593_80849_95344_94600e-4,
+             1.51986_66563_61645_71966e-2, 1.48103_97642_74800_74590e-1,
+             6.89767_33498_51000_04550e-1, 1.67638_48301_83803_84940e+0,
+             2.05319_16266_37758_82187e+0, 1.0)
+_FAR_NUM = (2.01033_43992_92288_13265e-7, 2.71155_55687_43487_57815e-5,
+            1.24266_09473_88078_43860e-3, 2.65321_89526_57612_30930e-2,
+            2.96560_57182_85048_91230e-1, 1.78482_65399_17291_33580e+0,
+            5.46378_49111_64114_36990e+0, 6.65790_46435_01103_77720e+0)
+_FAR_DEN = (2.04426_31033_89939_78564e-15, 1.42151_17583_16445_88870e-7,
+            1.84631_83175_10054_68180e-5, 7.86869_13114_56132_59100e-4,
+            1.48753_61290_85061_48525e-2, 1.36929_88092_27358_05310e-1,
+            5.99832_20655_58879_37690e-1, 1.0)
+
+
+def _horner(coefficients, r: float) -> float:
+    # ((c0*r + c1)*r + c2)...: inv_cdf's operations in its order, so its bits.
+    value = coefficients[0]
+    for c in coefficients[1:]:
+        value = value * r + c
+    return value
+
+
 def _norm_ppf(q: float) -> float:
     if 0.0 < q < 1.0:
-        return _STANDARD_NORMAL.inv_cdf(q)
+        half = q - 0.5
+        if math.fabs(half) <= 0.425:
+            r = 0.180625 - half * half
+            return _horner(_CENTRAL_NUM, r) * half / _horner(_CENTRAL_DEN, r)
+        r = math.sqrt(-math.log(q if half <= 0.0 else 1.0 - q))
+        if r <= 5.0:
+            r -= 1.6
+            x = _horner(_NEAR_NUM, r) / _horner(_NEAR_DEN, r)
+        else:
+            r -= 5.0
+            x = _horner(_FAR_NUM, r) / _horner(_FAR_DEN, r)
+        return -x if half < 0.0 else x
     if q == 0.0:
         return -math.inf
     if q == 1.0:

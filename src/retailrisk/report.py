@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -273,6 +272,8 @@ def _render_csv(document: ReportDocument) -> str:
 
 
 def _render_json(document: ReportDocument) -> str:
+    import json  # here, so that a markdown or CSV run does not load it
+
     payload = {
         "schema_version": SCHEMA_VERSION,
         "sections": [

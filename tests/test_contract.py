@@ -80,22 +80,28 @@ MAGNITUDES = st.one_of(st.just(1.0), st.integers(-300, 300).map(lambda k: 10.0 *
 def panels(draw):
     """(chain of each row, values of each numeric column) of a panel with
     one to four chains of one to eight contiguous years, each failing in its
-    final year or never. About half the panels hold one or two constant
-    columns; the other drawn columns have distinct values."""
+    final year or never. About half the panels are drawn to fit: their first
+    chain fails and runs a year for each coefficient of the failure model or
+    more, and no column is constant. About half of the others hold one or two
+    constant columns. The other drawn columns have distinct values."""
+    fittable = draw(st.booleans())
     chains = draw(st.lists(st.sampled_from(CHAIN_NAMES), min_size=1, max_size=4, unique=True))
     row_chains, years, fails = [], [], []
-    for chain in chains:
-        length = draw(st.integers(1, 8))
+    first_years = len(FINAL_MODEL_PREDICTORS) + 1 if fittable else 1
+    for k, chain in enumerate(chains):
+        length = draw(st.integers(first_years if k == 0 else 1, 8))
         start = draw(st.integers(YEAR_RANGE[0], YEAR_RANGE[1] - length + 1))
         row_chains += [chain] * length
         years += range(start, start + length)
-        fails += [0] * (length - 1) + [int(draw(st.booleans()))]
+        fails += [0] * (length - 1) + [int(fittable and k == 0 or draw(st.booleans()))]
     n = len(row_chains)
-    columns = {"year": years, "fail": fails,
-               "pandemic": draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))}
+    pandemic = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    if fittable:
+        pandemic = pandemic.filter(lambda flags: 0 < sum(flags) < n)
+    columns = {"year": years, "fail": fails, "pandemic": draw(pandemic)}
     magnitudes = {"acsi": 1.0, **dict.fromkeys(MONEY_COLUMNS, draw(MAGNITUDES))}
-    constant = draw(st.one_of(st.just(set()),
-                              st.sets(st.sampled_from(tuple(MULTIPLES)), min_size=1, max_size=2)))
+    constant = set() if fittable else draw(st.one_of(
+        st.just(set()), st.sets(st.sampled_from(tuple(MULTIPLES)), min_size=1, max_size=2)))
     for name, (low, high) in MULTIPLES.items():
         magnitude = magnitudes[name] if name in magnitudes else draw(MAGNITUDES)
         values = st.floats(low, high).map(lambda v, m=magnitude: v * m)

@@ -1,11 +1,15 @@
 import collections
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from retailrisk import (
     RetailRiskError,
     SingularMatrixError,
 )
+from retailrisk import cli
 from retailrisk.cli import run_command
 from retailrisk.dataset import (
     EMBEDDED_CSV,
@@ -37,6 +42,7 @@ from retailrisk.pipeline import (
     table_from_coefficients,
 )
 from retailrisk.report import (
+    FORMATS,
     SIGNIF_LEGEND,
     ReportDocument,
     Section,
@@ -787,3 +793,65 @@ def test_predict_cell_error_lines(panel_path):
         assert run(argv) == (1, "", f"error: {line}\n")
     status, out, _ = run(["predict", "--chain", "Rite Aid", "--year", "2015"])
     assert status == 0 and "| Rite Aid | 2015 | 0.020 |" in out
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_process(argv):
+    """(exit code, stdout, stderr) of ``python -m retailrisk.cli ARGV`` in a
+    fresh interpreter, which enters through ``main()``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-m", "retailrisk.cli", *argv],
+                            env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                            timeout=120)
+    return result.returncode, result.stdout.decode("utf-8"), result.stderr.decode("utf-8")
+
+
+#: (argv, exit code) of each way out of a process: a report in every format
+#: to stdout and to a file, a usage error and a file error, and --help.
+EXIT_PATHS = [
+    *((["report", "--format", fmt], 0) for fmt in FORMATS),
+    *((["report", "--format", fmt, "--out", "report.out"], 0) for fmt in FORMATS),
+    (["report", "--coef", "rounded", "--data", "panel.csv"], 2),
+    (["describe", "--data", "missing.csv"], 1),
+    (["--help"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, status", EXIT_PATHS,
+                         ids=[" ".join(argv) for argv, _ in EXIT_PATHS])
+def test_process_entry_matches_run_command(argv, status, tmp_path, monkeypatch):
+    """A process, which freezes its import-time heap before the command,
+    exits with the code, stdout, stderr and ``--out`` file of ``run_command``
+    in process."""
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal's width
+    out = tmp_path / "report.out"
+    results = []
+    for entry in (run_process, run):
+        results.append((*entry(argv), out.read_text(encoding="utf-8") if out.exists() else None))
+        out.unlink(missing_ok=True)
+    assert results[0] == results[1]
+    assert results[0][0] == status
+    assert (results[0][3] is not None) == ("--out" in argv)
+
+
+def test_run_command_leaves_the_collector_alone():
+    frozen = gc.get_freeze_count()
+    assert run(["report"])[0] == 0
+    assert gc.get_freeze_count() == frozen
+
+
+def test_main_freezes_the_heap_once_before_the_command(monkeypatch, capsys):
+    # A stand-in for gc.freeze, so that the test process's heap is not frozen.
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    command = cli.run_command
+    monkeypatch.setattr(cli, "run_command", lambda argv: calls.append(argv) or command(argv))
+    monkeypatch.setattr(sys, "argv", ["retailrisk", "report"])
+    with pytest.raises(SystemExit) as exited:
+        cli.main()
+    assert exited.value.code == 0
+    assert calls == ["freeze", ["report"]]
+    assert capsys.readouterr().out.startswith("# Retail chain failure analysis")
