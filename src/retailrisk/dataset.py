@@ -360,7 +360,7 @@ class DesignMatrix:
             raise ValueError("design matrix has non-finite entries")
         if not ((self.y == 0.0) | (self.y == 1.0)).all():
             raise ValueError("response must be binary 0/1")
-        if not (self.X[:, 0] == 1.0).all():
+        if self.p == 0 or not (self.X[:, 0] == 1.0).all():
             raise ValueError("first design column must be the intercept (all ones)")
 
     @property

@@ -39,7 +39,7 @@ from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
 from .errors import RetailRiskError
-from .logistic import _coefficients, _evaluate, _information, _wald, check_fittable, newton
+from .logistic import _coefficients, _evaluate, _information, _z_tests, check_fittable, newton
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,8 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
     beta, pen_ll, w, h, trace = newton(X, dm.y, penalized=True)
 
     augmented = _information(X, w * (1.0 + h))
-    se, z, p_values = _wald(augmented, beta)
+    se = linalg.Cholesky(augmented).inverse_diag_sqrt()
+    z, p_values = _z_tests(beta, se)
     # sqrt(z*z) == |z| in floating point: p_values == chi2_sf(chisq, 1) bit for bit.
     chisq = z * z
 

@@ -3,11 +3,10 @@
 Everything here goes through one object, :class:`Cholesky`, which computes
 an unpivoted Cholesky factor in scalar Python arithmetic: for the 1x1 to 4x4
 Fisher informations of this package that is far cheaper than a numpy call per
-element. It has two entries to one factor loop. ``Cholesky(a)`` takes any
-input and validates it first (square, finite, symmetric);
-``Cholesky._of_symmetric`` takes the symmetric float matrices the package
-forms itself (X'WX and its Firth variants) and checks only that every entry
-is finite, as their shape and symmetry hold by construction.
+element. It has one entry, ``Cholesky(a)``, for the square float matrices the
+package forms itself as Gram matrices X'DX (and sums of them). Their shape
+and symmetry hold by construction, so the factor reads the lower triangle and
+checks only that every entry is finite.
 The factor then serves solves, the log-determinant, the whitening ``L^-1 B``
 that gives hat diagonals and the square roots of diag(a^-1) that give standard
 errors, so a Newton step that needs several of them factors its matrix once.
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from operator import sub
 
 import numpy as np
 
@@ -31,10 +29,6 @@ from .errors import RetailRiskError
 # of that row's mass lies in the span of the rows before it. The test is the
 # same for D a D with any positive diagonal D, so column units do not matter.
 PIVOT_RTOL = 1e-12
-
-# Allowed relative asymmetry of a matrix given to ``Cholesky(a)`` (floating-point
-# noise from X.T @ X).
-SYMMETRY_RTOL = 1e-10
 
 
 def binary_exponents(a: np.ndarray, axis: int) -> np.ndarray:
@@ -59,22 +53,6 @@ class NonFiniteMatrixError(RetailRiskError):
     """Matrix has an infinite or NaN entry (overflow in its products)."""
 
 
-def _validated_rows(a) -> list[list[float]]:
-    """The rows of a square, finite, symmetric matrix as Python floats."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] == 0:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    rows = a.tolist()
-    entries = list(chain.from_iterable(rows))
-    if not all(map(math.isfinite, entries)):
-        raise NonFiniteMatrixError("matrix has non-finite entries")
-    scale = max(1.0, max(map(abs, entries)))
-    transposed = chain.from_iterable(zip(*rows))
-    if max(map(abs, map(sub, entries, transposed))) > SYMMETRY_RTOL * scale:
-        raise ValueError("matrix is not symmetric")
-    return rows
-
-
 class Cholesky:
     """Lower-triangular L with L @ L.T == a, for symmetric positive-definite a.
 
@@ -84,11 +62,7 @@ class Cholesky:
 
     __slots__ = ("n", "_rows")
 
-    def __init__(self, a):
-        self._factor(_validated_rows(a))
-
-    @classmethod
-    def _of_symmetric(cls, a: np.ndarray) -> Cholesky:
+    def __init__(self, a: np.ndarray):
         """The factor of a square float array that this package formed as a
         Gram matrix X'DX, or a sum of them: symmetric by construction up to
         rounding, of which the factor reads the lower triangle. Every entry is
@@ -96,12 +70,6 @@ class Cholesky:
         rows = a.tolist()
         if not all(map(math.isfinite, chain.from_iterable(rows))):
             raise NonFiniteMatrixError("matrix has non-finite entries")
-        factor = cls.__new__(cls)
-        factor._factor(rows)
-        return factor
-
-    def _factor(self, rows: list[list[float]]) -> None:
-        """Factor the lower triangle of ``rows``, the one loop of both entries."""
         lower: list[list[float]] = []
         for i, a_i in enumerate(rows):
             l_i: list[float] = []
@@ -124,15 +92,8 @@ class Cholesky:
         self.n = len(rows)
         self._rows = lower
 
-    def solve(self, b) -> np.ndarray:
-        """x with a @ x == b for a vector b of length n."""
-        b = np.asarray(b, dtype=float)
-        if b.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}, got shape {b.shape}")
-        return np.array(self._solve(b.tolist()))
-
-    def _solve(self, b: list[float]) -> list[float]:
-        """:meth:`solve` on the n Python floats of b, as Python floats."""
+    def solve(self, b: list[float]) -> list[float]:
+        """x with a @ x == b, for the n Python floats of b, as Python floats."""
         lower = self._rows
         z = []
         for l_i, b_i in zip(lower, b):  # L z = b

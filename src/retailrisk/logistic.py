@@ -186,7 +186,7 @@ def _evaluate_stack(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: b
     if not penalized:
         return value, eta, None, w, (Xt @ (y - prob)[..., None])[..., 0], None, None
     info = _information(X, w)
-    factors = [linalg.Cholesky._of_symmetric(info[i]) for i in range(len(info))]
+    factors = [linalg.Cholesky(a) for a in info]
     z = np.array([factor.whiten(Xt[i]) for i, factor in enumerate(factors)])
     q = (z * z).sum(axis=1)
     score = (Xt @ (y - prob + w * q * (0.5 - prob))[..., None])[..., 0]
@@ -215,9 +215,9 @@ def _penalized_step(X, prob, w, q, z) -> linalg.Cholesky:
     """The factored step matrix of l*: the exact negative Hessian, else the
     augmented X' diag(w(1+h)) X."""
     try:
-        return linalg.Cholesky._of_symmetric(_negative_hessian(X, prob, w, q, z))
+        return linalg.Cholesky(_negative_hessian(X, prob, w, q, z))
     except FACTOR_ERRORS:
-        return linalg.Cholesky._of_symmetric(_information(X, w * (1.0 + w * q)))
+        return linalg.Cholesky(_information(X, w * (1.0 + w * q)))
 
 
 def _rows(arrays, rows):
@@ -272,13 +272,13 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
         deltas, failed = [], []
         for r in range(len(members)):
             try:
-                step = (linalg.Cholesky._of_symmetric(info[r]) if q is None else
+                step = (linalg.Cholesky(info[r]) if q is None else
                         _penalized_step(X[r], prob[r], w[r], q[r], z[r]))
             except FACTOR_ERRORS:
                 # Weights collapsed: coefficients are running off to infinity.
                 failed.append(r)
                 continue
-            deltas.append(step._solve(scores[r]))
+            deltas.append(step.solve(scores[r]))
         if failed:
             kept = stop(failed, steps, False)
             if not kept:
@@ -329,13 +329,6 @@ def _z_tests(beta: np.ndarray, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return z, 2.0 * norm_sf(np.abs(z))
 
 
-def _wald(info: np.ndarray, beta: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Wald (se, z, two-sided p) of beta under the information ``info``: se
-    are the square roots of diag(info^-1), taken from info's Cholesky factor."""
-    se = linalg.Cholesky._of_symmetric(info).inverse_diag_sqrt()
-    return se, *_z_tests(beta, se)
-
-
 def fit_logistic(dm: DesignMatrix) -> MleFit:
     """Fit ``y ~ X`` by IRLS from beta = 0 under the MLE stopping rule.
 
@@ -365,7 +358,7 @@ def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
     infos = _information(X, np.array([w for _, _, w, _, _ in runs]))
     for i, info in enumerate(infos):
         try:
-            se[i] = linalg.Cholesky._of_symmetric(info).inverse_diag_sqrt()
+            se[i] = linalg.Cholesky(info).inverse_diag_sqrt()
         except FACTOR_ERRORS:
             pass
     z, p_values = _z_tests(beta, se)

@@ -239,15 +239,20 @@ def drift_section(table: PredictionTable) -> Section:
     )
 
 
+def _markdown_row(cells) -> str:
+    """A table line; a ``|`` within a cell (a chain's name) is escaped."""
+    return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+
+
 def _render_markdown(document: ReportDocument) -> str:
     lines = ["# Retail chain failure analysis", ""]
     for section in document.sections:
         lines.append(f"## {section.title}")
         lines.append("")
-        lines.append("| " + " | ".join(section.columns) + " |")
-        lines.append("| " + " | ".join("---" for _ in section.columns) + " |")
+        lines.append(_markdown_row(section.columns))
+        lines.append(_markdown_row(["---"] * len(section.columns)))
         for row in section.rows:
-            lines.append("| " + " | ".join(row) + " |")
+            lines.append(_markdown_row(row))
         lines.append("")
         for note in section.notes:
             lines.append(note)

@@ -315,6 +315,7 @@ class TestDesignMatrix:
         (lambda y, X, labels: (y * np.nan, X, labels), "non-finite entries"),
         (lambda y, X, labels: (2.0 * y, X, labels), "response must be binary"),
         (lambda y, X, labels: (y, X[:, ::-1], labels), "first design column must be the intercept"),
+        (lambda y, X, labels: (y, X[:, :0], ()), "first design column must be the intercept"),
     ])
     def test_direct_construction_runs_every_check(self, change, message):
         dm = design_matrix(embedded_dataset(), ["acsi"])

@@ -56,7 +56,7 @@ def adjugate_inverse(a):
 
 def factor_of(a):
     """L^T = L^-1 a, read back from a factor's whitening of a itself."""
-    return linalg.Cholesky(a).whiten(np.asarray(a, dtype=float)).T
+    return linalg.Cholesky(a).whiten(a).T
 
 
 def inverse_of(factor):
@@ -69,20 +69,17 @@ class TestCholesky:
     def test_identity(self):
         factor = linalg.Cholesky(np.eye(3))
         b = np.array([3.0, -1.0, 2.0])
-        assert np.array_equal(factor.solve(b), b)
+        assert factor.solve(b.tolist()) == b.tolist()
         assert np.array_equal(factor.inverse_diag_sqrt(), np.ones(3))
         assert factor.log_det() == 0.0
 
-    def test_one_by_one_and_empty(self):
-        assert factor_of([[4.0]]).tolist() == [[2.0]]
-        with pytest.raises(ValueError, match=r"got shape \(0, 0\)"):
-            linalg.Cholesky(np.zeros((0, 0)))
+    def test_one_by_one(self):
+        assert factor_of(np.array([[4.0]])).tolist() == [[2.0]]
 
     def test_hand_checked_2x2(self):
         # L = [[2, 0], [1, sqrt(2)]]: det 8, inverse [[3, -2], [-2, 4]] / 8.
         factor = linalg.Cholesky(np.array([[4.0, 2.0], [2.0, 3.0]]))
-        np.testing.assert_allclose(factor.solve(np.array([6.0, 5.0])), [1.0, 1.0],
-                                   rtol=0, atol=1e-15)
+        np.testing.assert_allclose(factor.solve([6.0, 5.0]), [1.0, 1.0], rtol=0, atol=1e-15)
         np.testing.assert_allclose(factor.inverse_diag_sqrt(), np.sqrt([0.375, 0.5]),
                                    rtol=0, atol=1e-15)
         assert factor.log_det() == pytest.approx(math.log(8.0), abs=1e-15)
@@ -105,7 +102,7 @@ class TestCholesky:
             a = random_spd(rng, size)
             factor = linalg.Cholesky(a)
             b = rng.standard_normal(size)
-            assert np.linalg.norm(a @ factor.solve(b) - b) <= 1e-10 * np.linalg.norm(b)
+            assert np.linalg.norm(a @ factor.solve(b.tolist()) - b) <= 1e-10 * np.linalg.norm(b)
             np.testing.assert_allclose(a @ inverse_of(factor), np.eye(size), rtol=0, atol=1e-10)
 
     def test_rejects_non_positive_definite(self):
@@ -117,39 +114,30 @@ class TestCholesky:
         with pytest.raises(SingularMatrixError):
             linalg.Cholesky(ones)
 
-    def test_rejects_asymmetric_and_non_square(self):
-        with pytest.raises(ValueError):
-            linalg.Cholesky(np.array([[1.0, 0.5], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            linalg.Cholesky(np.ones((2, 3)))
-
 
 class TestSolveSpd:
     def test_identity(self):
         b = np.array([3.0, -1.0, 2.0])
-        np.testing.assert_array_equal(linalg.Cholesky(np.eye(3)).solve(b), b)
+        assert linalg.Cholesky(np.eye(3)).solve(b.tolist()) == b.tolist()
 
     def test_diagonal(self):
-        x = linalg.Cholesky(np.diag([2.0, 4.0])).solve(np.array([2.0, 4.0]))
+        x = linalg.Cholesky(np.diag([2.0, 4.0])).solve([2.0, 4.0])
         np.testing.assert_allclose(x, [1.0, 1.0], atol=1e-14)
 
     def test_matches_gaussian_elimination_oracle(self):
         rng = np.random.default_rng(11)
         a = random_spd(rng, 4)
         b = rng.standard_normal(4)
-        np.testing.assert_allclose(linalg.Cholesky(a).solve(b), gauss_solve(a, b), atol=1e-8)
+        np.testing.assert_allclose(linalg.Cholesky(a).solve(b.tolist()), gauss_solve(a, b),
+                                   atol=1e-8)
 
     def test_residual_bound(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             a = random_spd(rng, 6)
             b = rng.standard_normal(6)
-            x = linalg.Cholesky(a).solve(b)
+            x = linalg.Cholesky(a).solve(b.tolist())
             assert np.linalg.norm(a @ x - b) <= 1e-8 * np.linalg.norm(b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.Cholesky(np.eye(3)).solve(np.ones(4))
 
 
 class TestInverseSpd:
@@ -208,7 +196,7 @@ def test_solve_and_inverse_agree():
     a = random_spd(rng, 5)
     b = rng.standard_normal(5)
     factor = linalg.Cholesky(a)
-    np.testing.assert_allclose(inverse_of(factor) @ b, factor.solve(b), atol=1e-8)
+    np.testing.assert_allclose(inverse_of(factor) @ b, factor.solve(b.tolist()), atol=1e-8)
 
 
 class TestCholeskyFactor:
@@ -231,7 +219,8 @@ class TestCholeskyFactor:
             a = random_spd(rng, size)
             b = rng.standard_normal(size)
             factor = linalg.Cholesky(a)
-            np.testing.assert_allclose(factor.solve(b), gauss_solve(a, b), rtol=0, atol=1e-10)
+            np.testing.assert_allclose(factor.solve(b.tolist()), gauss_solve(a, b),
+                                       rtol=0, atol=1e-10)
 
     def test_inverse_matches_oracles(self):
         rng = np.random.default_rng(43)
@@ -280,24 +269,16 @@ class TestCholeskyFactor:
             expected = np.einsum("ji,jk,ki->i", b, np.linalg.inv(a), b)
             np.testing.assert_allclose(np.sum(z * z, axis=0), expected, rtol=1e-10, atol=0)
 
-    def test_accepts_nested_lists(self):
-        factor = linalg.Cholesky([[4.0, 2.0], [2.0, 3.0]])
-        np.testing.assert_allclose(factor.solve([6.0, 5.0]), [1.0, 1.0], rtol=0, atol=1e-15)
-        assert factor.log_det() == pytest.approx(math.log(8.0), abs=1e-15)
-        assert factor.n == 2
 
-
-#: Invalid inputs and the exact error each use of the factor raises;
-#: invalid shape, then non-finite entries, then asymmetry are checked first.
-INVALID_INPUTS = [
-    ([[1.0, 0.5], [0.0, 1.0]], ValueError, "matrix is not symmetric"),
-    ([[1e3, 2e-7], [0.0, 1e3]], ValueError, "matrix is not symmetric"),
+#: Matrices the one entry refuses, and the exact error each use of the factor
+#: raises: a non-finite entry anywhere, even in the upper triangle that the
+#: factor does not read, is checked first, then every pivot in turn.
+REFUSALS = [(np.array(a), cls, message) for a, cls, message in [
     ([[1.0, np.nan], [np.nan, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
     ([[np.inf, 0.0], [0.0, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
     ([[1.0, np.nan], [0.0, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
-    (np.ones((2, 3)), ValueError, "expected a square matrix, got shape (2, 3)"),
-    (np.ones(3), ValueError, "expected a square matrix, got shape (3,)"),
-    (np.zeros((0, 0)), ValueError, "expected a square matrix, got shape (0, 0)"),
+    ([[1.0, -np.inf], [-np.inf, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
+    ([[1.0, 0.0], [0.0, np.nan]], NonFiniteMatrixError, "matrix has non-finite entries"),
     ([[1.0, 2.0], [2.0, 1.0]], SingularMatrixError,
      "non-positive pivot at row 1 (pivot=-3.000e+00)"),
     (np.ones((3, 3)), SingularMatrixError, "non-positive pivot at row 1 (pivot=0.000e+00)"),
@@ -308,34 +289,19 @@ INVALID_INPUTS = [
     (np.zeros((2, 2)), SingularMatrixError, "non-positive pivot at row 0 (pivot=0.000e+00)"),
     ([[-1.0, 0.0], [0.0, -2.0]], SingularMatrixError,
      "non-positive pivot at row 0 (pivot=-1.000e+00)"),
-]
+]]
 
-#: Right-hand sides that solve refuses: it takes only a vector of length n.
-INVALID_RIGHT_HAND_SIDES = [
-    (np.ones((3, 1)), "expected a vector of length 3, got shape (3, 1)"),
-    (np.float64(1.0), "expected a vector of length 3, got shape ()"),
-]
-
-
-@pytest.mark.parametrize("b,message", INVALID_RIGHT_HAND_SIDES)
-def test_invalid_right_hand_side_errors(b, message):
-    with pytest.raises(ValueError) as info:
-        linalg.Cholesky(np.eye(3)).solve(b)
-    assert type(info.value) is ValueError
-    assert str(info.value) == message
-
-
-#: Every use of a factor: none may reach an invalid matrix unrefused.
+#: Every use of a factor: none may reach a refused matrix.
 ENTRY_POINTS = {
     "Cholesky": linalg.Cholesky,
-    "solve": lambda a: linalg.Cholesky(a).solve(np.ones(np.shape(a)[0])),
+    "solve": lambda a: linalg.Cholesky(a).solve([1.0] * len(a)),
     "inverse_diag_sqrt": lambda a: linalg.Cholesky(a).inverse_diag_sqrt(),
     "log_det": lambda a: linalg.Cholesky(a).log_det(),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-@pytest.mark.parametrize("a,cls,message", INVALID_INPUTS)
+@pytest.mark.parametrize("a,cls,message", REFUSALS)
 def test_invalid_input_errors(entry, a, cls, message):
     with pytest.raises(cls) as info:
         ENTRY_POINTS[entry](a)
@@ -345,48 +311,19 @@ def test_invalid_input_errors(entry, a, cls, message):
         assert f"pivot at row {info.value.row} " in message
 
 
-#: What a matrix the package forms (square and symmetric) can still be refused
-#: for: a non-finite entry, on or off the diagonal, or a failed pivot.
-SYMMETRIC_INVALID_INPUTS = [
-    case for case in INVALID_INPUTS if case[1] is not ValueError
-] + [
-    ([[1.0, -np.inf], [-np.inf, 1.0]], NonFiniteMatrixError, "matrix has non-finite entries"),
-    ([[1.0, 0.0], [0.0, np.nan]], NonFiniteMatrixError, "matrix has non-finite entries"),
-]
-
-
-@pytest.mark.parametrize("a,cls,message", SYMMETRIC_INVALID_INPUTS)
-def test_symmetric_entry_refuses_as_the_validating_entry(a, cls, message):
-    """``Cholesky._of_symmetric`` skips only the shape and symmetry scan: it
-    raises the error, message and pivot row that ``Cholesky(a)`` raises."""
-    with pytest.raises(cls) as formed:
-        linalg.Cholesky._of_symmetric(np.asarray(a, dtype=float))
-    with pytest.raises(cls) as public:
-        linalg.Cholesky(a)
-    assert type(formed.value) is cls
-    assert str(formed.value) == str(public.value) == message
-    if cls is SingularMatrixError:
-        assert formed.value.row == public.value.row
-
-
 @pytest.mark.parametrize("a", [[[1e-310]], [[1.0, 0.0], [0.0, 1e-310]]])
 def test_inverse_diagonal_roots_are_finite_where_the_inverse_is_not(a):
     """1 / 1e-310 is not a float, but its square root 1e155 is: no entry of
     the inverse is formed on the way to it."""
+    a = np.array(a)
     roots = linalg.Cholesky(a).inverse_diag_sqrt()
     assert np.all(np.isfinite(roots))
     np.testing.assert_allclose(roots, 1.0 / np.sqrt(np.diag(a)), rtol=1e-12, atol=0)
 
 
-def test_asymmetry_within_tolerance_is_accepted():
-    factor = linalg.Cholesky([[1.0, 1e-11], [0.0, 1.0]])
-    assert factor.log_det() == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(factor.solve([1.0, 2.0]), [1.0, 2.0], rtol=0, atol=1e-12)
-
-
 def test_small_diagonal_entry_is_not_a_small_pivot():
     # diag(1, 1e-13) is the identity once its diagonal is scaled to 1.
-    factor = linalg.Cholesky([[1.0, 0.0], [0.0, 1e-13]])
+    factor = linalg.Cholesky(np.diag([1.0, 1e-13]))
     np.testing.assert_allclose(factor.solve([2.0, 3e-13]), [2.0, 3.0], rtol=1e-15, atol=0)
     np.testing.assert_allclose(inverse_of(factor), np.diag([1.0, 1e13]), rtol=1e-15, atol=0)
     assert factor.log_det() == pytest.approx(math.log(1e-13), abs=1e-14)
@@ -401,8 +338,8 @@ def test_pivot_test_is_invariant_to_diagonal_scaling(k):
     collinear = np.array([[1.0, 1.0, 1.0], [1.0, 1.0 + 1e-13, 1.0], [1.0, 1.0, 2.0]])
     b = np.array([1.0, -2.0, 3.0])
     # Powers of two scale exactly: the factor of D a D is D L, bit for bit.
-    x = linalg.Cholesky(d[:, None] * well_posed * d).solve(d * b)
-    assert np.array_equal(x, linalg.Cholesky(well_posed).solve(b) / d)
+    x = linalg.Cholesky(d[:, None] * well_posed * d).solve((d * b).tolist())
+    assert np.array_equal(x, np.array(linalg.Cholesky(well_posed).solve(b.tolist())) / d)
     with pytest.raises(SingularMatrixError, match=r"^pivot at row 1 below 1e-12 x its diagonal"):
         linalg.Cholesky(d[:, None] * collinear * d)
 

@@ -1,4 +1,3 @@
-import collections
 import csv
 import dataclasses
 import gc
@@ -8,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import warnings
@@ -321,6 +321,27 @@ class TestCli:
         status, out, _ = run(["export-data", "--data", str(path)])
         assert status == 0
         assert parse_dataset(out) == ds
+
+    @pytest.mark.parametrize("argv", [["predict"], ["report"]])
+    def test_pipe_in_a_chain_name_is_escaped_in_markdown_only(self, tmp_path, argv):
+        name = "Bed Bath | Beyond"
+        path = write_variant(tmp_path / "pipe.csv",
+                             lambda row: {"chain": name} if row["chain"] == "Bed Bath & Beyond"
+                             else {})
+        status, out, err = run([*argv, "--data", str(path)])
+        assert (status, err) == (0, "") and "Bed Bath \\| Beyond" in out
+        tables = [[]]
+        for line in out.splitlines():
+            if line.startswith("|"):
+                tables[-1].append(len(re.findall(r"(?<!\\)\|", line)))
+            elif tables[-1]:
+                tables.append([])
+        assert tables[0] and all(len(set(pipes)) == 1 for pipes in tables if pipes)
+        status, out, _ = run([*argv, "--data", str(path), "--format", "csv"])
+        assert status == 0 and name in next(csv.reader(
+            line for line in out.splitlines() if "Bed Bath" in line))
+        status, out, _ = run([*argv, "--data", str(path), "--format", "json"])
+        assert status == 0 and name in json.loads(out)["meta"]["chains"] and "\\|" not in out
 
     def test_separated_screen_renders_na(self, tmp_path):
         # Every failing row's ACSI lies above every surviving row's: the ACSI
@@ -663,34 +684,23 @@ REPORT_FACTORIZATIONS = 134
 
 
 def test_default_report_factorization_count(monkeypatch):
-    """Pinned at the factor loop that both entries share, so that a change
-    that factors the same matrix twice fails; every matrix of a report is
-    one the package formed, so none goes through the validating entry."""
+    """Pinned at the one entry into the kernel, so that a change that factors
+    the same matrix twice fails."""
     from retailrisk import linalg
 
-    calls = collections.Counter()
-    factor, init = linalg.Cholesky._factor, linalg.Cholesky.__init__
-    of_symmetric = linalg.Cholesky._of_symmetric.__func__
-
-    def counting_factor(self, rows):
-        calls["factor"] += 1
-        factor(self, rows)
+    calls = 0
+    init = linalg.Cholesky.__init__
 
     def counting_init(self, a):
-        calls["Cholesky(a)"] += 1
+        nonlocal calls
+        calls += 1
         init(self, a)
 
-    def counting_of_symmetric(cls, a):
-        calls["_of_symmetric"] += 1
-        return of_symmetric(cls, a)
-
-    monkeypatch.setattr(linalg.Cholesky, "_factor", counting_factor)
     monkeypatch.setattr(linalg.Cholesky, "__init__", counting_init)
-    monkeypatch.setattr(linalg.Cholesky, "_of_symmetric", classmethod(counting_of_symmetric))
     for _ in range(2):
-        calls.clear()
+        calls = 0
         assert run(["report"])[0] == 0
-        assert calls == {"factor": REPORT_FACTORIZATIONS, "_of_symmetric": REPORT_FACTORIZATIONS}
+        assert calls == REPORT_FACTORIZATIONS
 
 
 def test_default_report_newton_runs_never_halve(monkeypatch):
