@@ -297,6 +297,7 @@ ENTRY_POINTS = {
     "solve": lambda a: linalg.Cholesky(a).solve([1.0] * len(a)),
     "inverse_diag_sqrt": lambda a: linalg.Cholesky(a).inverse_diag_sqrt(),
     "log_det": lambda a: linalg.Cholesky(a).log_det(),
+    "whiten": lambda a: linalg.Cholesky(a).whiten(np.eye(len(a))),
 }
 
 
@@ -309,6 +310,45 @@ def test_invalid_input_errors(entry, a, cls, message):
     assert str(info.value) == message
     if cls is SingularMatrixError:
         assert f"pivot at row {info.value.row} " in message
+
+
+def outcome(a):
+    """What the entry makes of a: the factor's bits, or its refusal."""
+    try:
+        factor = linalg.Cholesky(a)
+    except SingularMatrixError as exc:
+        return type(exc), str(exc), exc.row
+    # repr round-trips every float, so equal reprs are equal bits.
+    return repr(factor.whiten(np.eye(factor.n)).tolist()), repr(factor.log_det())
+
+
+#: Finite matrices whose factor or refusal the upper triangle must not change:
+#: every pivot refusal, and positive-definite matrices of 2 to 6 rows.
+LOWER_TRIANGLE_CASES = [a for a, cls, _ in REFUSALS if cls is SingularMatrixError] + [
+    random_spd(np.random.default_rng(size), size) for size in range(2, 7)
+]
+
+
+@pytest.mark.parametrize("a", LOWER_TRIANGLE_CASES)
+def test_the_factor_reads_only_the_lower_triangle(a):
+    """Any finite strict upper triangle leaves the factor's bits, or the
+    refusal's message and pivot row, as they are."""
+    n = len(a)
+    garbled = np.tril(a) + np.triu(1e3 * np.random.default_rng(n).standard_normal((n, n)), 1)
+    assert not np.array_equal(garbled, a)
+    assert outcome(garbled) == outcome(a)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4])
+def test_solve_takes_and_returns_python_floats(size):
+    """The fitters pass a list of Python floats and read one back."""
+    a = random_spd(np.random.default_rng(size), size)
+    b = np.random.default_rng(size + 100).standard_normal(size).tolist()
+    x = linalg.Cholesky(a).solve(b)
+    assert type(x) is list and len(x) == size
+    assert all(type(v) is float for v in x)
+    np.testing.assert_allclose(a @ x, b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(x, gauss_solve(a, b), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("a", [[[1e-310]], [[1.0, 0.0], [0.0, 1e-310]]])
