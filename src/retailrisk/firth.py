@@ -105,7 +105,7 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
     check_fittable(dm, "the Firth fit")
     df = dm.p - 1
     e = linalg.binary_exponents(dm.X, 0)[0]
-    X = np.ldexp(dm.X, -e)
+    X = np.ldexp(np.asarray(dm.X, dtype=float), -e)
     beta, pen_ll, w, h, trace = newton(X, dm.y, penalized=True)
 
     augmented = _information(X, w * (1.0 + h))

@@ -236,14 +236,16 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
     a stack of designs X (k, n, p) that share the response y.
 
     A step is halved up to 10 times while the objective falls by more than
-    rounding noise (HALVING_RTOL). A member has converged once a full step moves none of
-    its linear predictors by more than ETA_TOL, and stops unconverged after
-    MLE_MAX_STEPS or FIRTH_MAX_STEPS steps; a singular or overflowed step
-    matrix stops it too. Each member keeps its own beta, steps, halvings and
-    stop, and its step matrix is factored on its own, so a member laid out
-    as design_matrix lays designs out (C order) ends with the bits of its
-    run as a stack of one. A member that stops leaves the working stack; the
-    n-sized products of the others run stacked at every step.
+    rounding noise (HALVING_RTOL). A member has converged once a full step
+    moves none of its linear predictors by more than ETA_TOL, and stops
+    unconverged after MLE_MAX_STEPS or FIRTH_MAX_STEPS steps; a member whose
+    step matrix is singular or has overflowed takes a zero step and stops
+    unconverged at the end of that step, with the state of its last beta.
+    Each member keeps its own beta, steps, halvings and stop, and its step
+    matrix is factored on its own, so a member laid out as design_matrix
+    lays designs out (C order) ends with the bits of its run as a stack of
+    one. The members that stop leave the working stack at the end of the
+    step; the n-sized products of the others run stacked at every step.
     Returns one (beta, objective, w = p(1-p), hat diagonals h or None, trace)
     per member, in stack order.
     """
@@ -255,39 +257,26 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
     beta = np.zeros((k, p))
     # The objective and its derivatives always belong to the current beta.
     state = _evaluate_stack(X, y, beta, penalized)
-
-    def stop(rows, steps, converged):
-        """Record the runs of the working rows ``rows``; returns the others."""
-        value, _, _, w, score, q, _ = state
-        for r in rows:
-            h = None if q is None else w[r] * q[r]
-            trace = NewtonTrace(steps, halvings[r], float(np.abs(score[r]).max()), converged)
-            runs[members[r]] = (beta[r], value[r], w[r], h, trace)
-        return [r for r in range(len(members)) if r not in rows]
-
     for steps in range(1, max_steps + 1):
         value, eta, prob, w, score, q, z = state
         info = _information(X, w) if q is None else None
         scores = score.tolist()
-        deltas, failed = [], []
+        deltas, failed = [], set()
         for r in range(len(members)):
             try:
                 step = (linalg.Cholesky(info[r]) if q is None else
                         _penalized_step(X[r], prob[r], w[r], q[r], z[r]))
             except FACTOR_ERRORS:
-                # Weights collapsed: coefficients are running off to infinity.
-                failed.append(r)
-                continue
-            deltas.append(step.solve(scores[r]))
-        if failed:
-            kept = stop(failed, steps, False)
-            if not kept:
-                break
-            X, beta, members, halvings, *state = _rows([X, beta, members, halvings, *state], kept)
-            value, eta = state[:2]
+                # Weights collapsed: coefficients are running off to infinity;
+                # the member takes a zero step and stops after it.
+                failed.add(r)
+                deltas.append([0.0] * p)
+            else:
+                deltas.append(step.solve(scores[r]))
         delta = np.array(deltas)
         new = beta + delta
-        trial = _evaluate_stack(X, y, new, penalized)
+        # If every member failed, new is beta and its evaluation is the state's.
+        trial = state if len(failed) == len(members) else _evaluate_stack(X, y, new, penalized)
         # x_i'delta of the full step, from the linear predictor it produced.
         moved = trial[1] - eta
         moved = np.abs(moved, out=moved).max(axis=-1).tolist()
@@ -305,14 +294,19 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
                 halvings[r] += 1
             halve = [r for r in halve if trial[0][r] < floors[r]]
         beta, state = new, trial
-        done = [r for r, m in enumerate(moved) if m <= ETA_TOL]
-        if done:
-            kept = stop(done, steps, True)
-            if not kept:
-                break
+        value, _, _, w, score, q, _ = state
+        stops = [r for r, m in enumerate(moved)
+                 if m <= ETA_TOL or r in failed or steps == max_steps]
+        for r in stops:
+            h = None if q is None else w[r] * q[r]
+            converged = moved[r] <= ETA_TOL and r not in failed
+            trace = NewtonTrace(steps, halvings[r], float(np.abs(score[r]).max()), converged)
+            runs[members[r]] = (beta[r], value[r], w[r], h, trace)
+        if len(stops) == len(members):
+            break
+        if stops:
+            kept = [r for r in range(len(members)) if r not in stops]
             X, beta, members, halvings, *state = _rows([X, beta, members, halvings, *state], kept)
-    else:
-        stop(range(len(members)), max_steps, False)
     return runs
 
 
@@ -349,9 +343,9 @@ def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
     (NaN se, z and p for that member alone if it fails) and the fitted
     probabilities of a diverged or unconverged member are its own."""
     check_fittable(dms[0], "logistic MLE")
-    X = dms[0].X[None] if len(dms) == 1 else np.array([dm.X for dm in dms])
+    X = np.array([dm.X for dm in dms], dtype=float)  # a caller's X is never scaled
     e = linalg.binary_exponents(X, 1)
-    X = np.ldexp(X, -e, out=None if len(dms) == 1 else X)  # a caller's X is never scaled
+    np.ldexp(X, -e, out=X)
     runs = _newton_stack(X, dms[0].y)
     beta = np.array([b for b, _, _, _, _ in runs])
     se = np.full(beta.shape, np.nan)
@@ -362,7 +356,7 @@ def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
         except FACTOR_ERRORS:
             pass
     z, p_values = _z_tests(beta, se)
-    sds = _sample_sd(X[:, :, 1:])
+    sds = X[:, :, 1:].std(axis=1, ddof=1)
     with np.errstate(over="ignore"):  # a slope beyond the range of its unit is inf
         raw_beta, raw_se = np.ldexp(beta, -e[:, 0]), np.ldexp(se, -e[:, 0])
     return [MleFit(
@@ -379,17 +373,6 @@ def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
     ) for i, (dm, (_, ll, _, _, trace)) in enumerate(zip(dms, runs))]
 
 
-def _sample_sd(columns: np.ndarray) -> np.ndarray:
-    """np.std(columns, axis=-2, ddof=1) by the same operations, so bit for
-    bit the same, without its argument handling: for n >= 2 rows. Of a stack
-    (k, n, m) whose members are not interleaved (as in a C-ordered stack of
-    designs), each member's SDs have the bits of its (n, m) alone."""
-    n = columns.shape[-2]
-    dev = columns - columns.sum(axis=-2, keepdims=True) / n
-    dev *= dev
-    return np.sqrt(dev.sum(axis=-2) / (n - 1))
-
-
 # A diverged beta can be inf (see _newton_stack); the comparisons still diagnose it.
 @np.errstate(over="ignore", invalid="ignore")
 def _separation(X: np.ndarray, y: np.ndarray, beta: np.ndarray, converged: bool,
@@ -397,8 +380,8 @@ def _separation(X: np.ndarray, y: np.ndarray, beta: np.ndarray, converged: bool,
     """Diagnose complete/quasi separation from beta fitted (or stalled) on unit-scaled X.
 
     Divergence is flagged when any slope exceeds the bound on the column's
-    standard-deviation scale (``sd``, the :func:`_sample_sd` of the slope
-    columns), or when an unconverged fit has pushed fitted probabilities
+    standard-deviation scale (``sd``, the ``numpy.std(ddof=1)`` of the
+    slope columns), or when an unconverged fit has pushed fitted probabilities
     onto the 0/1 boundary. Diverged fits are ``complete`` when every
     observation is classified to within 1e-4, otherwise ``quasi``.
     """

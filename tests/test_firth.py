@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 from scipy.special import expit
 
+from retailrisk import logistic
 from retailrisk.dataset import (
     EMBEDDED_CSV,
     DesignMatrix,
@@ -251,6 +252,22 @@ class TestExactHessian:
         fit = fit_logistic(separated_panel(seed))
         assert (fit.converged, fit.separation) == (False, "complete")
 
+    @pytest.mark.parametrize("seed", [161, 194])
+    def test_mle_stops_at_the_step_cap(self, seed):
+        # On these panels no step matrix of the diverging MLE fails to
+        # factor, so it runs to MLE_MAX_STEPS (50) and stops there.
+        fit = fit_logistic(separated_panel(seed))
+        assert (fit.iterations, fit.converged, fit.separation) == (50, False, "complete")
+
+    @pytest.mark.parametrize("cap, converged", [(7, True), (6, False)])
+    def test_final_fit_under_a_step_cap(self, monkeypatch, cap, converged):
+        # The final model converges at step 7: a cap of 7 steps lets it, a
+        # cap of 6 stops it unconverged at 6. No known Firth fit takes more
+        # than 54 steps, so the cap of 100 itself is not reached.
+        monkeypatch.setattr(logistic, "FIRTH_MAX_STEPS", cap)
+        fit = fit_firth(final_design())
+        assert (fit.iterations, fit.converged) == (cap, converged)
+
     def test_trace_of_the_final_fit(self):
         dm = final_design()
         fit = fit_firth(dm)
@@ -266,6 +283,27 @@ class TestExactHessian:
         assert (trace.steps, trace.converged) == (fit.iterations, True)
         assert trace.steps <= 8 and trace.halvings == 0
         assert trace.max_score == np.abs(firth_score(beta, dm)).max() <= 1e-7
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
+def test_design_dtype_leaves_the_fits_unchanged(dtype):
+    # Integer values, exact in every dtype: each fit runs on a float64 copy,
+    # so it has the bits of the float64 design's fit, and the caller's X is
+    # left as it was.
+    rng = np.random.default_rng(5)
+    y = np.zeros(24)
+    y[rng.choice(24, size=9, replace=False)] = 1.0
+    values = np.column_stack(
+        [np.ones(24), rng.integers(-40, 40, 24), 3 * y + rng.integers(0, 6, 24)])
+    reference = DesignMatrix(y=y, X=values.astype(np.float64), labels=("intercept", "a", "b"))
+    dm = DesignMatrix(y=y, X=values.astype(dtype), labels=reference.labels)
+    X = dm.X.copy()
+    for fitter in (fit_logistic, fit_firth):
+        fit, ref = fitter(dm), fitter(reference)
+        for field in ("beta", "se", "p_values"):
+            assert getattr(fit, field).tobytes() == getattr(ref, field).tobytes(), field
+        assert fit.iterations == ref.iterations and fit.converged
+    assert dm.X.dtype == dtype and dm.X.tobytes() == X.tobytes()
 
 
 class TestFitFirth:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from retailrisk.dataset import (
-    PREDICTOR_COLUMNS,
-    RATIO_PRECISIONS,
     DesignMatrix,
     design_matrix,
     embedded_dataset,
@@ -23,7 +21,6 @@ from retailrisk.logistic import (
     _fit_stack,
     _information,
     _newton_stack,
-    _sample_sd,
     _separation,
     fit_logistic,
     log_likelihood,
@@ -270,6 +267,28 @@ class TestNewtonStack:
         traces = assert_members_run_alone(columns, y)
         assert [trace.halvings for trace in traces] == [6, 0, 1]
 
+    def test_trace_under_the_cap_of_ten_halvings(self):
+        # With 9 halvings a step, this fit would take 22 steps and 26 halvings.
+        dm = toy_design([-4.4, -0.9, 0.0, 1e4, 0.3, -7.6, 7.1, -6.2, 1.2, 3.8],
+                        [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+        trace = newton(dm.X, dm.y)[-1]
+        assert (trace.steps, trace.halvings, trace.converged) == (18, 10, True)
+
+    @pytest.mark.parametrize("cap, stops", [
+        (8, [(7, True), (7, True), (8, False), (8, True)]),
+        (9, [(7, True), (7, True), (9, True), (8, True)]),
+    ])
+    def test_step_cap_beside_members_that_converge(self, monkeypatch, cap, stops):
+        # The ratio screens of the embedded data converge at steps 7, 7, 9
+        # and 8. Under a cap of 8 steps, ebitda_over_rev stops unconverged in
+        # the step in which ltd_over_rev converges; each fit keeps the bits
+        # of its own fit_logistic under the same cap.
+        monkeypatch.setattr(logistic, "MLE_MAX_STEPS", cap)
+        ds = embedded_dataset("full")
+        fits = assert_fits_run_alone(
+            [design_matrix(ds, [name]) for name in SCREEN_GROUPS["ratios"]])
+        assert [(fit.iterations, fit.converged) for fit in fits] == stops
+
     @pytest.mark.parametrize("column", [
         [2.0] * 8,                               # collinear with the intercept
         list((100.0 + np.arange(8.0)) * 1e152),  # separated, in a unit near 1e154
@@ -329,7 +348,7 @@ class TestSeparation:
         # A screen stalled on a column near 1e111 can leave a slope near
         # -4e290, as a 23-row panel did: X @ beta overflows, without a warning.
         dm = toy_design([1e111, 2e111, 3e111, 4e-89], [0.0, 0.0, 0.0, 1.0])
-        sd = _sample_sd(dm.X[:, 1:])
+        sd = np.std(dm.X[:, 1:], axis=0, ddof=1)
         assert _separation(dm.X, dm.y, np.array([1e202, -1e290]), False,
                            sd) == SEPARATION_COMPLETE
 
@@ -357,7 +376,7 @@ class TestSeparation:
         # A slope past the divergence bound; the rows at x = -1 and 1 are
         # the worst classified, each ``residual`` from its outcome.
         dm = toy_design([-3.0, -1.0, 1.0, 3.0], [0.0, 0.0, 1.0, 1.0])
-        sd = _sample_sd(dm.X[:, 1:])
+        sd = np.std(dm.X[:, 1:], axis=0, ddof=1)
         slope = math.log((1.0 - residual) / residual)
         assert slope * sd[0] > DIVERGENCE_BOUND
         assert _separation(dm.X, dm.y, np.array([0.0, slope]), True, sd) == separation
@@ -368,7 +387,7 @@ class TestSeparation:
         # A slope within the divergence bound: only the unconverged fit's
         # most extreme probability, ``tail`` from 0 (or from 1), can flag it.
         dm = toy_design([-1.0, 1.0, -1.0, 1.0], [0.0, 0.0, 1.0, 1.0])
-        sd = _sample_sd(dm.X[:, 1:])
+        sd = np.std(dm.X[:, 1:], axis=0, ddof=1)
         assert sd[0] < DIVERGENCE_BOUND  # the slope is 1 or -1
         intercept = 1.0 + math.log(tail / (1.0 - tail))  # the row at x = -1
         beta = np.array([-intercept, -1.0] if high else [intercept, 1.0])
@@ -491,41 +510,6 @@ class TestLongDesigns:
                 assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field
             assert a.iterations == b.iterations and a.separation == b.separation
             assert abs(a.log_lik - b.log_lik) <= 2.0 * ds.n * np.spacing(abs(b.log_lik))
-
-
-class TestSampleSd:
-    """``_sample_sd`` repeats np.std(ddof=1)'s arithmetic, so the separation
-    check sees the same scales bit for bit, inf included."""
-
-    @staticmethod
-    def assert_same_bits(columns):
-        with np.errstate(over="ignore", invalid="ignore"):
-            sds = _sample_sd(columns)
-            assert sds.tobytes() == np.std(columns, axis=0, ddof=1).tobytes()
-        return sds
-
-    @pytest.mark.parametrize("precision", RATIO_PRECISIONS)
-    def test_embedded_design(self, precision):
-        self.assert_same_bits(design_matrix(embedded_dataset(precision), PREDICTOR_COLUMNS).X[:, 1:])
-
-    def test_large_panel_columns(self):
-        self.assert_same_bits(_large_panel_columns())
-
-    def test_stack_of_columns(self):
-        # The slope columns (k, n, 1) of a screen stack, which holds the
-        # univariate designs in C order: each member's SD has the bits of
-        # np.std of its own design's slope column.
-        designs = [toy_design(x, np.zeros(len(x))).X for x in _large_panel_columns().T]
-        sds = _sample_sd(np.array(designs)[:, :, 1:])
-        assert sds.shape == (len(designs), 1)
-        for X, sd in zip(designs, sds):
-            assert sd.tobytes() == np.std(X[:, 1:], axis=0, ddof=1).tobytes()
-
-    @pytest.mark.parametrize("scale", [1e-160, 1e150, 1e154, 1e158, 1e300])
-    def test_overflowing_columns(self, scale):
-        columns = _large_panel_columns(rows=32) * scale
-        columns[:, -1] = np.where(np.arange(32) % 2, 1.7e308, -1.7e308)
-        assert np.isinf(self.assert_same_bits(columns)[-1])
 
 
 class TestSignificanceCode:
