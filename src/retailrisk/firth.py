@@ -39,7 +39,8 @@ from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
 from .errors import RetailRiskError
-from .logistic import _coefficients, _evaluate, _information, _z_tests, check_fittable, newton
+from .logistic import (_coefficients, _evaluate, _information, _newton_stack, _z_tests,
+                       check_fittable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +75,7 @@ def firth_score(beta, dm: DesignMatrix) -> np.ndarray:
 
 def fit_firth(dm: DesignMatrix) -> FirthFit:
     """Fit the penalized-likelihood logistic model on a design matrix, under
-    the Firth stopping rule of :func:`logistic.newton`.
+    the Firth stopping rule of :func:`logistic._newton_stack`.
     Errors start with ``failure model:``; every matrix factored here spans the
     whole design, so a failed pivot's row names its design column (its figures,
     in scaled units, are left out)."""
@@ -102,11 +103,11 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
     (n + dm.p). There the intercept's modified score sum(y) - n p +
     sum(h) (1/2 - p) is zero, as the hat diagonals h sum to dm.p.
     """
-    check_fittable(dm, "the Firth fit")
+    check_fittable(dm.X, dm.y, "the Firth fit")
     df = dm.p - 1
     e = linalg.binary_exponents(dm.X, 0)[0]
-    X = np.ldexp(np.asarray(dm.X, dtype=float), -e)
-    beta, pen_ll, w, h, trace = newton(X, dm.y, penalized=True)
+    X = np.ldexp(np.asarray(dm.X, dtype=float, order="C"), -e)  # layout sets the bits
+    beta, pen_ll, w, h, trace = _newton_stack(X[None], dm.y, penalized=True)[0]
 
     augmented = _information(X, w * (1.0 + h))
     se = linalg.Cholesky(augmented).inverse_diag_sqrt()

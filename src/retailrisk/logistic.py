@@ -18,7 +18,7 @@ numpy calls that make the same BLAS call per member as on the member's
 design alone; each member's step matrix is factored on its own; every member
 keeps its own coefficients, step count, halvings and stop, and leaves the
 stack when it stops. So each member ends with the bits of its run as a stack
-of one, which is what :func:`newton` and :func:`fit_logistic` are. The Wald
+of one, which is what :func:`fit_logistic` and the Firth fit are. The Wald
 tests and the separation check's column SDs after the loop are taken once
 per stack, elementwise or within each member, with the same bits.
 
@@ -61,7 +61,7 @@ SEPARATION_COMPLETE = "complete"
 # |slope| * sd(column) beyond this is treated as divergence of the MLE.
 DIVERGENCE_BOUND = 15.0
 
-# The stopping rule of :func:`newton`, for both objectives. A fit has
+# The stopping rule of :func:`_newton_stack`, for both objectives. A fit has
 # converged when the full Newton step, before any halving, moves no fitted
 # linear predictor x_i'beta by more than ETA_TOL. Fitted values do not change
 # when X becomes XA for an invertible A, so neither units, shifts nor the
@@ -117,13 +117,14 @@ def log_likelihood(beta, dm: DesignMatrix) -> float:
     return _evaluate(dm.X, dm.y, _coefficients(beta, dm), False)[0]
 
 
-def check_fittable(dm: DesignMatrix, model: str) -> None:
-    """Refuse a design with fewer rows than coefficients or a single-class
-    response, on which ``model`` is undefined."""
-    if dm.n < dm.p:
-        raise DegenerateDataError(f"need n >= p to fit, got n={dm.n}, p={dm.p}")
-    ones = int(np.sum(dm.y))
-    if ones == 0 or ones == dm.n:
+def check_fittable(X: np.ndarray, y: np.ndarray, model: str) -> None:
+    """Refuse a design X (n, p) or stack X (k, n, p) with fewer rows than
+    coefficients, or a single-class response y, on which ``model`` is undefined."""
+    n, p = X.shape[-2:]
+    if n < p:
+        raise DegenerateDataError(f"need n >= p to fit, got n={n}, p={p}")
+    ones = int(np.sum(y))
+    if ones == 0 or ones == n:
         raise DegenerateResponseError(f"response contains a single class; {model} is undefined")
 
 
@@ -310,12 +311,6 @@ def _newton_stack(X: np.ndarray, y: np.ndarray, penalized: bool = False):
     return runs
 
 
-def newton(X: np.ndarray, y: np.ndarray, penalized: bool = False):
-    """The run of :func:`_newton_stack` on one design X (n, p), a stack of
-    one. Returns (beta, objective, w = p(1-p), hat diagonals h or None, trace)."""
-    return _newton_stack(X[None], y, penalized)[0]
-
-
 def _z_tests(beta: np.ndarray, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Wald z = beta / se and its two-sided p-value, elementwise, so a stack
     of coefficient vectors gets each member's bits in one pass."""
@@ -324,29 +319,27 @@ def _z_tests(beta: np.ndarray, se: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def fit_logistic(dm: DesignMatrix) -> MleFit:
-    """Fit ``y ~ X`` by IRLS from beta = 0 under the MLE stopping rule.
-
-    Non-convergence (or a singular information matrix) is
-    reported through ``converged=False`` plus the ``separation`` diagnosis,
-    never silently. The fit of a stack of one.
-    """
-    return _fit_stack([dm])[0]
+    """Fit ``y ~ X`` by IRLS from beta = 0 under the MLE stopping rule, as a
+    stack of one. Non-convergence (or a singular information matrix) is
+    reported through ``converged=False`` plus the ``separation`` diagnosis."""
+    X = np.array(dm.X[None], dtype=float, order="C")  # a caller's X is never scaled
+    return _fit_stack(X, dm.y, [dm.labels])[0]
 
 
-def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
-    """:func:`fit_logistic` of every design, in one Newton loop over their
-    stack; the designs share y and their shape, so the first is refused
-    for all. Each fit has the bits of its own :func:`fit_logistic`.
+def _fit_stack(X: np.ndarray, y: np.ndarray, labels: Sequence[tuple[str, ...]]) -> list[MleFit]:
+    """:func:`fit_logistic` of every design of the stack X (k, n, p), with
+    the shared response y and one label tuple each, in one Newton loop; the
+    fits refuse all designs or none. X is a C-ordered float64 stack (layout
+    sets the bits) that is scaled in place, so a caller hands over its own copy.
 
     After the loop, z, the p-values and the separation check's column SDs
     are taken for the whole stack at once. Only each member's Wald factor
     (NaN se, z and p for that member alone if it fails) and the fitted
     probabilities of a diverged or unconverged member are its own."""
-    check_fittable(dms[0], "logistic MLE")
-    X = np.array([dm.X for dm in dms], dtype=float)  # a caller's X is never scaled
+    check_fittable(X, y, "logistic MLE")
     e = linalg.binary_exponents(X, 1)
     np.ldexp(X, -e, out=X)
-    runs = _newton_stack(X, dms[0].y)
+    runs = _newton_stack(X, y)
     beta = np.array([b for b, _, _, _, _ in runs])
     se = np.full(beta.shape, np.nan)
     infos = _information(X, np.array([w for _, _, w, _, _ in runs]))
@@ -360,17 +353,17 @@ def _fit_stack(dms: Sequence[DesignMatrix]) -> list[MleFit]:
     with np.errstate(over="ignore"):  # a slope beyond the range of its unit is inf
         raw_beta, raw_se = np.ldexp(beta, -e[:, 0]), np.ldexp(se, -e[:, 0])
     return [MleFit(
-        labels=dm.labels,
+        labels=labels[i],
         beta=raw_beta[i],
         se=raw_se[i],
         z=z[i],
         p_values=p_values[i],
         log_lik=ll,
-        aic=2.0 * dm.p - 2.0 * ll,
+        aic=2.0 * X.shape[-1] - 2.0 * ll,
         iterations=trace.steps,
         converged=trace.converged,
-        separation=_separation(X[i], dm.y, beta[i], trace.converged, sds[i]),
-    ) for i, (dm, (_, ll, _, _, trace)) in enumerate(zip(dms, runs))]
+        separation=_separation(X[i], y, beta[i], trace.converged, sds[i]),
+    ) for i, (_, ll, _, _, trace) in enumerate(runs)]
 
 
 # A diverged beta can be inf (see _newton_stack); the comparisons still diagnose it.

@@ -101,15 +101,18 @@ def _run_screens(dataset: Dataset, groups: Sequence[str]) -> list[ScreenReport]:
     """:func:`run_screen` of every group, in order, from one Newton stack of
     all their designs; each fit has the bits of its own ``fit_logistic``.
 
-    Every design shares the response and has two columns, so the fits refuse
-    all of them or none, and the error names the first group, as running
-    the groups one after another would."""
+    The stack is built from the dataset's columns without ``DesignMatrix``,
+    whose checks a ``Dataset`` has already proved. The designs share the
+    response and have two columns, so the fits refuse all of them or none,
+    and the error names the first group, as running the groups in turn would."""
     for group in groups:
         if group not in SCREEN_GROUPS:
             raise KeyError(f"unknown group {group!r}; valid: {', '.join(SCREEN_GROUPS)}")
     names = [name for group in groups for name in SCREEN_GROUPS[group]]
+    X = np.ones((len(names), dataset.n, 2))
+    X[:, :, 1] = [dataset.column(name) for name in names]
     try:
-        fits = iter(_fit_stack([design_matrix(dataset, [name]) for name in names]))
+        fits = iter(_fit_stack(X, dataset.column("fail"), [("intercept", name) for name in names]))
     except RetailRiskError as exc:
         raise type(exc)(f"{groups[0]} screen: {exc}") from None
     return [ScreenReport(group, tuple((name, next(fits)) for name in SCREEN_GROUPS[group]))

@@ -22,6 +22,8 @@ import csv
 import io
 import json
 import math
+import runpy
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -46,7 +48,7 @@ from retailrisk.dataset import (
 )
 from retailrisk.errors import RetailRiskError
 from retailrisk.firth import fit_firth
-from retailrisk.logistic import _evaluate, fit_logistic, newton
+from retailrisk.logistic import MLE_MAX_STEPS, _evaluate, _newton_stack, fit_logistic
 from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, SCREEN_GROUPS, _run_screens, run_screen
 from retailrisk.report import COLUMN_LABELS, FORMATS
 
@@ -321,8 +323,8 @@ def _assert_fits_alone(dataset, screen, names):
         single = fit_logistic(design_matrix(dataset, [name]))
         for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
             assert _bits(getattr(fit, field)) == _bits(getattr(single, field)), (name, field)
-        assert (fit.iterations, fit.converged, fit.separation) == (
-            single.iterations, single.converged, single.separation)
+        assert (fit.labels, fit.iterations, fit.converged, fit.separation) == (
+            single.labels, single.iterations, single.converged, single.separation)
 
 
 def _drawn_dataset(panel, ratios):
@@ -374,6 +376,30 @@ def test_one_stack_of_every_screen_fits_each_predictor_as_its_own_fit(panel, rat
         _assert_fits_alone(dataset, screen, names)
 
 
+@pytest.fixture(scope="module")
+def separated_panel():
+    """The benchmark's generator of separated 32-row panels, read from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    return runpy.run_path(str(path))["separated_panel"]
+
+
+@pytest.mark.parametrize("seed", [1, 501])
+def test_every_screen_of_the_separated_panels_has_the_bits_of_its_own_fit(separated_panel, seed):
+    """On the benchmark's separated panels, 140 per seed, every fit of a
+    report's one screen stack has the bits of its own ``fit_logistic``:
+    members diverge, halve, reach the step cap or stop on a step matrix that
+    fails to factor beside members that converge."""
+    failed_stops = 0
+    for index in range(140):
+        dataset = parse_dataset(separated_panel(seed, index)[0])
+        for screen in _run_screens(dataset, tuple(SCREEN_GROUPS)):
+            _assert_fits_alone(dataset, screen, SCREEN_GROUPS[screen.group])
+            # Below the step cap, only a failed step matrix stops a fit unconverged.
+            failed_stops += sum(not fit.converged and fit.iterations < MLE_MAX_STEPS
+                                for _, fit in screen.fits)
+    assert failed_stops > 0  # 266 for seed 1 and 256 for seed 501
+
+
 @given(panel=panels(), ratios=st.sampled_from(RATIO_PRECISIONS))
 def test_whole_table_summaries_keep_each_series_bits(panel, ratios):
     """describe() and correlation_matrix() equal mean_std, shapiro_wilk and
@@ -418,6 +444,6 @@ def test_closed_form_null_maximizes_the_penalized_likelihood(panel):
                                 method="bounded", options={"xatol": 1e-10})
         assert null_ll >= -found.fun - 1e-9 * abs(found.fun), (ratios, null_ll, found)
         assert abs(score[0]) <= 1e-9 * n, ratios
-        fit_ll = newton(X, dm.y, penalized=True)[1]
+        fit_ll = _newton_stack(X[None], dm.y, penalized=True)[0][1]
         assert fit.pen_log_lik == fit_ll + math.log(2.0) * int(e.sum()), ratios
         assert fit.lr_stat == max(0.0, 2.0 * (fit_ll - null_ll)), ratios

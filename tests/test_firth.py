@@ -26,9 +26,9 @@ from retailrisk.logistic import (
     DegenerateResponseError,
     _evaluate,
     _negative_hessian,
+    _newton_stack,
     fit_logistic,
     log_likelihood,
-    newton,
 )
 
 from _reference import (
@@ -273,11 +273,12 @@ class TestExactHessian:
         fit = fit_firth(dm)
         # The fit runs on the unit-scaled design; l* is then in its units.
         e = binary_exponents(dm.X, 0)[0]
-        scaled, scaled_ll, _, _, _ = newton(np.ldexp(dm.X, -e), dm.y, penalized=True)
+        scaled, scaled_ll, _, _, _ = _newton_stack(np.ldexp(dm.X, -e)[None], dm.y,
+                                                   penalized=True)[0]
         np.testing.assert_array_equal(np.ldexp(scaled, -e), fit.beta)
         assert scaled_ll + math.log(2.0) * int(e.sum()) == fit.pen_log_lik
         # In raw units log det X'WX is rounded from other products: one ulp apart.
-        beta, pen_ll, _, _, trace = newton(dm.X, dm.y, penalized=True)
+        beta, pen_ll, _, _, trace = _newton_stack(dm.X[None], dm.y, penalized=True)[0]
         np.testing.assert_array_equal(beta, fit.beta)
         assert abs(pen_ll - fit.pen_log_lik) <= math.ulp(pen_ll)
         assert (trace.steps, trace.converged) == (fit.iterations, True)
@@ -285,18 +286,23 @@ class TestExactHessian:
         assert trace.max_score == np.abs(firth_score(beta, dm)).max() <= 1e-7
 
 
-@pytest.mark.parametrize("dtype", [np.int64, np.float32, np.float64])
-def test_design_dtype_leaves_the_fits_unchanged(dtype):
-    # Integer values, exact in every dtype: each fit runs on a float64 copy,
-    # so it has the bits of the float64 design's fit, and the caller's X is
-    # left as it was.
+@pytest.mark.parametrize("dtype, order", [
+    pytest.param(np.int64, "C", id="int64"),
+    pytest.param(np.float32, "C", id="float32"),
+    pytest.param(np.float64, "C", id="float64"),
+    pytest.param(np.float64, "F", id="float64-fortran"),  # as pandas' .values often is
+])
+def test_design_dtype_leaves_the_fits_unchanged(dtype, order):
+    # Integer values, exact in every dtype: each fit runs on a C-ordered
+    # float64 copy, so it has the bits of the float64 design's fit (the
+    # layout sets the BLAS calls), and the caller's X is left as it was.
     rng = np.random.default_rng(5)
     y = np.zeros(24)
     y[rng.choice(24, size=9, replace=False)] = 1.0
     values = np.column_stack(
         [np.ones(24), rng.integers(-40, 40, 24), 3 * y + rng.integers(0, 6, 24)])
     reference = DesignMatrix(y=y, X=values.astype(np.float64), labels=("intercept", "a", "b"))
-    dm = DesignMatrix(y=y, X=values.astype(dtype), labels=reference.labels)
+    dm = DesignMatrix(y=y, X=values.astype(dtype, order=order), labels=reference.labels)
     X = dm.X.copy()
     for fitter in (fit_logistic, fit_firth):
         fit, ref = fitter(dm), fitter(reference)

@@ -24,7 +24,6 @@ from retailrisk.logistic import (
     _separation,
     fit_logistic,
     log_likelihood,
-    newton,
     significance_code,
 )
 from retailrisk.pipeline import SCREEN_GROUPS
@@ -193,7 +192,7 @@ class TestStepHalving:
         ds = parse_dataset(panel_csv(7), precision)
         for name in (name for group in SCREEN_GROUPS.values() for name in group):
             dm = design_matrix(ds, [name])
-            beta, _, _, _, trace = newton(dm.X, dm.y)
+            beta, _, _, _, trace = _newton_stack(dm.X[None], dm.y)[0]
             assert trace.converged and trace.steps <= 8 and trace.halvings == 0, (name, trace)
             assert np.abs(dm.X.T @ (dm.y - expit(dm.X @ beta))).max() <= 1e-9, name
 
@@ -214,14 +213,20 @@ def assert_members_run_alone(columns, y, penalized=False):
     designs = [toy_design(x, y).X for x in columns]
     runs = _newton_stack(np.stack(designs), np.asarray(y, dtype=float), penalized)
     for X, run in zip(designs, runs):
-        assert_same_run(run, newton(X, np.asarray(y, dtype=float), penalized))
+        assert_same_run(run, _newton_stack(X[None], np.asarray(y, dtype=float), penalized)[0])
     return [run[-1] for run in runs]
+
+
+def fit_stack(designs):
+    """The fits of one fit stack of designs that share y."""
+    return _fit_stack(np.stack([dm.X for dm in designs]), designs[0].y,
+                      [dm.labels for dm in designs])
 
 
 def assert_fits_run_alone(designs):
     """Each fit of one fit stack has the bits of its own fit_logistic;
     returns the fits."""
-    fits = _fit_stack(designs)
+    fits = fit_stack(designs)
     for dm, fit in zip(designs, fits):
         alone = fit_logistic(dm)
         for field in ("beta", "se", "z", "p_values", "log_lik", "aic"):
@@ -271,7 +276,7 @@ class TestNewtonStack:
         # With 9 halvings a step, this fit would take 22 steps and 26 halvings.
         dm = toy_design([-4.4, -0.9, 0.0, 1e4, 0.3, -7.6, 7.1, -6.2, 1.2, 3.8],
                         [0.0, 0.0, 1.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0, 1.0])
-        trace = newton(dm.X, dm.y)[-1]
+        trace = _newton_stack(dm.X[None], dm.y)[0][-1]
         assert (trace.steps, trace.halvings, trace.converged) == (18, 10, True)
 
     @pytest.mark.parametrize("cap, stops", [
@@ -502,9 +507,9 @@ class TestLongDesigns:
         ds = parse_dataset(panel_csv(seed=3, chains=275))
         designs = [design_matrix(ds, [name]) for group in SCREEN_GROUPS.values()
                    for name in group]
-        long = _fit_stack(designs)
+        long = fit_stack(designs)
         monkeypatch.setattr(logistic, "LONG_ROWS", ds.n + 1)
-        short = _fit_stack(designs)
+        short = fit_stack(designs)
         for a, b in zip(long, short):
             for field in ("beta", "se", "z", "p_values"):
                 assert _bits(getattr(a, field)) == _bits(getattr(b, field)), field

@@ -703,12 +703,34 @@ def test_default_report_factorization_count(monkeypatch):
         assert calls == REPORT_FACTORIZATIONS
 
 
+@pytest.mark.parametrize("argv, designs", [
+    pytest.param(["report"], 1, id="report"),
+    *(pytest.param(["fit", "--group", group], 0, id=f"fit-{group}") for group in SCREEN_GROUPS),
+])
+def test_screens_build_no_design_matrix(monkeypatch, argv, designs):
+    """The screens stack the dataset's columns, whose checks the ``Dataset``
+    has proved; only the Firth fit's design is a ``DesignMatrix``."""
+    from retailrisk.dataset import DesignMatrix
+
+    calls = 0
+    post_init = DesignMatrix.__post_init__
+
+    def counting_post_init(self):
+        nonlocal calls
+        calls += 1
+        post_init(self)
+
+    monkeypatch.setattr(DesignMatrix, "__post_init__", counting_post_init)
+    assert run(argv)[0] == 0
+    assert calls == designs
+
+
 def test_default_report_newton_runs_never_halve(monkeypatch):
     """The 14 screens and the Firth fit each take full Newton steps on the
     embedded data: no step there lowers the objective by more than rounding
     noise. Each is a member of a run of the one Newton loop: the stack of
     all 14 screens, or the Firth fit as a stack of one."""
-    from retailrisk import logistic
+    from retailrisk import firth, logistic
 
     traces, members = [], []
     newton_stack = logistic._newton_stack
@@ -720,6 +742,7 @@ def test_default_report_newton_runs_never_halve(monkeypatch):
         return runs
 
     monkeypatch.setattr(logistic, "_newton_stack", recording_newton_stack)
+    monkeypatch.setattr(firth, "_newton_stack", recording_newton_stack)
     assert run(["report"])[0] == 0
     assert members == [14, 1]
     assert len(traces) == 15
