@@ -35,7 +35,6 @@ from .pipeline import (
     PredictionTable,
     ScreenReport,
     fit_final_model,
-    odds_ratio,
     run_screen,
     table_from_coefficients,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "fit_logistic",
     "log_likelihood",
     "mean_std",
-    "odds_ratio",
     "parse_dataset",
     "pearson_corr",
     "penalized_loglik",

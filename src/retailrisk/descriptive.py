@@ -79,6 +79,7 @@ class CorrelationMatrix:
 
 _SHORT_SERIES = "need a 1-d series of length >= 2"
 _CONSTANT_SERIES = "Shapiro-Wilk is undefined for a constant series"
+_SHORT_PAIR = "need two 1-d series of equal length >= 2"
 _ZERO_VARIANCE = "correlation is undefined for a zero-variance series"
 
 
@@ -207,52 +208,51 @@ def _shapiro_wilk_p(w: float, n: int) -> float:
 
 
 def pearson_corr(x, y) -> float:
-    """Pearson product-moment correlation of two equal-length series."""
+    """Pearson product-moment correlation of two equal-length series: the
+    two-row case of :func:`correlation_matrix`'s table."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
-        raise DegenerateDataError("need two 1-d series of equal length >= 2")
-    # A non-finite input leaves a NaN correlation, printed NA.
-    with np.errstate(invalid="ignore"):
-        dx, dy = _centred(np.array([x, y]))
-    if not (dx.any() and dy.any()):
+        raise DegenerateDataError(_SHORT_PAIR)
+    r, flat = _correlations(np.array([x, y]))
+    if flat.any():
         raise DegenerateDataError(_ZERO_VARIANCE)
-    return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
+    return float(r[0, 1])
 
 
-def _centred(table: np.ndarray) -> np.ndarray:
-    """A fresh (k, n) table, each row scaled to peak in [0.5, 1) and centred,
-    in place: a row's sum of squares is then 0 or in [2^-112, n]."""
+# A non-finite input leaves a NaN correlation, printed NA, and a zero-variance
+# row 0/0, which the callers refuse.
+@np.errstate(invalid="ignore")
+def _correlations(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson correlations of the rows of a fresh (k, n) table, n >= 2, as a
+    (k, k) matrix, exactly symmetric with unit diagonal, and the mask of the
+    rows of zero variance; the table is overwritten.
+
+    Each row is scaled to peak in [0.5, 1) and centred, so its sum of
+    squares is 0 or in [2^-112, n]. Each sum of squares and each pair's
+    dx @ dy is its own BLAS dot call, as for the pair alone: row m meets
+    rows m+1.. in one stacked matmul of views, never a gemv of the table.
+    So a pair has the same bits alone and in any table."""
     np.ldexp(table, -binary_exponents(table, 1), out=table)
     table -= table.mean(axis=1, keepdims=True)
-    return table
-
-
-#: Row and column of each correlation above the diagonal, row by row.
-_UPPER_PAIRS = np.triu_indices(len(CORRELATION_COLUMNS), 1)
+    squares = (table[:, None, :] @ table[:, :, None]).ravel()
+    r = np.eye(len(table))
+    for m in range(len(table) - 1):
+        dots = (table[m] @ table[m + 1:, :, None]).ravel()
+        r[m, m + 1:] = r[m + 1:, m] = dots / np.sqrt(squares[m] * squares[m + 1:])
+    return r, ~table.any(axis=1)
 
 
 def correlation_matrix(dataset: Dataset) -> CorrelationMatrix:
     """Pearson correlations of the CORRELATION_COLUMNS; exactly symmetric
-    with unit diagonal. The columns are scaled and centred as one table,
-    and every pair is :func:`pearson_corr`'s arithmetic, so the values are
-    the same bits. A zero-variance column is an error that names it first."""
+    with unit diagonal. Every pair has the bits of :func:`pearson_corr` of
+    the pair alone. A zero-variance column is an error that names it first."""
     labels = CORRELATION_COLUMNS
     if dataset.n < 2:
-        raise DegenerateDataError("need two 1-d series of equal length >= 2")
-    centred = _centred(np.array([dataset.column(name) for name in labels]))
-    flat = ~centred.any(axis=1)
+        raise DegenerateDataError(_SHORT_PAIR)
+    r, flat = _correlations(np.array([dataset.column(name) for name in labels]))
     if flat.any():
         raise DegenerateDataError(f"{labels[flat.argmax()]}: {_ZERO_VARIANCE}")
-    # Each sum of squares and each pair's dx @ dy is its own BLAS dot call,
-    # as for the pair alone: row m meets rows m+1.. in one stacked matmul of
-    # views, never a gemv of the table.
-    squares = (centred[:, None, :] @ centred[:, :, None]).ravel()
-    dots = np.concatenate([(centred[m] @ centred[m + 1:, :, None]).ravel()
-                           for m in range(len(labels) - 1)])
-    i, j = _UPPER_PAIRS
-    r = np.eye(len(labels))
-    r[i, j] = r[j, i] = dots / np.sqrt(squares[i] * squares[j])
     return CorrelationMatrix(labels=labels, r=r)
 
 

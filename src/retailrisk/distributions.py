@@ -1,8 +1,9 @@
 """Logistic, normal and chi-square functions on numpy and the standard library.
 
-Each function takes a Python number or an array. A number goes straight to
+``expit`` takes an array and is one numpy expression on it. Each other
+function takes a Python number or an array. A number goes straight to
 ``math`` and comes back as a float; an array is mapped element by element
-(``expit`` in one numpy expression) and keeps its shape.
+and keeps its shape.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ def _elementwise(fn, x):
 
 
 def expit(x):
-    """Logistic function 1/(1+exp(-x)).
+    """Logistic function 1/(1+exp(-x)) of each element of an array.
 
     The tanh form never overflows. It returns exactly 0.0 below about -38,
     where the exact value (under 1e-16) is lost to cancellation. Above about
     37 it returns exactly 1.0, as does the exact value rounded to a double.
     """
-    if isinstance(x, (int, float)):
-        return 0.5 * math.tanh(0.5 * x) + 0.5
     return 0.5 * np.tanh(0.5 * np.asarray(x, dtype=float)) + 0.5
 
 

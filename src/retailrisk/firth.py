@@ -39,8 +39,8 @@ from . import linalg
 from .dataset import DesignMatrix
 from .distributions import chi2_sf
 from .errors import RetailRiskError
-from .logistic import (_coefficients, _evaluate, _information, _newton_stack, _z_tests,
-                       check_fittable)
+from .logistic import (_evaluate_design, _evaluate_stack, _information, _newton_stack,
+                       _z_tests, check_fittable)
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,12 +65,12 @@ class FirthFit:
 
 def penalized_loglik(beta, dm: DesignMatrix) -> float:
     """l(beta) + 0.5*log det X'WX (the Jeffreys-prior penalty)."""
-    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)[0]
+    return _evaluate_design(beta, dm, True)[0]
 
 
 def firth_score(beta, dm: DesignMatrix) -> np.ndarray:
     """Modified score U*(beta): gradient of the penalized log-likelihood."""
-    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), True)[4]
+    return _evaluate_design(beta, dm, True)[1]
 
 
 def fit_firth(dm: DesignMatrix) -> FirthFit:
@@ -119,7 +119,7 @@ def _fit_firth(dm: DesignMatrix) -> FirthFit:
         prob = (float(dm.y.sum()) + 0.5 * dm.p) / (dm.n + dm.p)
         null = np.zeros(dm.p)
         null[0] = math.ldexp(math.log(prob / (1.0 - prob)), int(e[0]))  # on X[:, 0] = 2^-e[0]
-        null_ll = _evaluate(X, dm.y, null, True)[0]
+        null_ll = _evaluate_stack(X[None], dm.y, null[None], True)[0][0]
         lr_stat = max(0.0, 2.0 * (pen_ll - null_ll))
         lr_p = chi2_sf(lr_stat, df)
         wald_stat = float(beta @ augmented @ beta)

@@ -104,17 +104,9 @@ class MleFit:
     separation: str
 
 
-def _coefficients(beta, dm: DesignMatrix) -> np.ndarray:
-    """beta as a float vector of the design's p coefficients, else ValueError."""
-    beta = np.asarray(beta, dtype=float)
-    if beta.shape != (dm.p,):
-        raise ValueError(f"expected {dm.p} coefficients, got shape {beta.shape}")
-    return beta
-
-
 def log_likelihood(beta, dm: DesignMatrix) -> float:
     """Bernoulli log-likelihood at beta, overflow-safe for large |eta|."""
-    return _evaluate(dm.X, dm.y, _coefficients(beta, dm), False)[0]
+    return _evaluate_design(beta, dm, False)[0]
 
 
 def check_fittable(X: np.ndarray, y: np.ndarray, model: str) -> None:
@@ -195,10 +187,17 @@ def _evaluate_stack(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: b
     return value, eta, prob, w, score, q, z
 
 
-def _evaluate(X: np.ndarray, y: np.ndarray, beta: np.ndarray, penalized: bool):
-    """:func:`_evaluate_stack` for one design X (n, p) at beta (p,)."""
-    state = _evaluate_stack(X[None], y, beta[None], penalized)
-    return tuple(None if a is None else a[0] for a in state)
+def _evaluate_design(beta, dm: DesignMatrix, penalized: bool) -> tuple[float, np.ndarray]:
+    """The objective and its score at beta, a vector of the design's p
+    coefficients (else ValueError): :func:`_evaluate_stack` of the design
+    alone, on a C-ordered float64 copy of X (layout sets the bits), as the
+    fitters evaluate it."""
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (dm.p,):
+        raise ValueError(f"expected {dm.p} coefficients, got shape {beta.shape}")
+    X = np.asarray(dm.X[None], dtype=float, order="C")
+    value, _, _, _, score, _, _ = _evaluate_stack(X, dm.y, beta[None], penalized)
+    return value[0], score[0]
 
 
 def _negative_hessian(X: np.ndarray, prob: np.ndarray, w: np.ndarray, q: np.ndarray,

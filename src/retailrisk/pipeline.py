@@ -131,13 +131,6 @@ def _probability(eta: float) -> float:
     return z / (1.0 + z)
 
 
-def odds_ratio(coef: float) -> float:
-    """exp(coef): multiplicative change in failure odds per unit increase."""
-    if not math.isfinite(coef):
-        raise ValueError(f"coefficient must be finite, got {coef}")
-    return math.exp(coef)
-
-
 @dataclass(frozen=True)
 class PredictionTable:
     """Year-by-chain grid of failure probabilities.

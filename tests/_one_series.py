@@ -2,10 +2,13 @@
 
 The whole-table passes must give every value the bits of ``mean_std``,
 ``shapiro_wilk`` and ``pearson_corr`` of its own column or pair, and every
-refusal the error of the first column that fails. W is also checked against
-the one-series arithmetic (1-D dot products and a scalar square), written out
-here as the reference, since ``shapiro_wilk`` runs the table code on one row.
+refusal the error of the first column that fails. W and r are also checked
+against the one-series arithmetic (1-D dot products, and a scalar square or
+square root), written out here as the reference, since ``shapiro_wilk`` and
+``pearson_corr`` run the table code on one row and on two.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -30,6 +33,14 @@ def one_series_w(series) -> float:
         x = np.ldexp(x, -np.frexp(max(-x[0], x[-1]))[1])
         centered = x - np.mean(x)
         return min(float((_sw_weights(x.size) @ x) ** 2 / (centered @ centered)), 1.0)
+
+
+def one_pair_r(x, y) -> float:
+    """Pearson r of one pair of series of nonzero variance from 1-D dot
+    products, each series scaled to peak in [0.5, 1) and centred."""
+    dx, dy = (np.ldexp(v, -np.frexp(np.max(np.abs(v)))[1]) for v in (x, y))
+    dx, dy = dx - np.mean(dx), dy - np.mean(dy)
+    return float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
 
 
 def _hex(values) -> list[str]:
@@ -58,9 +69,9 @@ def assert_describe_keeps_each_column(dataset, names=SUMMARY_COLUMNS):
 
 
 def assert_correlations_keep_each_pair(dataset, names=CORRELATION_COLUMNS):
-    """correlation_matrix() is pearson_corr of each pair with a column in
-    ``names``, and the first zero-variance column in CORRELATION_COLUMNS
-    order is the one named."""
+    """correlation_matrix() and pearson_corr give the one-pair arithmetic's
+    bits on each pair with a column in ``names``, and the first
+    zero-variance column in CORRELATION_COLUMNS order is the one named."""
     if dataset.n < 2:
         with pytest.raises(DegenerateDataError, match="need two 1-d series of equal length >= 2"):
             correlation_matrix(dataset)
@@ -77,5 +88,6 @@ def assert_correlations_keep_each_pair(dataset, names=CORRELATION_COLUMNS):
     for i, a in enumerate(CORRELATION_COLUMNS):
         for j, b in enumerate(CORRELATION_COLUMNS[i + 1:], i + 1):
             if a in names or b in names:
-                expected = pearson_corr(columns[i], columns[j])
-                assert _hex((r[i, j], r[j, i])) == [expected.hex()] * 2, (a, b)
+                expected = one_pair_r(columns[i], columns[j]).hex()
+                got = (r[i, j], r[j, i], pearson_corr(columns[i], columns[j]))
+                assert _hex(got) == [expected] * 3, (a, b)

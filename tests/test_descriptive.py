@@ -23,7 +23,8 @@ from retailrisk.descriptive import (
     shapiro_wilk,
 )
 
-from _one_series import assert_correlations_keep_each_pair, assert_describe_keeps_each_column
+from _one_series import (assert_correlations_keep_each_pair, assert_describe_keeps_each_column,
+                         one_pair_r)
 from _panel import panel_csv
 
 
@@ -161,6 +162,16 @@ class TestPearson:
             warnings.simplefilter("error")
             r = pearson_corr(x * sx, y * sy)
         assert r == pytest.approx(pearson_corr(x, y), abs=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5])
+    def test_random_pairs_keep_the_one_pair_bits(self, scale):
+        # Lengths from 2 to 5,000 and each series in its own unit, offset
+        # from zero, so the scaling and the centring both change the bits.
+        rng = np.random.default_rng(8)
+        for n in np.geomspace(2, 5000, 40).astype(int):
+            x = (rng.standard_normal(n) + rng.normal(scale=3)) * scale
+            y = (0.4 * x / scale + rng.standard_normal(n)) * scale * 10.0 ** rng.uniform(-5, 5)
+            assert pearson_corr(x, y).hex() == one_pair_r(x, y).hex(), n
 
     @pytest.mark.parametrize("source", ["full", "printed", "panel"])
     def test_embedded_correlations_keep_their_bits(self, source):

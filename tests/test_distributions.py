@@ -43,9 +43,6 @@ class TestExpit:
     def test_edges(self):
         np.testing.assert_array_equal(expit(EDGES), scipy.special.expit(EDGES))
 
-    def test_scalar_path(self):
-        check_scalar_path(expit, np.concatenate([self.grid, EDGES]))
-
     def test_tails_saturate(self):
         # Exactly 0 below about -38 (scipy: ~1e-17) and exactly 1 above ~37.
         assert expit(-40.0) == 0.0

@@ -24,7 +24,7 @@ from retailrisk.linalg import SingularMatrixError, binary_exponents
 from retailrisk.logistic import (
     SEPARATION_NONE,
     DegenerateResponseError,
-    _evaluate,
+    _evaluate_stack,
     _negative_hessian,
     _newton_stack,
     fit_logistic,
@@ -73,8 +73,8 @@ def separated_panel(seed, n=32, noise=2):
 
 def hat_diagonals(beta, dm):
     """h = w*q, from the kernel's evaluation of l* at beta."""
-    _, _, _, w, _, q, _ = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
-    return w * q
+    _, _, _, w, _, q, _ = _evaluate_stack(dm.X[None], dm.y, np.array([beta], float), True)
+    return w[0] * q[0]
 
 
 def explicit_hat(beta, dm):
@@ -195,8 +195,8 @@ class TestFirthScore:
 
 def analytic_negative_hessian(beta, dm):
     """The kernel's exact negative Hessian of l* at beta."""
-    _, _, prob, w, _, q, z = _evaluate(dm.X, dm.y, np.asarray(beta, dtype=float), True)
-    return _negative_hessian(dm.X, prob, w, q, z)
+    _, _, prob, w, _, q, z = _evaluate_stack(dm.X[None], dm.y, np.array([beta], float), True)
+    return _negative_hessian(dm.X, prob[0], w[0], q[0], z[0])
 
 
 def numeric_negative_hessian(beta, dm):
@@ -293,9 +293,9 @@ class TestExactHessian:
     pytest.param(np.float64, "F", id="float64-fortran"),  # as pandas' .values often is
 ])
 def test_design_dtype_leaves_the_fits_unchanged(dtype, order):
-    # Integer values, exact in every dtype: each fit runs on a C-ordered
-    # float64 copy, so it has the bits of the float64 design's fit (the
-    # layout sets the BLAS calls), and the caller's X is left as it was.
+    # Integer values, exact in every dtype: each fit and each evaluator runs
+    # on a C-ordered float64 copy, so it has the bits of the float64 design's
+    # (the layout sets the BLAS calls), and the caller's X is left as it was.
     rng = np.random.default_rng(5)
     y = np.zeros(24)
     y[rng.choice(24, size=9, replace=False)] = 1.0
@@ -309,6 +309,11 @@ def test_design_dtype_leaves_the_fits_unchanged(dtype, order):
         for field in ("beta", "se", "p_values"):
             assert getattr(fit, field).tobytes() == getattr(ref, field).tobytes(), field
         assert fit.iterations == ref.iterations and fit.converged
+    # 50 points near the Firth estimate, the loop's last fit.
+    for beta in fit.beta * (1.0 + rng.normal(scale=0.05, size=(50, dm.p))):
+        for name, evaluate in EVALUATORS.items():
+            value, ref_value = (np.asarray(evaluate(beta, d)) for d in (dm, reference))
+            assert value.tobytes() == ref_value.tobytes(), name
     assert dm.X.dtype == dtype and dm.X.tobytes() == X.tobytes()
 
 

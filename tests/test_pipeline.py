@@ -20,7 +20,6 @@ from retailrisk.pipeline import (
     SCREEN_GROUPS,
     _probability,
     fit_final_model,
-    odds_ratio,
     probability_drift,
     run_screen,
     table_from_coefficients,
@@ -431,23 +430,3 @@ class TestGridAgainstPerRecordReference:
         drift = probability_drift(table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS, ds))
         rows = list(zip(ds.column("chain"), ds.column("year").astype(int).tolist()))
         assert [(c, y) for c, y, *_ in drift] == rows
-
-
-class TestOddsRatio:
-    def test_reference_values(self):
-        assert odds_ratio(0.0555) == pytest.approx(1.057, abs=0.001)
-        assert odds_ratio(0.0) == 1.0
-        assert odds_ratio(2.890) == pytest.approx(17.99, abs=0.01)
-        assert odds_ratio(2.890) > 17  # "over 17 times more likely"
-
-    def test_multiplicative(self):
-        rng = np.random.default_rng(13)
-        for _ in range(25):
-            a, b = rng.normal(scale=2, size=2)
-            assert odds_ratio(a + b) == pytest.approx(
-                odds_ratio(a) * odds_ratio(b), rel=1e-12
-            )
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            odds_ratio(math.inf)

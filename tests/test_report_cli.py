@@ -35,6 +35,7 @@ from retailrisk.dataset import (
     parse_dataset,
 )
 from retailrisk.firth import fit_firth
+from retailrisk.logistic import LONG_ROWS
 from retailrisk.pipeline import (
     FINAL_MODEL_PREDICTORS,
     SCREEN_GROUPS,
@@ -752,28 +753,48 @@ def test_default_report_newton_runs_never_halve(monkeypatch):
 
 @pytest.fixture(scope="module")
 def panel_path(tmp_path_factory):
-    """A 275-chain, 1,508-row panel as a CSV file."""
+    """A 275-chain, 1,508-row panel as a CSV file: long enough for the Newton
+    evaluation's long-design passes."""
+    text = panel_csv(seed=3, chains=275)
+    assert text.count("\n") - 1 >= LONG_ROWS
     path = tmp_path_factory.mktemp("panel") / "panel.csv"
-    path.write_text(panel_csv(seed=3, chains=275))
+    path.write_text(text)
     return path
 
 
-@pytest.mark.parametrize("data", ["embedded full", "embedded printed", "panel"])
-def test_report_screens_equal_fit_screens(panel_path, data):
-    """``report`` fits every screen in one Newton stack; its three screen
-    sections are those of ``fit --group G`` for each group G."""
-    argv = ["--format", "json"] + (["--data", str(panel_path)] if data == "panel"
-                                   else ["--ratios", data.split()[1]])
+@pytest.fixture(scope="module")
+def thousands_path(tmp_path_factory):
+    """The embedded data with its money columns in thousands of USD."""
+    money = ("revenue", "cost_of_revenue", "sga", "ebitda", "long_term_debt")
+    return write_variant(tmp_path_factory.mktemp("thousands") / "thousands.csv",
+                         lambda row: {name: repr(float(row[name]) * 1000) for name in money})
+
+
+@pytest.mark.parametrize("argv", [["fit", "--group", "internal"], ["report"]],
+                         ids=["fit-internal", "report"])
+def test_money_in_thousands_fits_without_convergence_notes(thousands_path, argv):
+    status, out, err = run([*argv, "--data", str(thousands_path)])
+    assert status == 0 and err == ""
+    assert "not converged" not in out
+
+
+@pytest.mark.parametrize("data", ["embedded full", "embedded printed", "thousands", "panel"])
+def test_a_report_is_its_subcommands_sections(panel_path, thousands_path, data):
+    """``report`` runs the stages of the other subcommands, and fits every
+    screen in one Newton stack; its sections are theirs, in order."""
+    path = {"thousands": thousands_path, "panel": panel_path}.get(data)
+    argv = ["--format", "json", *(["--data", str(path)] if path
+                                  else ["--ratios", data.split()[1]])]
     status, out, err = run(["report", *argv])
     assert status == 0 and err == ""
-    sections = json.loads(out)["sections"]
-    screens = [section for section in sections
-               if section["title"].startswith("Univariate logistic screen")]
-    assert len(screens) == len(SCREEN_GROUPS)
-    for group, screen in zip(SCREEN_GROUPS, screens):
-        status, out, err = run(["fit", "--group", group, *argv])
+    parts = []
+    for command in (["describe"], ["correlate"], ["fit", "--group", "external"],
+                    ["fit", "--group", "internal"], ["fit", "--group", "ratios"],
+                    ["fit-final"], ["predict"]):
+        status, part, err = run([*command, *argv])
         assert status == 0 and err == ""
-        assert json.loads(out)["sections"] == [screen]
+        parts += json.loads(part)["sections"]
+    assert json.loads(out)["sections"] == parts
 
 
 @pytest.mark.parametrize("ratios", ["full", "printed"])
