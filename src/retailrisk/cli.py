@@ -9,14 +9,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import functools
 import gc
 import sys
 
 from .dataset import (
     DataParseError,
-    DataValidationError,
     Dataset,
     dataset_to_csv,
     embedded_dataset,
@@ -26,23 +24,19 @@ from .errors import RetailRiskError
 from .pipeline import (
     REFERENCE_MODEL_COEFFICIENTS,
     SCREEN_GROUPS,
-    PredictionTable,
     _run_screens,
     fit_final_model,
     table_from_coefficients,
 )
 from .report import (
     FORMATS,
-    ROUNDING,
     ReportDocument,
-    Section,
-    _fit_health_note,
+    cell_section,
     correlation_section,
     describe_section,
     document_meta,
     drift_section,
     final_model_section,
-    fmt_number,
     probability_section,
     render,
     screen_section,
@@ -108,58 +102,38 @@ def _check_usage(args) -> None:
         raise _UsageError("--chain and --year must be given together")
 
 
-def _cell_section(table: PredictionTable, chain: str, year: int, note: str | None) -> Section:
-    """Cell (chain, year) of the grid, with the fit's ``note`` when there is
-    one; a marker cell is an error naming the years the chain has
-    probabilities for."""
-    if chain not in table.probabilities:
-        raise DataValidationError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
-    prob = table.probabilities[chain].get(year)
-    if prob is None:
-        observed = list(table.probabilities[chain])
-        raise DataValidationError(
-            f"{chain}: no observation for year {year} (observed {observed[0]}-{observed[-1]})"
-        )
-    text = fmt_number(prob, ROUNDING["probability"])
-    return Section(title="Failure probability", columns=("Chain", "Year", "Probability"),
-                   rows=((chain, str(year), text),), notes=(note,) if note else ())
-
-
-def _describe(args, dataset: Dataset, shared: dict) -> list[Section]:
+def _describe(args, dataset: Dataset, shared: dict) -> list:
     return [describe_section(dataset)]
 
 
-def _correlate(args, dataset: Dataset, shared: dict) -> list[Section]:
+def _correlate(args, dataset: Dataset, shared: dict) -> list:
     return [correlation_section(dataset)]
 
 
-def _screens(args, dataset: Dataset, shared: dict) -> list[Section]:
+def _screens(args, dataset: Dataset, shared: dict) -> list:
     """The ``--group`` screen, or every group's, from one Newton stack."""
     groups = (args.group,) if "group" in args else tuple(SCREEN_GROUPS)
     return [screen_section(screen) for screen in _run_screens(dataset, groups)]
 
 
-def _final_model(args, dataset: Dataset, shared: dict) -> list[Section]:
+def _final_model(args, dataset: Dataset, shared: dict) -> list:
     shared["fit"] = fit = fit_final_model(dataset)
     return [final_model_section(fit, dataset.n)]
 
 
-def _probabilities(args, dataset: Dataset, shared: dict) -> list[Section]:
+def _probabilities(args, dataset: Dataset, shared: dict) -> list:
     """The grid and its drift (when it holds a published cell), or the one
-    ``--chain``/``--year`` cell, led by the note of a fit whose estimates
-    are not reliable; the final model's fit is reused when it has run."""
-    coefficients, note = REFERENCE_MODEL_COEFFICIENTS, None
+    ``--chain``/``--year`` cell, from the published coefficients or the
+    final model's fit, which is reused when it has run."""
+    fit = None
     if args.coef == "fitted":
         fit = shared["fit"] if "fit" in shared else fit_final_model(dataset)
-        coefficients, note = tuple(fit.beta.tolist()), _fit_health_note("Failure model", fit)
-    table = table_from_coefficients(coefficients, dataset)
+    table = table_from_coefficients(REFERENCE_MODEL_COEFFICIENTS if fit is None else fit.beta,
+                                    dataset)
     if getattr(args, "chain", None) is not None:
-        return [_cell_section(table, args.chain, args.year, note)]
-    grid = probability_section(table)
-    if note:
-        grid = dataclasses.replace(grid, notes=(note, *grid.notes))
+        return [cell_section(table, args.chain, args.year, fit)]
     drift = drift_section(table)
-    return [grid] + ([drift] if drift.rows else [])
+    return [probability_section(table, fit)] + ([drift] if drift.rows else [])
 
 
 #: Each subcommand: its help line, its stages in order and its own options;

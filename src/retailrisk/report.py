@@ -13,7 +13,7 @@ import io
 import math
 from dataclasses import dataclass, field
 
-from .dataset import Dataset
+from .dataset import DataValidationError, Dataset
 from .descriptive import correlation_matrix, describe
 from .firth import FirthFit
 from .logistic import SEPARATION_NONE, significance_code
@@ -168,6 +168,12 @@ def _fit_health_note(label: str, fit) -> str | None:
     return f"{label}: {', '.join(problems)}; estimates are not reliable"
 
 
+def _model_note(fit: FirthFit | None) -> tuple[str, ...]:
+    """The failure model's note, if any; none for the published coefficients (None)."""
+    note = fit and _fit_health_note("Failure model", fit)
+    return (note,) if note else ()
+
+
 def final_model_section(fit: FirthFit, n: int) -> Section:
     coef_nd = ROUNDING["coefficient"]
     stat_nd = ROUNDING["statistic"]
@@ -182,7 +188,7 @@ def final_model_section(fit: FirthFit, n: int) -> Section:
         f"on {fit.lr_df} df, p={fmt_p(fit.lr_p)}, n={n}",
         f"Wald test={fmt_number(fit.wald_stat, stat_nd)} "
         f"on {fit.wald_df} df, p={fmt_p(fit.wald_p)}",
-        *filter(None, [_fit_health_note("Failure model", fit)]),
+        *_model_note(fit),
         SIGNIF_LEGEND,
     )
     return Section(
@@ -198,11 +204,12 @@ def final_model_section(fit: FirthFit, n: int) -> Section:
 CELL_MARKERS = {"-": "not available", "*": "firm has ceased operations"}
 
 
-def probability_section(table: PredictionTable) -> Section:
+def probability_section(table: PredictionTable, fit: FirthFit | None = None) -> Section:
     """The grid, built one chain column at a time from the chain's window:
     'not available' before its first year, its probabilities, then 'ceased
     operations' after a failure year or 'not available' after a last year.
-    This is the only place that decides a marker cell."""
+    This is the only place that decides a marker cell. The note of ``fit``,
+    the table's source, leads when its estimates are not reliable."""
     nd = ROUNDING["probability"]
     position = {year: i for i, year in enumerate(table.years)}
     not_available, ceased = CELL_MARKERS
@@ -218,8 +225,26 @@ def probability_section(table: PredictionTable) -> Section:
         title="Failure probability by chain and year",
         columns=("Year", *table.chains),
         rows=tuple((str(year), *row) for year, row in zip(table.years, zip(*columns))),
-        notes=tuple(f"'{text}': {meaning}" for text, meaning in CELL_MARKERS.items()),
+        notes=(*_model_note(fit), *(f"'{mark}': {what}" for mark, what in CELL_MARKERS.items())),
     )
+
+
+def cell_section(table: PredictionTable, chain: str, year: int,
+                 fit: FirthFit | None = None) -> Section:
+    """Cell (chain, year) of the grid, with the note of ``fit`` as in
+    :func:`probability_section`; a marker cell is an error naming the years
+    the chain has probabilities for."""
+    if chain not in table.probabilities:
+        raise DataValidationError(f"unknown chain {chain!r}; known: {', '.join(table.chains)}")
+    prob = table.probabilities[chain].get(year)
+    if prob is None:
+        observed = list(table.probabilities[chain])
+        raise DataValidationError(
+            f"{chain}: no observation for year {year} (observed {observed[0]}-{observed[-1]})"
+        )
+    return Section(title="Failure probability", columns=("Chain", "Year", "Probability"),
+                   rows=((chain, str(year), fmt_number(prob, ROUNDING["probability"])),),
+                   notes=_model_note(fit))
 
 
 def drift_section(table: PredictionTable) -> Section:

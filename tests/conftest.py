@@ -1,11 +1,14 @@
+import importlib
 import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 sys.path.insert(0, str(Path(__file__).parent))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # A fixed, reproducible budget: the same examples on every run, none stored
 # on disk, and no per-example time limit on a slow host. What Hypothesis
@@ -16,3 +19,18 @@ settings.register_profile(
     "retailrisk", derandomize=True, database=None, deadline=None, max_examples=25
 )
 settings.load_profile("retailrisk")
+
+
+@pytest.fixture(scope="session")
+def perfbench():
+    """Imports a benchmark module from ``perfbench/`` by name, unchanged and
+    as its scripts see it: its own imports of its siblings (``import gen``)
+    resolve there. ``perfbench("gen").separated_panel``, for one."""
+    def load(name):
+        sys.path.insert(0, str(PERFBENCH))
+        try:
+            return importlib.import_module(name)
+        finally:
+            sys.path.remove(str(PERFBENCH))
+
+    return load

@@ -22,8 +22,6 @@ import csv
 import io
 import json
 import math
-import runpy
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -377,10 +375,9 @@ def test_one_stack_of_every_screen_fits_each_predictor_as_its_own_fit(panel, rat
 
 
 @pytest.fixture(scope="module")
-def separated_panel():
-    """The benchmark's generator of separated 32-row panels, read from its file."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    return runpy.run_path(str(path))["separated_panel"]
+def separated_panel(perfbench):
+    """The benchmark's generator of separated 32-row panels."""
+    return perfbench("gen").separated_panel
 
 
 @pytest.mark.parametrize("seed", [1, 501])

@@ -47,6 +47,7 @@ from retailrisk.report import (
     SIGNIF_LEGEND,
     ReportDocument,
     Section,
+    cell_section,
     describe_section,
     final_model_section,
     probability_section,
@@ -98,6 +99,21 @@ class TestRender:
         assert stalled.notes[2:] == (note, SIGNIF_LEGEND)
         healthy = final_model_section(fit_firth(dm), ds.n)
         assert healthy.notes[2:] == (SIGNIF_LEGEND,)
+
+    def test_predictions_of_an_unconverged_fit_are_flagged(self):
+        ds = embedded_dataset()
+        fit = fit_final_model(ds)
+        table = table_from_coefficients(fit.beta, ds)
+        stalled = dataclasses.replace(fit, converged=False)
+        note = "Failure model: not converged; estimates are not reliable"
+        grid = probability_section(table)
+        assert probability_section(table, fit) == grid
+        assert probability_section(table, stalled) == dataclasses.replace(
+            grid, notes=(note, *grid.notes))
+        cell = cell_section(table, "Rite Aid", 2015)
+        assert cell.rows == (("Rite Aid", "2015", "0.020"),) and cell.notes == ()
+        assert cell_section(table, "Rite Aid", 2015, fit) == cell
+        assert cell_section(table, "Rite Aid", 2015, stalled).notes == (note,)
 
     def test_rendering_is_deterministic(self):
         ds = embedded_dataset()
@@ -322,6 +338,12 @@ class TestCli:
         status, out, _ = run(["export-data", "--data", str(path)])
         assert status == 0
         assert parse_dataset(out) == ds
+        # The export of an export is the same bytes, in either ratio mode.
+        for ratios in RATIO_PRECISIONS:
+            exported = run(["export-data", "--ratios", ratios])
+            assert exported[::2] == (0, "")
+            path.write_text(exported[1])
+            assert run(["export-data", "--ratios", ratios, "--data", str(path)]) == exported
 
     @pytest.mark.parametrize("argv", [["predict"], ["report"]])
     def test_pipe_in_a_chain_name_is_escaped_in_markdown_only(self, tmp_path, argv):
@@ -370,30 +392,32 @@ class TestCli:
                 "estimates are not reliable") in out
 
     def test_overflowing_slope_variance_keeps_the_p_value(self, tmp_path):
-        # The inflation slope's variance is beyond the float range, but its
-        # standard error is not: its p-value is the one the unit data give.
-        path = write_variant(tmp_path / "tiny_inflation.csv", _tiny_inflation)
+        # Inflation in units of 1e156 %: the slope's variance is beyond the
+        # float range, but its standard error (near 3e155) is not: its
+        # p-value is the one the unit data give.
+        path = write_variant(tmp_path / "tiny_inflation.csv", _inflation_times(1e-156))
         status, out, err = run(["fit", "--group", "external", "--data", str(path)])
         assert status == 0 and err == ""
         assert "| Slope (p-value) | 0.760 | 0.023 | 0.286 | 0.021 |" in out
 
+    @pytest.mark.parametrize("scale", [1e-300, 1e-156, 1e154, 1e300])
     @pytest.mark.parametrize("argv", [["fit-final"], ["predict"]])
-    def test_overflowing_slope_variance_fits_the_failure_model(self, tmp_path, argv):
-        # Only the inflation slope and its standard error depend on its unit.
+    def test_overflowing_slope_variance_fits_the_failure_model(self, tmp_path, argv, scale):
+        # Only the inflation slope and its standard error depend on its unit,
+        # from 1e-300 % to 1e300 %.
         def unit_free(text):
             return [line.split(" | ")[-2:] if line.startswith("| US inflation rate") else line
                     for line in text.splitlines()]
 
-        path = write_variant(tmp_path / "tiny_inflation.csv", _tiny_inflation)
+        path = write_variant(tmp_path / "inflation.csv", _inflation_times(scale))
         status, out, err = run([*argv, "--data", str(path)])
         assert status == 0 and err == ""
         assert unit_free(out) == unit_free(run(argv)[1])
 
 
-def _tiny_inflation(row):
-    """Inflation in units of 1e-156 %: the failure model's slope has a finite
-    standard error near 3e155, but its variance is beyond the float range."""
-    return {"us_inflation_rate": repr(float(row["us_inflation_rate"]) * 1e-156)}
+def _inflation_times(scale):
+    """A row change that gives inflation in units of 1/``scale`` %."""
+    return lambda row: {"us_inflation_rate": repr(float(row["us_inflation_rate"]) * scale)}
 
 
 #: Schema-valid inputs on which an analysis is undefined.
@@ -465,6 +489,16 @@ class TestErrorContract:
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["describe"], ["report"]])
+    def test_more_rows_than_shapiro_wilk_takes_gives_one_error_line(self, tmp_path, argv):
+        # Schema-valid rows, one more than Shapiro-Wilk takes. Today the
+        # whole command is refused; ROADMAP item 4 would flag the section.
+        path = tmp_path / "long.csv"
+        lines = panel_csv(seed=5, chains=1000).splitlines(keepends=True)
+        path.write_text("".join(lines[:5002]), encoding="utf-8")
+        expected = "error: revenue: Shapiro-Wilk requires 3 <= n <= 5000, got 5001\n"
+        assert run([*argv, "--data", str(path)]) == (1, "", expected)
 
     @pytest.mark.parametrize("argv", [["describe"], ["report"]])
     @pytest.mark.parametrize("prefix", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
@@ -845,8 +879,8 @@ def test_predict_cell_error_lines(panel_path):
     ]:
         argv = ["predict", "--chain", chain, "--year", str(year), "--data", str(panel_path)]
         assert run(argv) == (1, "", f"error: {line}\n")
-    status, out, _ = run(["predict", "--chain", "Rite Aid", "--year", "2015"])
-    assert status == 0 and "| Rite Aid | 2015 | 0.020 |" in out
+    status, out, err = run(["predict", "--chain", "Rite Aid", "--year", "2015"])
+    assert (status, err) == (0, "") and "| Rite Aid | 2015 | 0.020 |" in out
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -863,10 +897,12 @@ def run_process(argv):
 
 
 #: (argv, exit code) of each way out of a process: a report in every format
-#: to stdout and to a file, a usage error and a file error, and --help.
+#: to stdout and to a file, one with printed ratios, a usage error and a file
+#: error, and --help.
 EXIT_PATHS = [
     *((["report", "--format", fmt], 0) for fmt in FORMATS),
     *((["report", "--format", fmt, "--out", "report.out"], 0) for fmt in FORMATS),
+    (["report", "--format", "json", "--ratios", "printed"], 0),
     (["report", "--coef", "rounded", "--data", "panel.csv"], 2),
     (["describe", "--data", "missing.csv"], 1),
     (["--help"], 0),
