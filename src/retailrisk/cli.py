@@ -1,8 +1,8 @@
 """Command-line interface: one subcommand per analysis artifact.
 
 Exit codes: 0 on success, 1 on any :class:`RetailRiskError` (bad or
-degenerate data) and on file errors, 2 on usage errors. Reports go to stdout
-(or ``--out``) in markdown, CSV, or JSON.
+degenerate data), on file errors and on output stdout cannot encode, 2 on
+usage errors. Reports go to stdout (or ``--out``) in markdown, CSV, or JSON.
 """
 
 from __future__ import annotations
@@ -160,8 +160,11 @@ def _emit(text: str, args, stdout) -> None:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
+        return
+    try:  # the text is encoded whole, before any of it is written
         stdout.write(text)
+    except UnicodeEncodeError as exc:
+        raise OSError(f"stdout cannot encode the output as {exc.encoding}; use --out PATH (UTF-8)")
 
 
 def run_command(argv, stdout=None, stderr=None) -> int:

@@ -4,12 +4,12 @@ The final failure model is fixed to three predictors -- the annual average US
 inflation rate, long-term debt/revenue, and EBITDA/revenue -- fitted by Firth
 penalized likelihood (plain maximum likelihood diverges on this design). The
 probability table holds the fitted failure probability of every observed
-chain-year and each chain's failure year.
+chain-year, ``distributions.expit`` of its linear predictor as in the fits,
+and each chain's failure year.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -17,6 +17,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .dataset import Dataset, design_matrix
+from .distributions import expit
 from .errors import DegenerateDataError, RetailRiskError
 from .firth import FirthFit, fit_firth
 from .logistic import MleFit, _fit_stack
@@ -124,13 +125,6 @@ def fit_final_model(dataset: Dataset) -> FirthFit:
     return fit_firth(design_matrix(dataset, list(FINAL_MODEL_PREDICTORS)))
 
 
-def _probability(eta: float) -> float:
-    if eta >= 0:
-        return 1.0 / (1.0 + math.exp(-eta))
-    z = math.exp(eta)
-    return z / (1.0 + z)
-
-
 @dataclass(frozen=True)
 class PredictionTable:
     """Year-by-chain grid of failure probabilities.
@@ -166,18 +160,17 @@ def table_from_coefficients(beta, dataset: Dataset) -> PredictionTable:
     year_of_row = dataset.column("year").astype(int).tolist()
     inflation, ltd, ebitda = map(dataset.column, FINAL_MODEL_PREDICTORS)
     # Python's left-to-right order, one IEEE operation per element as on
-    # floats; a non-finite coefficient leaves NaN, refused below.
+    # floats; a non-finite coefficient can leave NaN, refused below.
     with np.errstate(over="ignore", invalid="ignore"):
-        eta = beta[0] + beta[1] * inflation + beta[2] * ltd + beta[3] * ebitda
+        prob = expit(beta[0] + beta[1] * inflation + beta[2] * ltd + beta[3] * ebitda)
+    if np.isnan(prob).any():
+        i = int(np.argmax(np.isnan(prob)))
+        raise DegenerateDataError(f"{chain_of_row[i]} {year_of_row[i]}: "
+                                  f"failure probability must be in [0, 1], got {prob[i]}")
     # A chain's years ascend in file order, so each chain's dict is in year order.
     probabilities = {chain: {} for chain in dataset.chains}
-    for chain, year, e in zip(chain_of_row, year_of_row, eta.tolist()):
-        prob = _probability(e)
-        # A saturated logistic is exactly 0.0 or 1.0; NaN fails both bounds.
-        if not 0.0 <= prob <= 1.0:
-            raise DegenerateDataError(
-                f"{chain} {year}: failure probability must be in [0, 1], got {prob}")
-        probabilities[chain][year] = prob
+    for chain, year, p in zip(chain_of_row, year_of_row, prob.tolist()):
+        probabilities[chain][year] = p
     failure_years = dict.fromkeys(dataset.chains)
     for i in np.flatnonzero(dataset.column("fail") == 1).tolist():
         failure_years[chain_of_row[i]] = year_of_row[i]

@@ -254,6 +254,18 @@ class TestRoundTrip:
         again = parse_dataset(dataset_to_csv(ds), ratio_precision="printed")
         assert again == ds
 
+    def test_a_round_trip_hashes_equal_and_only_datasets_compare(self):
+        ds = embedded_dataset()
+        again = parse_dataset(dataset_to_csv(ds))
+        assert again is not ds and hash(again) == hash(ds)
+        assert ds.__eq__("x") is NotImplemented
+        assert (ds == "x") is False and ds != "x"
+
+    def test_repr_names_size_chains_and_ratio_mode(self):
+        assert repr(embedded_dataset("printed")) == (
+            "Dataset(n=32, chains=('Bed Bath & Beyond', 'Rite Aid', 'Sears Holdings', "
+            "'J.C. Penney'), ratio_precision='printed')")
+
     def test_printed_precision_switches_columns(self):
         ds = embedded_dataset()
         printed = embedded_dataset("printed")

@@ -927,6 +927,29 @@ def test_process_entry_matches_run_command(argv, status, tmp_path, monkeypatch):
     assert (results[0][3] is not None) == ("--out" in argv)
 
 
+@pytest.mark.parametrize("command", ["predict", "report", "export-data"])
+def test_output_stdout_cannot_encode_gives_one_error_line(tmp_path, monkeypatch, command):
+    """A chain name that stdout's encoding lacks: exit 1, one error line that
+    names the encoding and ``--out``, and nothing on stdout, in process and
+    in a fresh interpreter; there, ``--out`` writes the run as UTF-8."""
+    path = write_variant(tmp_path / "unicode.csv",
+                         lambda row: {"chain": "Rité Äid 東京"} if row["chain"] == "Rite Aid" else {})
+    argv = [command, "--data", str(path)]
+    message = "error: stdout cannot encode the output as ascii; use --out PATH (UTF-8)\n"
+    buffer, err = io.BytesIO(), io.StringIO()
+    stdout = io.TextIOWrapper(buffer, encoding="ascii")
+    assert run_command(argv, stdout=stdout, stderr=err) == 1
+    stdout.flush()
+    assert (buffer.getvalue(), err.getvalue()) == (b"", message)
+    monkeypatch.setenv("PYTHONIOENCODING", "ascii")
+    assert run_process(argv) == (1, "", message)
+    status, text, _ = run(argv)
+    assert status == 0 and "Rité Äid 東京" in text
+    out = tmp_path / "out.txt"
+    assert run_process([*argv, "--out", str(out)]) == (0, "", "")
+    assert out.read_text(encoding="utf-8") == text
+
+
 def test_run_command_leaves_the_collector_alone():
     frozen = gc.get_freeze_count()
     assert run(["report"])[0] == 0
