@@ -167,6 +167,16 @@ def _emit(text: str, args, stdout) -> None:
         raise OSError(f"stdout cannot encode the output as {exc.encoding}; use --out PATH (UTF-8)")
 
 
+def _complain(text: str, stderr) -> None:
+    """Write ``text`` to stderr; what its encoding cannot take is written
+    backslash-escaped, as Python's own stderr does."""
+    try:
+        stderr.write(text)
+    except UnicodeEncodeError:
+        encoding = stderr.encoding
+        stderr.write(text.encode(encoding, "backslashreplace").decode(encoding))
+
+
 def run_command(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation; returns the process exit status."""
     stdout = stdout if stdout is not None else sys.stdout
@@ -178,8 +188,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
             args = parser.parse_args(argv)
         _check_usage(args)
     except _UsageError as exc:
-        stderr.write(f"error: {exc}\n")
-        stderr.write(parser.format_usage())
+        _complain(f"error: {exc}\n{parser.format_usage()}", stderr)
         return 2
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
@@ -197,7 +206,7 @@ def run_command(argv, stdout=None, stderr=None) -> int:
         _emit(render(document), args, stdout)
         return 0
     except (RetailRiskError, OSError) as exc:
-        stderr.write(f"error: {exc}\n")
+        _complain(f"error: {exc}\n", stderr)
         return 1
 
 

@@ -14,8 +14,11 @@ derived from rounded ratios can be reproduced exactly.
 
 A :class:`Dataset` holds its data as columns only: one float row per numeric
 CSV column plus the chain name of each row, parsed from one read of the CSV.
-Its constructor validates them and builds every column, ratio columns at
-the dataset's precision included, once; nothing changes after that.
+The parse converts the rows by column in blocks of 256, so it never holds
+every field as a string, and reports the first fault in file order. The
+constructor validates the columns, each rule over all rows at once, and
+builds every column, ratio columns at the dataset's precision included,
+once; nothing changes after that.
 """
 
 from __future__ import annotations
@@ -195,9 +198,10 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[tuple[str
 
     Every row rule is checked on all rows before any chain rule, and the
     first row in order that breaks one is reported with the first rule it
-    breaks. The chains are then checked one by one in first-occurrence
-    order, and the first that breaks a chain rule is reported with the first
-    rule it breaks: its name, then its years, then its fail=1 records. Last,
+    breaks. The chain rules are then checked on all chains, and the first
+    chain in first-occurrence order that breaks one is reported with the
+    first rule it breaks: its name, then its years, then its fail=1 records
+    (more than one, then one that is not last). Last,
     the first row whose recomputed revenue ratio overflows is reported with
     the first such ratio.
     """
@@ -215,25 +219,35 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[tuple[str
         raise row_error(row, message(float(table[_ROW[column], row])))
 
     # The row rules passed, so every year is a whole number and fail is 0 or 1.
-    years_of, failures_of = {}, {}
-    for chain, year, fail in zip(row_chains, table[_ROW["year"]].astype(int).tolist(),
-                                 table[_ROW["fail"]].tolist()):
-        years_of.setdefault(chain, []).append(year)
-        if fail:
-            failures_of.setdefault(chain, []).append(year)
-    for chain, years in years_of.items():
-        if not chain or chain != chain.strip() or "\n" in chain or "\r" in chain:
-            raise DataValidationError(f"chain name {chain!r} must be one non-empty line "
+    # A stable sort by chain code groups each chain's rows, in file order,
+    # with the chains in first-occurrence order.
+    chains = tuple(dict.fromkeys(row_chains))
+    code = dict(zip(chains, range(len(chains))))
+    codes = np.fromiter(map(code.__getitem__, row_chains), np.intp, len(row_chains))
+    order = np.argsort(codes, kind="stable")
+    chain, year, fail = codes[order], table[_ROW["year"], order], table[_ROW["fail"], order] == 1
+    same = chain[1:] == chain[:-1]
+    gap = same & (year[1:] != year[:-1] + 1)  # between one chain's rows i and i + 1
+    bad = np.zeros((4, len(chains)), dtype=bool)  # per chain rule, in reporting order
+    bad[0] = [not c or c != c.strip() or "\n" in c or "\r" in c for c in chains]
+    bad[1, chain[:-1][gap]] = True
+    bad[2] = np.bincount(chain[fail], minlength=len(chains)) > 1
+    bad[3, chain[:-1][fail[:-1] & same]] = True  # a fail=1 row that is not its chain's last
+    found = _first_violation(bad)
+    if found is not None:
+        rule, c = found
+        name = chains[c]
+        if rule == 0:
+            raise DataValidationError(f"chain name {name!r} must be one non-empty line "
                                       f"with no leading or trailing whitespace")
-        for before, after in zip(years, years[1:]):
-            if after != before + 1:
-                raise DataValidationError(f"{chain}: years must be strictly ascending and "
-                                          f"contiguous ({before} followed by {after})")
-        failures = failures_of.get(chain, [])
-        if len(failures) > 1:
-            raise DataValidationError(f"{chain}: more than one fail=1 record")
-        if failures and failures[0] != years[-1]:
-            raise DataValidationError(f"{chain} {failures[0]}: fail=1 must be the chain's final year")
+        if rule == 1:
+            i = int(gap.argmax())  # no chain before this one has a gap
+            raise DataValidationError(f"{name}: years must be strictly ascending and "
+                                      f"contiguous ({int(year[i])} followed by {int(year[i + 1])})")
+        if rule == 2:
+            raise DataValidationError(f"{name}: more than one fail=1 record")
+        raise DataValidationError(f"{name} {int(year[fail & (chain == c)][0])}: "
+                                  f"fail=1 must be the chain's final year")
 
     # IEEE division: the same bits as Python's float division. Revenue is
     # positive, so overflow is the only way to a non-finite ratio.
@@ -245,7 +259,7 @@ def _validate(row_chains: tuple[str, ...], table: np.ndarray) -> tuple[tuple[str
         ratio, row = found
         raise row_error(row, f"{RATIO_COLUMNS[ratio]} is not finite")
     ratios.flags.writeable = False
-    return tuple(years_of), ratios
+    return chains, ratios
 
 
 _INTEGER_COLUMNS = ("year", "fail", "pandemic")
@@ -286,20 +300,23 @@ def parse_dataset(csv_text: str, ratio_precision: str = "full") -> Dataset:
     line number) and :class:`DataValidationError` for invariant violations
     (naming the chain and year).
     """
-    # The per-row strings die with _csv_table's frame, before Dataset
-    # copies and validates the table.
-    chains, table = _csv_table(csv_text)
-    return Dataset(chains, table.T, ratio_precision)
+    return Dataset(*_csv_table(csv_text), ratio_precision)
+
+
+#: Non-empty rows converted at a time: a parse holds one block's fields as
+#: strings, never every row's.
+_BLOCK_ROWS = 256
 
 
 def _csv_table(csv_text: str) -> tuple[list[str], np.ndarray]:
-    """(chain of each row, the numeric fields as an n x 12 float array)."""
+    """(chain of each row, the numeric fields as a 12 x n float array), read
+    in blocks of :data:`_BLOCK_ROWS` rows; the first fault in file order is
+    raised."""
     # Line endings reach the reader as they are, as the csv module expects,
     # so a lone CR ends a line too.
     reader = csv.reader(io.StringIO(csv_text, newline=""))
     try:
         header = next(reader, None)
-        lines = [(line_no, row) for line_no, row in enumerate(reader, start=2) if row]
     except csv.Error as exc:  # such as a field over the module's size limit
         raise DataParseError(f"line {reader.line_num}: {exc}") from None
     if header is None:
@@ -308,19 +325,40 @@ def _csv_table(csv_text: str) -> tuple[list[str], np.ndarray]:
         raise DataParseError(
             f"unexpected header {header!r}; expected {','.join(CSV_HEADER)}"
         )
-    chains = [row[0].strip() for _, row in lines]
-    # numpy converts each field with Python's float(), as _parse_number does;
-    # a row of the wrong arity makes the array ragged or the reshape fail.
+    chains, blocks, lines = [], [], []
     try:
-        table = np.array([row[1:] for _, row in lines], dtype=float)
-        table = table.reshape(len(lines), len(NUMERIC_COLUMNS))
-        whole = table[:, _INTEGER_ROWS]
-        parsed = all(chains) and np.all(np.isfinite(whole) & (whole == np.trunc(whole)))
+        for line_no, row in enumerate(reader, start=2):
+            if row:
+                lines.append((line_no, row))
+                if len(lines) == _BLOCK_ROWS:
+                    blocks.append(_convert_block(lines, chains))
+                    lines = []
+    except csv.Error as exc:
+        _convert_block(lines, chains)  # a bad line before the reader's fault comes first
+        raise DataParseError(f"line {reader.line_num}: {exc}") from None
+    blocks.append(_convert_block(lines, chains))
+    return chains, np.concatenate(blocks, axis=1)
+
+
+def _convert_block(lines: list[tuple[int, list[str]]], chains: list[str]) -> np.ndarray:
+    """One block's numeric fields as a 12 x len(lines) float array, converted
+    by column; its chain names are appended to ``chains``."""
+    rows = [row for _, row in lines]
+    # numpy converts each field with Python's float(), as _parse_number does.
+    try:
+        if set(map(len, rows)) - {len(CSV_HEADER)}:
+            raise ValueError("a line of the wrong arity")
+        chain, *fields = zip(*rows) if rows else [()] * len(CSV_HEADER)
+        names = list(map(str.strip, chain))
+        block = np.array(fields, dtype=float)
+        whole = block[_INTEGER_ROWS]
+        parsed = all(names) and np.all(np.isfinite(whole) & (whole == np.trunc(whole)))
     except ValueError:
         parsed = False
     if not parsed:
         _raise_first_bad_line(lines)
-    return chains, table
+    chains += names
+    return block
 
 
 def _format_number(value: float) -> str:

@@ -71,6 +71,16 @@ def fmt_number(value: float, decimals: int) -> str:
     return text
 
 
+def fmt_numbers(values, decimals: int) -> list[str]:
+    """``[fmt_number(v, decimals) for v in values]`` from one ``%`` call;
+    :func:`fmt_number` takes over when the text holds a non-finite value or
+    a negative zero."""
+    text = (f"%.{decimals}f " * len(values)) % tuple(values)
+    if "n" in text or f" -{0:.{decimals}f} " in f" {text}":  # nan, inf or -0.000
+        return [fmt_number(v, decimals) for v in values]
+    return text.split()
+
+
 def fmt_p(value: float) -> str:
     if not math.isfinite(value):
         return "NA"
@@ -117,8 +127,7 @@ def correlation_section(dataset: Dataset) -> Section:
     matrix = correlation_matrix(dataset)
     labels = [COLUMN_LABELS.get(name, name) for name in matrix.labels]
     nd = ROUNDING["correlation"]
-    rows = [(label, *(fmt_number(r, nd) for r in row))
-            for label, row in zip(labels, matrix.r.tolist())]
+    rows = [(label, *fmt_numbers(row, nd)) for label, row in zip(labels, matrix.r.tolist())]
     return Section(
         title="Correlation matrix",
         columns=("Variable", *labels),
@@ -219,7 +228,7 @@ def probability_section(table: PredictionTable, fit: FirthFit | None = None) -> 
         start = position[next(iter(by_year))]
         after = not_available if table.failure_years[chain] is None else ceased
         columns.append([not_available] * start
-                       + [fmt_number(prob, nd) for prob in by_year.values()]
+                       + fmt_numbers(list(by_year.values()), nd)
                        + [after] * (len(table.years) - start - len(by_year)))
     return Section(
         title="Failure probability by chain and year",
@@ -266,7 +275,10 @@ def drift_section(table: PredictionTable) -> Section:
 
 def _markdown_row(cells) -> str:
     """A table line; a ``|`` within a cell (a chain's name) is escaped."""
-    return "| " + " | ".join(cell.replace("|", "\\|") for cell in cells) + " |"
+    line = " | ".join(cells)
+    if line.count("|") >= len(cells):  # more than the separators: a cell holds one
+        line = " | ".join(cell.replace("|", "\\|") for cell in cells)
+    return f"| {line} |"
 
 
 def _render_markdown(document: ReportDocument) -> str:

@@ -133,8 +133,18 @@ def _parse_number(text, column, line_no):
 
 
 def read_records(csv_text):
-    """Parse the canonical CSV schema into a tuple of records, unvalidated."""
+    """Parse the canonical CSV schema into a tuple of records, unvalidated;
+    the first fault in file order is raised, a fault of the csv module's
+    reader (such as a field over its size limit) as a DataParseError at the
+    reader's line."""
     reader = csv.reader(io.StringIO(csv_text))
+    try:
+        return _read_records(reader)
+    except csv.Error as exc:
+        raise DataParseError(f"line {reader.line_num}: {exc}") from None
+
+
+def _read_records(reader):
     try:
         header = next(reader)
     except StopIteration:

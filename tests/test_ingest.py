@@ -2,14 +2,16 @@
 same values in bit-equal columns, and the same error class and message for
 every parse and validation fault, including which of two faults is named."""
 
+import csv
 import functools
 import random
+import tracemalloc
 from itertools import zip_longest
 
 import numpy as np
 import pytest
 
-from retailrisk import RetailRiskError
+from retailrisk import DataParseError, RetailRiskError
 from retailrisk.dataset import (
     CSV_HEADER,
     PREDICTOR_COLUMNS,
@@ -93,12 +95,12 @@ ROW_FAULTS = {**PARSE_FAULTS, **DOMAIN_FAULTS, **RATIO_FAULTS}
 
 
 @functools.cache
-def _panel_text(seed):
-    return panel_csv(seed, chains=30)
+def _panel_text(seed, chains=30):
+    return panel_csv(seed, chains=chains)
 
 
-def _panel_rows(seed):
-    lines = _panel_text(seed).splitlines()
+def _panel_rows(seed, chains=30):
+    lines = _panel_text(seed, chains).splitlines()
     return lines[0], [line.split(",") for line in lines[1:]]
 
 
@@ -158,18 +160,28 @@ def _interleaved(rows):
 LAYOUTS = ("contiguous", "interleaved")
 
 
-def _inject(seed, *names, layout="contiguous"):
+#: Non-empty rows the parser converts at a time; a private constant of
+#: ``retailrisk.dataset``, restated so that the tests pin it.
+BLOCK_ROWS = 256
+
+
+def _inject(seed, *names, layout="contiguous", straddle=False):
     """A seeded panel with each named fault put into a random row or chain
     (row faults into different rows), with each chain's rows together or
-    interleaved with the other chains' rows."""
+    interleaved with the other chains' rows. With ``straddle``, the panel
+    spans three blocks and the row faults go into the rows on either side
+    of the first block edge, in random order."""
     rng = random.Random(f"{seed}-{names}")
-    header, rows = _panel_rows(seed)
+    header, rows = _panel_rows(seed, chains=100 if straddle else 30)
     for name in names:
         if name in CHAIN_FAULTS:
             CHAIN_FAULTS[name](rows, rng)
     if layout == "interleaved":
         rows = _interleaved(rows)
-    targets = rng.sample(range(len(rows)), len(names))
+    if straddle:
+        targets = rng.sample([BLOCK_ROWS - 1, BLOCK_ROWS], len(names))
+    else:
+        targets = rng.sample(range(len(rows)), len(names))
     for name, i in zip(names, targets):
         if name in ROW_FAULTS:
             ROW_FAULTS[name](rows[i], rng)
@@ -223,11 +235,12 @@ def test_records_constructor_gives_reference_error(name, seed, layout):
 
 
 @pytest.mark.parametrize("layout", LAYOUTS)
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(120))
 def test_first_of_two_faults_is_reported(seed, layout):
+    """Seeds from 60 on put the row faults on either side of a block edge."""
     rng = random.Random(seed)
     names = rng.choices(sorted(ROW_FAULTS) + sorted(CHAIN_FAULTS), k=2)
-    _assert_same_error(_inject(seed % len(SEEDS), *names, layout=layout))
+    _assert_same_error(_inject(seed % len(SEEDS), *names, layout=layout, straddle=seed >= 60))
 
 
 @pytest.mark.parametrize("first", range(len(DOMAIN_FAULTS) - 1))
@@ -256,8 +269,14 @@ def _datasets():
 
 @pytest.mark.parametrize("text,precision", _datasets())
 def test_valid_data_matches_reference(text, precision):
+    _assert_matches_reference(text, precision)
+
+
+def _assert_matches_reference(text, precision, reference_text=None):
+    """``parse_dataset(text)`` has the reference's chains and the bits of its
+    values for ``reference_text`` (by default ``text``)."""
     ds = parse_dataset(text, precision)
-    records = parse_records(text)
+    records = parse_records(text if reference_text is None else reference_text)
     assert ds.chains == validate_records(records)
     assert ds.column("chain") == tuple(r.chain for r in records)
     for name in ("fail", *PREDICTOR_COLUMNS):
@@ -268,3 +287,89 @@ def test_valid_data_matches_reference(text, precision):
         assert ds.column(name).tobytes() == np.array(expected).tobytes(), name
     assert parse_dataset(dataset_to_csv(ds), precision) == ds
     assert Dataset(*_columns(records), precision) == ds
+
+
+def _rows_text(rows, blank_at=(), ending="\n"):
+    """The header and ``rows`` as CSV, with a blank line before each data row
+    position in ``blank_at`` (two where a position repeats)."""
+    header, panel = _panel_rows(0, chains=120)
+    lines = [header]
+    for i, row in enumerate(panel[:rows]):
+        lines += [""] * blank_at.count(i) + [",".join(row)]
+    return ending.join(lines) + ending
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r"], ids=["lf", "lone_cr"])
+@pytest.mark.parametrize("blank_at", [(), (BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS),
+                                      (0, BLOCK_ROWS * 2)], ids=["no_blanks", "edge", "ends"])
+@pytest.mark.parametrize("rows", [BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 1])
+def test_block_edges_parse_as_the_reference(rows, blank_at, ending):
+    assert len(_panel_rows(0, chains=120)[1]) > 2 * BLOCK_ROWS + 1
+    text = _rows_text(rows, blank_at, ending)
+    for precision in RATIO_PRECISIONS:
+        # The reference reads lines split at LF only, so it gets the LF text.
+        _assert_matches_reference(text, precision, _rows_text(rows, blank_at))
+    assert parse_dataset(text).n == rows
+
+
+def _oversize_field_at(rows, i):
+    """Row ``i``'s chain name made longer than the csv module's field limit."""
+    rows[i][0] = "R" * (csv.field_size_limit() + 1)
+
+
+FIELD_LIMIT_ERROR = f"field larger than field limit ({csv.field_size_limit()})"
+
+
+@pytest.mark.parametrize("bad,oversize", [
+    (10, 20), (20, 10),                            # one block, either order
+    (10, BLOCK_ROWS + 20), (BLOCK_ROWS + 20, 10),  # one in each block
+    (BLOCK_ROWS - 1, BLOCK_ROWS), (BLOCK_ROWS, BLOCK_ROWS - 1),  # about the edge
+])
+def test_a_csv_fault_is_reported_in_file_order(bad, oversize):
+    """A field over the csv module's size limit and a non-numeric field: the
+    one earlier in the file is reported, wherever the block edge falls."""
+    header, rows = _panel_rows(0, chains=120)
+    rows[bad][COL["revenue"]] = "abc"
+    _oversize_field_at(rows, oversize)
+    text = _text(header, rows)
+    _assert_same_error(text)
+    with pytest.raises(DataParseError) as caught:
+        parse_dataset(text)
+    if bad < oversize:
+        assert str(caught.value) == (f"line {bad + 2}: non-numeric value 'abc' "
+                                     f"in column 'revenue'")
+    else:
+        assert str(caught.value) == f"line {oversize + 2}: {FIELD_LIMIT_ERROR}"
+
+
+def test_a_bad_header_is_reported_before_a_csv_fault():
+    header, rows = _panel_rows(0)
+    _oversize_field_at(rows, 5)
+    text = _text(header.replace("revenue", "sales", 1), rows)
+    _assert_same_error(text)
+    with pytest.raises(DataParseError, match="^unexpected header"):
+        parse_dataset(text)
+
+
+def test_an_oversize_header_field_is_a_line_1_parse_error():
+    header, rows = _panel_rows(0)
+    text = _text("R" * (csv.field_size_limit() + 1) + header, rows)
+    _assert_same_error(text)
+    with pytest.raises(DataParseError) as caught:
+        parse_dataset(text)
+    assert str(caught.value) == f"line 1: {FIELD_LIMIT_ERROR}"
+
+
+def test_parse_peak_memory_stays_under_ten_times_the_input():
+    """The parse holds one block of fields as strings at a time, so its
+    traced peak stays a small multiple of the text it reads."""
+    text = panel_csv(3, chains=300)
+    assert text.count("\n") > 1_500
+    parse_dataset(text)  # first-call allocations (numpy, the csv module) are not the parse's
+    tracemalloc.start()
+    try:
+        parse_dataset(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * len(text), peak / len(text)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -36,20 +37,25 @@ from retailrisk.dataset import (
 )
 from retailrisk.firth import fit_firth
 from retailrisk.logistic import LONG_ROWS
+from retailrisk import pipeline
 from retailrisk.pipeline import (
     FINAL_MODEL_PREDICTORS,
+    REFERENCE_FAILURE_PROBABILITIES,
     SCREEN_GROUPS,
     fit_final_model,
     table_from_coefficients,
 )
 from retailrisk.report import (
     FORMATS,
+    ROUNDING,
     SIGNIF_LEGEND,
     ReportDocument,
     Section,
     cell_section,
     describe_section,
     final_model_section,
+    fmt_number,
+    fmt_numbers,
     probability_section,
     render,
 )
@@ -153,6 +159,41 @@ class TestRender:
                 assert summary.sw_p < 0.001
             else:
                 assert float(row[4]) == pytest.approx(summary.sw_p, abs=5e-4 + 1e-9)
+
+
+    @pytest.mark.parametrize("kind", sorted(ROUNDING))
+    def test_fmt_numbers_is_fmt_number_of_each_value(self, kind):
+        decimals = ROUNDING[kind]
+        unit = 10.0 ** -decimals
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, -0.4 * unit, -0.49 * unit,
+                   -5e-324, 1e300, -1e300, 0.5 * unit, -0.5 * unit, -0.51 * unit]
+        rng = random.Random(decimals)
+        plain = [rng.choice((-1, 1)) * rng.lognormvariate(0.0, 4.0) for _ in range(200)]
+        assert fmt_numbers([], decimals) == []
+        for values in ([[v] for v in special] + [plain, special + plain, plain + special]
+                       + [plain[:5] + [v] + plain[5:9] for v in special]):
+            assert fmt_numbers(values, decimals) == [fmt_number(v, decimals) for v in values]
+
+    def test_pipe_in_a_chain_name_is_escaped_in_every_kind_of_row(self, tmp_path, monkeypatch):
+        """A ``|`` in a chain name: escaped in the grid's header, a drift row
+        and the one-cell row, and every other cell's line keeps one pipe per
+        column edge."""
+        name, old = "Bed Bath | Beyond", "Bed Bath & Beyond"
+        monkeypatch.setattr(pipeline, "REFERENCE_FAILURE_PROBABILITIES", {
+            (name if chain == old else chain, year): p
+            for (chain, year), p in REFERENCE_FAILURE_PROBABILITIES.items()})
+        path = write_variant(tmp_path / "pipe.csv",
+                             lambda row: {"chain": name} if row["chain"] == old else {})
+        escaped = "Bed Bath \\| Beyond"
+        status, out, err = run(["predict", "--data", str(path)])
+        assert (status, err) == (0, "")
+        lines = [line for line in out.splitlines() if line.startswith("|")]
+        assert lines[0] == f"| Year | {escaped} | Rite Aid | Sears Holdings | J.C. Penney |"
+        assert any(line.startswith(f"| {escaped} | 2015 | ") for line in lines)
+        assert all(len(re.findall(r"(?<!\\)\|", line)) == 6 for line in lines)
+        status, out, err = run(["predict", "--data", str(path), "--chain", name, "--year", "2015"])
+        assert (status, err) == (0, "")
+        assert re.search(rf"^\| {re.escape(escaped)} \| 2015 \| 0\.\d{{3}} \|$", out, re.M)
 
 
 class TestCli:
@@ -948,6 +989,25 @@ def test_output_stdout_cannot_encode_gives_one_error_line(tmp_path, monkeypatch,
     out = tmp_path / "out.txt"
     assert run_process([*argv, "--out", str(out)]) == (0, "", "")
     assert out.read_text(encoding="utf-8") == text
+
+
+@pytest.mark.parametrize("argv,status,line", [
+    (["predict", "--chain", "Rité", "--year", "2015"], 1,
+     "error: unknown chain 'Rit\\xe9'; known: Bed Bath & Beyond, Rite Aid, Sears Holdings, "
+     "J.C. Penney\n"),
+    (["report", "--format", "jsoné"], 2,
+     "error: argument --format: invalid choice: 'json\\xe9' (choose from 'markdown', 'csv', "
+     "'json')\nusage: retailrisk [-h] COMMAND ...\n"),
+], ids=["error", "usage"])
+def test_stderr_that_cannot_encode_gets_the_line_backslash_escaped(argv, status, line):
+    """An in-process stderr with a strict encoding gets its error line as
+    Python's own stderr writes it, and the exit status is unchanged."""
+    buffer, out = io.BytesIO(), io.StringIO()
+    stderr = io.TextIOWrapper(buffer, encoding="ascii")
+    assert run_command(argv, stdout=out, stderr=stderr) == status
+    stderr.flush()
+    assert (buffer.getvalue().decode("ascii"), out.getvalue()) == (line, "")
+    assert run(argv) == (status, "", line.encode("ascii").decode("unicode_escape"))
 
 
 def test_run_command_leaves_the_collector_alone():
